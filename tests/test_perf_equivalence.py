@@ -1,17 +1,23 @@
-"""Determinism property tests: the optimized hot path is bit-identical.
+"""Golden timelines: the simulator's exact output, pinned by digest.
 
-The indexed ready-queues, the plan/consistency caches, and event
-cancellation+compaction are pure performance changes — the paper's Sec.
-4.6.2 consistency mechanism depends on the simulation being deterministic,
-so the optimized path must produce *exactly* the timeline the seed
-implementation produced.  These tests run the same submissions through
-both implementations (``indexed_queues``/``plan_cache``/``optimized``
-toggles select the pre-indexing reference path, which preserves the seed
-semantics) and assert identical ``OpRecord`` timelines, completion orders,
-and cluster reports — exact float equality, no tolerances.
+The paper's Sec. 4.6.2 consistency mechanism depends on the simulation
+being deterministic, and the hot path's indexed ready queues, plan and
+consistency caches, and event cancellation are pure performance devices:
+none may move a single timestamp.  Each cell below runs one fixed
+scenario and reduces its exact output — per-op ready/start/end times and
+completion order, or a cluster run's JCTs and wire statistics — to
+``sha256(repr(value))``.  ``tests/data/golden_timelines.json`` holds the
+digests recorded from the pre-indexing reference path (flat-list ready
+queues, no plan cache, no event cancellation), so every cell checks the
+production path against that reference's output with exact float
+equality: float ``repr`` is exact and stable across Python versions.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +25,43 @@ from repro.cluster import ClusterConfig, ClusterSimulator, JobSpec
 from repro.collectives import CollectiveRequest, CollectiveType
 from repro.core import SchedulerFactory, Splitter
 from repro.sim import EventQueue, FusionConfig, NetworkSimulator
+from repro.sim.backends import get_backend
 from repro.topology import Topology, dimension
 from repro.training import TrainingConfig
-from repro.units import MB
+from repro.units import KB, MB
 from repro.workloads import Layer, Workload
 
 POLICIES = ("fifo", "scf", "lcf")
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_timelines.json").read_text()
+)
+
+#: The five mixed submissions: per-request sizes and issue times.  At MB
+#: scale every op saturates its dimension, so fusion never triggers; the
+#: KB scale packs small ops closely enough to fuse several per batch.
+MB_SCALE = (
+    (64 * MB, 16 * MB, 4 * MB, 8 * MB, 64 * MB),
+    (0.0, 1e-4, 2e-4, 5e-5, 3e-4),
+)
+KB_SCALE = (
+    (64 * KB, 16 * KB, 8 * KB, 32 * KB, 64 * KB),
+    (0.0, 1e-6, 2e-6, 5e-7, 3e-6),
+)
+
+
+def digest(value: object) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _check(cell: str, value: object) -> None:
+    """Assert ``value`` reproduces the golden digest of ``cell``."""
+    fresh = digest(value)
+    assert fresh == GOLDEN[cell], f"golden cell {cell!r} changed: fresh digest {fresh}"
+
+
+def _switch(on: bool) -> str:
+    return "on" if on else "off"
 
 
 def three_dim_topology() -> Topology:
@@ -38,33 +75,26 @@ def three_dim_topology() -> Topology:
     )
 
 
-def _submit_mixed_workload(sim: NetworkSimulator) -> None:
+def _submit_mixed_workload(sim, scale: tuple = MB_SCALE) -> None:
     """Concurrent collectives: mixed sizes, dim subsets, priorities, tenants,
-    and an exact repeat (exercises the plan cache on the optimized path)."""
-    sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB, owner="a"))
+    and an exact repeat (exercises the plan cache)."""
+    (ar_a, ar_b, rs, ag, repeat), (t_a, t_b, t_rs, t_ag, t_repeat) = scale
+    sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, ar_a, owner="a"), t_a)
+    sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, ar_b, owner="b"), t_b)
     sim.submit(
-        CollectiveRequest(CollectiveType.ALL_REDUCE, 16 * MB, owner="b"),
-        at_time=1e-4,
+        CollectiveRequest(CollectiveType.REDUCE_SCATTER, rs, priority=2, owner="a"),
+        t_rs,
     )
     sim.submit(
-        CollectiveRequest(
-            CollectiveType.REDUCE_SCATTER, 4 * MB, priority=2, owner="a"
-        ),
-        at_time=2e-4,
+        CollectiveRequest(CollectiveType.ALL_GATHER, ag, dim_indices=(0, 1), owner="b"),
+        t_ag,
     )
     sim.submit(
-        CollectiveRequest(
-            CollectiveType.ALL_GATHER, 8 * MB, dim_indices=(0, 1), owner="b"
-        ),
-        at_time=5e-5,
-    )
-    sim.submit(
-        CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB, owner="a"),
-        at_time=3e-4,
+        CollectiveRequest(CollectiveType.ALL_REDUCE, repeat, owner="a"), t_repeat
     )
 
 
-def _timeline(sim: NetworkSimulator) -> tuple:
+def _timeline(sim) -> tuple:
     """Normalized timeline: per-op times plus completion order/times.
 
     Request ids are globally monotonic, so they are rebased to the run's
@@ -91,18 +121,49 @@ def _timeline(sim: NetworkSimulator) -> tuple:
     return records, completions
 
 
-def _run_single(optimized: bool, policy: str, fusion_on: bool, enforce: bool) -> tuple:
+def _single_sim(
+    optimized: bool,
+    scheduler: str,
+    policy: str,
+    fusion_on: bool = True,
+    enforce: bool = False,
+    scale: tuple = MB_SCALE,
+) -> NetworkSimulator:
     sim = NetworkSimulator(
         three_dim_topology(),
-        SchedulerFactory("themis", splitter=Splitter(8)),
+        SchedulerFactory(scheduler, splitter=Splitter(8)),
         policy=policy,
         fusion=FusionConfig(enabled=fusion_on),
         enforce_consistency=enforce,
         indexed_queues=optimized,
         plan_cache=optimized,
     )
+    _submit_mixed_workload(sim, scale)
+    return sim
+
+
+def _backend_sim(optimized: bool, backend: str, chunks: int):
+    sim = get_backend(backend).build(
+        three_dim_topology(),
+        scheduler=SchedulerFactory("themis", splitter=Splitter(chunks)),
+        indexed_queues=optimized,
+        plan_cache=optimized,
+    )
     _submit_mixed_workload(sim)
-    return _timeline(sim)
+    return sim
+
+
+def _shared_engine_sim(optimized: bool) -> NetworkSimulator:
+    sim = NetworkSimulator(
+        three_dim_topology(),
+        SchedulerFactory("themis", splitter=Splitter(4)),
+        policy="scf",
+        engine=EventQueue(cancellation=optimized),
+        indexed_queues=optimized,
+        plan_cache=optimized,
+    )
+    _submit_mixed_workload(sim)
+    return sim
 
 
 class TestSingleSimulatorEquivalence:
@@ -110,24 +171,57 @@ class TestSingleSimulatorEquivalence:
     @pytest.mark.parametrize("fusion_on", [True, False])
     @pytest.mark.parametrize("enforce", [True, False])
     def test_identical_timelines(self, policy, fusion_on, enforce):
-        optimized = _run_single(True, policy, fusion_on, enforce)
-        reference = _run_single(False, policy, fusion_on, enforce)
-        assert optimized == reference
+        cell = (
+            f"themis/{policy}/fusion_{_switch(fusion_on)}"
+            f"/consistency_{_switch(enforce)}"
+        )
+        for optimized in (True, False):
+            sim = _single_sim(optimized, "themis", policy, fusion_on, enforce)
+            _check(cell, _timeline(sim))
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_baseline_scheduler_identical(self, policy):
-        def run(optimized: bool) -> tuple:
-            sim = NetworkSimulator(
-                three_dim_topology(),
-                SchedulerFactory("baseline", splitter=Splitter(8)),
-                policy=policy,
-                indexed_queues=optimized,
-                plan_cache=optimized,
-            )
-            _submit_mixed_workload(sim)
-            return _timeline(sim)
+        for optimized in (True, False):
+            sim = _single_sim(optimized, "baseline", policy)
+            _check(f"baseline/{policy}", _timeline(sim))
 
-        assert run(True) == run(False)
+
+class TestFusedTimelines:
+    """The mixed workload at KB sizes and microsecond offsets: small ops
+    fuse several to a batch, so the fusion axis is exercised for real."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("fusion_on", [True, False])
+    @pytest.mark.parametrize("enforce", [True, False])
+    @pytest.mark.parametrize("scheduler", ["themis", "baseline"])
+    def test_fused_cells_match_golden(self, scheduler, enforce, fusion_on, policy):
+        cell = (
+            f"kb/{scheduler}/{policy}/fusion_{_switch(fusion_on)}"
+            f"/consistency_{_switch(enforce)}"
+        )
+        for optimized in (True, False):
+            sim = _single_sim(
+                optimized, scheduler, policy, fusion_on, enforce, KB_SCALE
+            )
+            _check(cell, _timeline(sim))
+            if fusion_on:
+                ops = sum(channel.stats.op_count for channel in sim.channels)
+                batches = sum(channel.stats.batch_count for channel in sim.channels)
+                assert batches < ops, f"{cell}: no op was fused"
+
+
+class TestBackendTimelines:
+    """The mixed workload on the fluid and packet backends.  Fluid at 8
+    chunks keeps exact chunk granularity on its shared wire; at 64 chunks
+    every plan collapses to per-dimension flows."""
+
+    @pytest.mark.parametrize(
+        "backend, chunks", [("fluid", 8), ("fluid", 64), ("packet", 8)]
+    )
+    def test_backend_timeline_matches_golden(self, backend, chunks):
+        for optimized in (True, False):
+            sim = _backend_sim(optimized, backend, chunks)
+            _check(f"backend/{backend}/chunks_{chunks}", _timeline(sim))
 
 
 def _comm_heavy(layers: int, param_mb: float, name: str) -> Workload:
@@ -140,7 +234,7 @@ def _comm_heavy(layers: int, param_mb: float, name: str) -> Workload:
                 bwd_flops=2e8,
                 param_bytes=param_mb * MB,
             )
-        for i in range(layers)
+            for i in range(layers)
         ],
         batch_per_npu=1,
     )
@@ -178,32 +272,40 @@ def _cluster_report(optimized: bool, fairness: str):
     return report, sim
 
 
+def _cluster_value(optimized: bool, fairness: str) -> tuple:
+    report, sim = _cluster_report(optimized, fairness)
+    result = sim.network.result()
+    return (
+        tuple(job.jct for job in report.jobs),
+        report.makespan,
+        report.preemption_count,
+        report.comm_active_seconds,
+        tuple(result.dim_bytes),
+        tuple(result.dim_transfer_seconds),
+    )
+
+
 class TestClusterEquivalence:
-    """``enable_preemption``/``set_share_weights`` runs report identical
-    stats on the optimized and reference paths — including the FTF policy,
-    whose reweight storms exercise flow-event cancellation hardest."""
+    """Cluster runs under every fairness policy — including FTF, whose
+    reweight storms exercise flow-event cancellation hardest."""
 
     @pytest.mark.parametrize("fairness", ["fifo", "weighted", "ftf", "preempt"])
     def test_identical_cluster_stats(self, fairness):
-        optimized, opt_sim = _cluster_report(True, fairness)
-        reference, ref_sim = _cluster_report(False, fairness)
-        assert [j.jct for j in optimized.jobs] == [j.jct for j in reference.jobs]
-        assert optimized.makespan == reference.makespan
-        assert optimized.preemption_count == reference.preemption_count
-        assert optimized.comm_active_seconds == reference.comm_active_seconds
-        opt_result = opt_sim.network.result()
-        ref_result = ref_sim.network.result()
-        assert opt_result.dim_bytes == ref_result.dim_bytes
-        assert opt_result.dim_transfer_seconds == ref_result.dim_transfer_seconds
+        for optimized in (True, False):
+            _check(f"cluster/{fairness}", _cluster_value(optimized, fairness))
 
     def test_reweight_storm_keeps_heap_bounded(self):
-        """The legacy path's heap grows with every reweight; the optimized
-        path cancels superseded finish events, so its peak pending count
-        stays a small multiple of the in-flight work."""
-        _, opt_sim = _cluster_report(True, "ftf")
-        _, ref_sim = _cluster_report(False, "ftf")
-        assert opt_sim.engine.peak_pending < ref_sim.engine.peak_pending
-        assert opt_sim.engine.cancelled_events > 0
+        """Cancelling every superseded finish event keeps the heap a small
+        multiple of the in-flight work under FTF's reweight storms.  Exact
+        counters: the no-cancellation engine peaked at 112 pending events
+        and fired 17,319 on this cell."""
+        _, sim = _cluster_report(True, "ftf")
+        assert sim.engine.peak_pending == 15
+        assert sim.engine.cancelled_events == 9826
+        assert sim.engine.events_processed == 7493
+        _, reference = _cluster_report(False, "ftf")
+        assert reference.engine.peak_pending == 112
+        assert reference.engine.events_processed == 17319
 
 
 class TestAuditEquivalence:
@@ -254,19 +356,6 @@ class TestAuditEquivalence:
 class TestSharedEngineEquivalence:
     def test_two_simulators_on_one_engine(self):
         """The training/cluster layers share one engine across simulators;
-        the optimized path must interleave identically."""
-
-        def run(optimized: bool) -> tuple:
-            engine = EventQueue(cancellation=optimized)
-            sim = NetworkSimulator(
-                three_dim_topology(),
-                SchedulerFactory("themis", splitter=Splitter(4)),
-                policy="scf",
-                engine=engine,
-                indexed_queues=optimized,
-                plan_cache=optimized,
-            )
-            _submit_mixed_workload(sim)
-            return _timeline(sim)
-
-        assert run(True) == run(False)
+        a simulator on a caller-supplied engine runs identically."""
+        for optimized in (True, False):
+            _check("shared_engine/scf", _timeline(_shared_engine_sim(optimized)))
