@@ -9,13 +9,12 @@ Options::
     --json            write the JSON artifact(s) (otherwise just print)
     --out DIR         directory for the artifacts (default: repo root)
     --quick           reduced matrix (CI smoke: fast, still all policies)
-    --compare-legacy  include the pre-indexing reference path + speedups
 
 The tracked matrix deliberately stays modest (it must be cheap enough to
 run on every PR); the full 64-job sweep is one command away::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py \
-        --jobs 64 --policies weighted,ftf --compare-legacy
+        --jobs 64 --policies weighted,ftf
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ def main(argv: list[str] | None = None) -> None:
         "--out", default=str(_HERE.parent), help="artifact directory"
     )
     parser.add_argument("--quick", action="store_true", help="reduced matrix")
-    parser.add_argument("--compare-legacy", action="store_true")
     args = parser.parse_args(argv)
 
     job_counts = (8, 16) if args.quick else (8, 16, 32, 64)
@@ -54,7 +52,6 @@ def main(argv: list[str] | None = None) -> None:
     document = bench_scaling.run_matrix(
         job_counts,
         bench_scaling.DEFAULT_POLICIES,
-        compare_legacy=args.compare_legacy,
         open_loop_arrivals=open_loop_arrivals,
         degraded_jobs=8 if args.quick else 16,
         backend_fidelity_jobs=4 if args.quick else 8,

@@ -35,11 +35,6 @@ class ProvisioningVerdict(enum.Enum):
     UNDER_PROVISIONED = "UnderProvisioned"
 
 
-#: Backwards-compatible alias — ``repro.api.ProvisioningScenario`` now names
-#: the declarative provisioning *spec*; this enum is the per-pair verdict.
-ProvisioningScenario = ProvisioningVerdict
-
-
 @dataclass(frozen=True)
 class PairAssessment:
     """Provisioning verdict for one (dimK, dimL) pair.

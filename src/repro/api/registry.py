@@ -21,7 +21,6 @@ Kinds: ``topology``, ``workload``, ``collective``, ``scheduler``,
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from collections.abc import Callable
 from typing import Any
@@ -32,7 +31,7 @@ from ..collectives import registry as _algorithms
 from ..collectives.types import CollectiveType
 from ..core import policies as _policies
 from ..core.scheduler import SchedulerFactory
-from ..errors import ReproError, SpecError
+from ..errors import ReproError, SpecError, did_you_mean
 from ..sim import backends as _backends
 from ..topology import presets as _presets
 from ..workloads import get_workload, register_workload, workload_names
@@ -124,12 +123,6 @@ def _kind(kind: str) -> _Kind:
 def registry_keys(kind: str) -> tuple[str, ...]:
     """Valid keys of one kind (built-ins plus everything registered)."""
     return tuple(_kind(kind).lister())
-
-
-def did_you_mean(key: str, known: tuple[str, ...] | list[str]) -> str:
-    """``" (did you mean 'x'?)"`` or ``""`` — shared by all key errors."""
-    matches = difflib.get_close_matches(key, list(known), n=1, cutoff=0.5)
-    return f" (did you mean {matches[0]!r}?)" if matches else ""
 
 
 def validate_key(kind: str, key: str) -> str:

@@ -27,13 +27,13 @@ Determinism contract of the open-loop generator:
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
 from collections.abc import Sequence
 
 from ..errors import ConfigError
+from ..sim.faults import stream_seed
 from ..workloads import get_workload
 from ..workloads.base import Workload
 from ..workloads.synthetic import flood_ladder
@@ -178,22 +178,6 @@ def poisson_trace(
 # --- open-loop generation ----------------------------------------------------
 #: Arrival processes :func:`open_loop_trace` understands.
 ARRIVAL_PROCESSES = ("poisson", "bursty", "diurnal")
-
-
-def stream_seed(seed: int, label: str) -> int:
-    """Derive an independent substream seed from ``(seed, label)``.
-
-    SHA-256 over the pair, truncated to 64 bits — stable across Python
-    versions and processes (unlike the salted builtin ``hash``), so every
-    trace labelled stream (arrivals / sizes / modulation) is reproducible
-    bit-for-bit anywhere.
-    """
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def _stream_rng(seed: int, label: str) -> random.Random:
-    return random.Random(stream_seed(seed, label))
 
 
 @dataclass(frozen=True)
@@ -575,9 +559,9 @@ def open_loop_trace(
             f"known: {', '.join(ARRIVAL_PROCESSES)}"
         )
     mix = mix or JobMix()
-    arr_rng = _stream_rng(seed, "arrivals")
-    mod_rng = _stream_rng(seed, "modulation")
-    size_rng = _stream_rng(seed, "sizes")
+    arr_rng = random.Random(stream_seed(seed, "arrivals"))
+    mod_rng = random.Random(stream_seed(seed, "modulation"))
+    size_rng = random.Random(stream_seed(seed, "sizes"))
     if process == "poisson":
         times = _poisson_arrivals(arr_rng, rate, start_time, duration, max_jobs)
     elif process == "diurnal":

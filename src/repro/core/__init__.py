@@ -25,7 +25,7 @@ from .policies import (
     policy_names,
     register_policy,
 )
-from .ready_queue import IndexedReadyQueue, ListReadyQueue, ReadyQueue
+from .ready_queue import ReadyQueue
 from .scheduler import (
     DEFAULT_THRESHOLD_DIVISOR,
     BaselineScheduler,
@@ -59,8 +59,6 @@ __all__ = [
     "policy_names",
     "register_policy",
     "ReadyQueue",
-    "IndexedReadyQueue",
-    "ListReadyQueue",
     "IdealEstimator",
     "LpIdealEstimator",
     "FluidSolution",

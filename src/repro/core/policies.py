@@ -15,11 +15,11 @@ the policy picks which runs next:
 Policies order *ready* ops only; op readiness (previous stage completed) is
 the executor's concern.
 
-A policy also supplies the *ready-queue structure* the executor keeps its
-ready ops in (:meth:`IntraDimPolicy.make_queue`): each policy's heap is
-keyed by its own ``sort_key``, so selection is O(log n) instead of the
-linear ``select(list)`` scan — which remains available for compatibility
-(and as the reference path for the determinism property tests).
+A dimension channel keeps its ready ops in a
+:class:`~repro.core.ready_queue.ReadyQueue` heap keyed by the policy's
+``sort_key``, so selection is O(log n).  :meth:`IntraDimPolicy.select`,
+the linear ``min(sort_key)`` over a list, stays the policy's defining form
+and the queue's reference in tests.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
-from .ready_queue import IndexedReadyQueue, ListReadyQueue, ReadyQueue
+from .ready_queue import ReadyQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..sim.executor import OpState
@@ -49,18 +49,6 @@ class IntraDimPolicy(abc.ABC):
         if not ready_ops:
             raise ConfigError("policy invoked with no ready ops")
         return min(ready_ops, key=self.sort_key)
-
-    def make_queue(self, indexed: bool = True) -> ReadyQueue:
-        """Build this policy's ready-queue structure for one channel.
-
-        The default indexed structure is a lazy-deletion heap ordered by
-        this policy's ``sort_key`` (the key *is* the policy, so FIFO gets
-        an arrival-order heap, SCF/LCF size-order heaps).  ``indexed=False``
-        returns the seed-semantics flat list for reference comparisons.
-        """
-        if indexed:
-            return IndexedReadyQueue(self.sort_key)
-        return ListReadyQueue(self)
 
     def select_from(
         self,

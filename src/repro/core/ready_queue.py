@@ -1,108 +1,35 @@
-"""Ready-queue structures for the dimension channels (hot path).
+"""The ready queue a dimension channel draws its batches from (hot path).
 
-The seed executor kept each dimension's ready ops in a flat list and
-re-scanned it — ``policy.select(list)`` plus ``list.remove`` per dequeued
-op — which is O(n) per decision and O(n · max_ops) per fused batch.  Under
-many concurrent tenants that dominates the whole simulation.  This module
-replaces the list with *policy-indexed* structures so every hot-path
-decision is O(log n):
+Keeping each dimension's ready ops in a flat list and re-scanning it —
+``policy.select(list)`` plus ``list.remove`` per dequeued op — is O(n) per
+decision and O(n · max_ops) per fused batch, which under many concurrent
+tenants dominates the whole simulation.  :class:`ReadyQueue` indexes the
+ops by policy instead, so every hot-path decision is O(log n):
 
-* :class:`IndexedReadyQueue` — the production structure.  One lazy-deletion
-  heap ordered by the policy's ``sort_key`` (FIFO's key is arrival order,
-  SCF/LCF's their size order, so each policy's heap *is* its natural
-  structure), one per-owner bucket heap for the weighted-sharing wire's
-  per-tenant admission, and a parking map for ops blocked by an enforced
-  per-collective order (Sec. 4.6.2) — a blocked op is unparked the moment
-  it becomes its order's head, so eligibility never requires a scan.
-* :class:`ListReadyQueue` — the seed semantics, kept as the reference for
-  the determinism property tests (``tests/test_perf_equivalence.py``) and
-  for the perf harness's before/after comparison
-  (``benchmarks/bench_scaling.py --compare-legacy``).
+* one lazy-deletion heap ordered by the policy's ``sort_key`` (FIFO's key
+  is arrival order, SCF/LCF's their size order, so each policy's heap *is*
+  its natural structure);
+* one per-owner bucket heap for the weighted-sharing wire's per-tenant
+  admission, with a heap of the inactive owners' bucket heads on top;
+* a parking map for ops blocked by an enforced per-collective order
+  (Sec. 4.6.2) — a blocked op is unparked the moment it becomes its
+  order's head, so eligibility never requires a scan.
 
-Both present the same interface, selected via
-``IntraDimPolicy.make_queue(indexed=...)``; selection goes through
-``IntraDimPolicy.select_from``.  Identical op sets yield identical
-selections in either implementation: the sort keys are total orders
-(they end in the unique ``(collective_seq, chunk_id, stage_index)``
-identity), so a heap minimum equals a linear-scan minimum.
+The sort keys are total orders (they end in the unique ``(collective_seq,
+chunk_id, stage_index)`` identity), so a heap minimum is exactly the op the
+policy's linear ``IntraDimPolicy.select`` picks from the same set.
 """
 
 from __future__ import annotations
 
-import abc
 import heapq
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..sim.executor import OpState
-    from .policies import IntraDimPolicy
 
 OpKey = tuple[int, int, int]
-
-
-class ReadyQueue(abc.ABC):
-    """Ready-op container a :class:`DimensionChannel` draws batches from.
-
-    The channel owns eligibility (enforced per-collective orders): it binds
-    its predicate via :meth:`bind`, tells :meth:`push` whether the op may
-    start now, and calls :meth:`promote` when an enforced order advances.
-    """
-
-    _is_eligible: Callable[["OpState"], bool]
-
-    def bind(self, is_eligible: Callable[["OpState"], bool]) -> None:
-        """Attach the channel's eligibility predicate."""
-        self._is_eligible = is_eligible
-
-    @abc.abstractmethod
-    def push(self, op: "OpState", eligible: bool) -> None:
-        """Add a newly ready op (``eligible`` per the channel's orders)."""
-
-    @abc.abstractmethod
-    def discard(self, op: "OpState") -> None:
-        """Remove an op selected into a batch (or parked and superseded)."""
-
-    @abc.abstractmethod
-    def select(
-        self,
-        owner: str | None = None,
-        exclude_owners: Iterable[str] | None = None,
-    ) -> "OpState | None":
-        """Best eligible op under the policy order, or ``None``.
-
-        ``owner`` restricts to one tenant (fusion within a weighted-share
-        flow); ``exclude_owners`` skips tenants that already have a flow in
-        flight (weighted-share admission).  At most one filter is passed.
-        """
-
-    @abc.abstractmethod
-    def max_priority(self) -> int | None:
-        """Highest priority among eligible ops (``None`` when none)."""
-
-    def promote(self, op_key: OpKey) -> bool:
-        """An enforced order advanced: unpark its new head if waiting."""
-        return False
-
-    def set_owner_active(self, owner: str, active: bool) -> None:
-        """Track whether ``owner`` has a flow in flight (weighted sharing).
-
-        The shared-wire channel mirrors its in-flight flow set here so the
-        queue can answer ``select(exclude_owners=<in-flight set>)`` without
-        scanning every owner (see :class:`IndexedReadyQueue`'s heads heap).
-        The default is a no-op: the flat reference queue scans anyway.
-        """
-
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Live ops held (eligible + order-blocked)."""
-
-    @abc.abstractmethod
-    def __iter__(self) -> Iterator["OpState"]:
-        """Iterate live ops in unspecified order (diagnostics/tests)."""
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
 
 
 class _LazyHeap:
@@ -151,8 +78,13 @@ class _LazyHeap:
         return len(self.entries)
 
 
-class IndexedReadyQueue(ReadyQueue):
-    """Policy-keyed heaps with per-owner buckets and order-blocked parking."""
+class ReadyQueue:
+    """Policy-keyed heaps with per-owner buckets and order-blocked parking.
+
+    The channel owns eligibility (enforced per-collective orders): it tells
+    :meth:`push` whether the op may start now, and calls :meth:`promote`
+    when an enforced order advances.
+    """
 
     def __init__(self, key_fn: Callable[["OpState"], tuple]) -> None:
         self._key = key_fn
@@ -178,6 +110,7 @@ class IndexedReadyQueue(ReadyQueue):
 
     # --- mutation -----------------------------------------------------------
     def push(self, op: "OpState", eligible: bool) -> None:
+        """Add a newly ready op (``eligible`` per the channel's orders)."""
         if eligible:
             self._admit(op)
         else:
@@ -198,6 +131,7 @@ class IndexedReadyQueue(ReadyQueue):
         counts[op.priority] = counts.get(op.priority, 0) + 1
 
     def promote(self, op_key: OpKey) -> bool:
+        """An enforced order advanced: unpark its new head if waiting."""
         op = self._parked.pop(op_key, None)
         if op is None:
             return False
@@ -205,6 +139,7 @@ class IndexedReadyQueue(ReadyQueue):
         return True
 
     def discard(self, op: "OpState") -> None:
+        """Remove an op selected into a batch (or parked and superseded)."""
         if self._parked.pop(op.key, None) is not None:
             return
         if not op.queued:
@@ -229,6 +164,12 @@ class IndexedReadyQueue(ReadyQueue):
                 heapq.heappush(self._heads, (self._key(head), head))
 
     def set_owner_active(self, owner: str, active: bool) -> None:
+        """Track whether ``owner`` has a flow in flight (weighted sharing).
+
+        The shared-wire channel mirrors its in-flight flow set here so the
+        queue can answer ``select(exclude_owners=<in-flight set>)`` from the
+        heads heap instead of scanning every owner.
+        """
         if not self._track_heads:
             # First activation turns tracking on: seed the heads heap with
             # every owner's current head (ops admitted before any flow
@@ -279,6 +220,12 @@ class IndexedReadyQueue(ReadyQueue):
         owner: str | None = None,
         exclude_owners: Iterable[str] | None = None,
     ) -> "OpState | None":
+        """Best eligible op under the policy order, or ``None``.
+
+        ``owner`` restricts to one tenant (fusion within a weighted-share
+        flow); ``exclude_owners`` skips tenants that already have a flow in
+        flight (weighted-share admission).  At most one filter is passed.
+        """
         if owner is not None:
             return self._peek_owner(owner)
         if exclude_owners is not None:
@@ -321,6 +268,7 @@ class IndexedReadyQueue(ReadyQueue):
         return op
 
     def max_priority(self) -> int | None:
+        """Highest priority among eligible ops (``None`` when none)."""
         # Distinct priority levels are few (per-tenant), so max over the
         # count index is O(#levels), not O(#ops).
         if not self._priority_counts:
@@ -329,9 +277,14 @@ class IndexedReadyQueue(ReadyQueue):
 
     # --- introspection ------------------------------------------------------
     def __len__(self) -> int:
+        """Live ops held (eligible + order-blocked)."""
         return self._live + len(self._parked)
 
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
     def __iter__(self) -> Iterator["OpState"]:
+        """Iterate live ops in unspecified order (diagnostics/tests)."""
         # Dedup on the stable op identity, not id(): stale heap entries for
         # the same op must collapse, and address-based keys would make the
         # iteration (and anything ordered by it) vary run to run.
@@ -341,48 +294,3 @@ class IndexedReadyQueue(ReadyQueue):
                 seen.add(op.key)
                 yield op
         yield from self._parked.values()
-
-
-class ListReadyQueue(ReadyQueue):
-    """Seed-semantics flat list: linear scans, ``policy.select`` minima.
-
-    O(n) per decision — kept only as the reference implementation for the
-    determinism property tests and the perf harness's ``--compare-legacy``
-    mode.
-    """
-
-    def __init__(self, policy: "IntraDimPolicy") -> None:
-        self._policy = policy
-        self._ops: list["OpState"] = []
-
-    def push(self, op: "OpState", eligible: bool) -> None:
-        self._ops.append(op)
-
-    def discard(self, op: "OpState") -> None:
-        self._ops.remove(op)
-
-    def select(
-        self,
-        owner: str | None = None,
-        exclude_owners: Iterable[str] | None = None,
-    ) -> "OpState | None":
-        candidates = [
-            op
-            for op in self._ops
-            if self._is_eligible(op)
-            and (owner is None or op.owner == owner)
-            and (exclude_owners is None or op.owner not in exclude_owners)
-        ]
-        if not candidates:
-            return None
-        return self._policy.select(candidates)
-
-    def max_priority(self) -> int | None:
-        priorities = [op.priority for op in self._ops if self._is_eligible(op)]
-        return max(priorities) if priorities else None
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def __iter__(self) -> Iterator["OpState"]:
-        return iter(list(self._ops))

@@ -3,9 +3,18 @@
 All library-raised exceptions derive from :class:`ReproError` so that callers
 can catch everything coming out of this package with a single ``except``
 clause while still being able to discriminate finer failure modes.
+:func:`did_you_mean` is the suggestion every unknown-key error carries.
 """
 
 from __future__ import annotations
+
+import difflib
+
+
+def did_you_mean(key: str, known: tuple[str, ...] | list[str]) -> str:
+    """``" (did you mean 'x'?)"`` or ``""`` — shared by all key errors."""
+    matches = difflib.get_close_matches(key, list(known), n=1, cutoff=0.5)
+    return f" (did you mean {matches[0]!r}?)" if matches else ""
 
 
 class ReproError(Exception):

@@ -11,6 +11,7 @@ from .backends import (
     register_backend,
     resolve_backend_key,
 )
+from .backends.ideal import IdealNetwork
 from .engine import EventHandle, EventQueue, times_close
 from .executor import ChannelStats, DimensionChannel, FusionConfig, OpState
 from .faults import (
@@ -22,12 +23,7 @@ from .faults import (
     compose_factors,
     fault_substream,
 )
-from .network import (
-    CollectiveResult,
-    ExecutionResult,
-    IdealNetwork,
-    NetworkSimulator,
-)
+from .network import CollectiveResult, ExecutionResult, NetworkSimulator
 from .stats import (
     UtilizationReport,
     activity_rate_series,

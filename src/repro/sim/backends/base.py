@@ -22,9 +22,10 @@ with the same did-you-mean validation as every other component.
 from __future__ import annotations
 
 import abc
+import dataclasses
 from typing import TYPE_CHECKING, Any, ClassVar
 
-from ...errors import ConfigError
+from ...errors import ConfigError, did_you_mean
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...core.policies import IntraDimPolicy
@@ -73,8 +74,6 @@ class NetworkBackend(abc.ABC):
         fusion: "FusionConfig | None" = None,
         engine: "EventQueue | None" = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: dict[str, Any] | None = None,
     ) -> Any:
@@ -96,6 +95,34 @@ class NetworkBackend(abc.ABC):
                 f"backend {self.key!r} accepts no options, got: "
                 f"{', '.join(sorted(options))}"
             )
+
+
+def options_from_dict(
+    options_type: type[Any], data: dict[str, Any] | None, backend: str
+) -> Any:
+    """Build a backend's options dataclass from a ``backend_options`` document.
+
+    Unknown keys get the same did-you-mean rejection as every other spec
+    field; each given value is coerced to the type of its field's default.
+    """
+    if not data:
+        return options_type()
+    fields = dataclasses.fields(options_type)
+    known = tuple(field.name for field in fields)
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        hints = ", ".join(f"{key!r}{did_you_mean(key, known)}" for key in unknown)
+        raise ConfigError(
+            f"unknown {backend} backend option(s): {hints}; "
+            f"known: {', '.join(known)}"
+        )
+    return options_type(
+        **{
+            field.name: type(field.default)(data[field.name])
+            for field in fields
+            if field.name in data
+        }
+    )
 
 
 _BACKENDS: dict[str, NetworkBackend] = {}

@@ -38,9 +38,9 @@ where precision matters (``hybrid=True``, the default):
 * **plan decisions** are always exact — fluidization happens after the
   scheduler has planned, never changes what it sees;
 * **fault transitions** always take the exact path: capacity changes
-  recompute rates immediately (never coalesced) through the same
-  generation-guarded banking the analytical backend uses, so byte
-  conservation holds across every rate-change point;
+  recompute rates immediately (never coalesced) through the same progress
+  banking the analytical backend uses, so byte conservation holds across
+  every rate-change point;
 * **priority preemption boundaries**: arming preemption switches the
   channels to strict-priority sharing (only the highest-priority in-flight
   flows get rate; lower-priority flows park at rate zero with progress
@@ -62,7 +62,7 @@ from ...collectives.phases import Stage
 from ...errors import ConfigError
 from ..executor import FlowCoalescer, OpState
 from ..network import NetworkSimulator
-from .base import NetworkBackend
+from .base import NetworkBackend, options_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...collectives.types import CollectiveRequest
@@ -99,36 +99,6 @@ class FluidOptions:
                 f"tolerance must be within [0, 1], got {self.tolerance}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any] | None) -> "FluidOptions":
-        """Build from a spec's ``backend_options`` document.
-
-        Unknown keys get the same did-you-mean rejection as every other
-        spec field.
-        """
-        if not data:
-            return cls()
-        known = ("tolerance", "hybrid", "coalesce")
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            import difflib
-
-            hints = []
-            for key in unknown:
-                match = difflib.get_close_matches(key, known, n=1, cutoff=0.5)
-                hints.append(
-                    f"{key!r} (did you mean {match[0]!r}?)" if match else repr(key)
-                )
-            raise ConfigError(
-                f"unknown fluid backend option(s): {', '.join(hints)}; "
-                f"known: {', '.join(known)}"
-            )
-        return cls(
-            tolerance=float(data.get("tolerance", cls.tolerance)),
-            hybrid=bool(data.get("hybrid", cls.hybrid)),
-            coalesce=bool(data.get("coalesce", cls.coalesce)),
-        )
-
 
 class FluidNetwork(NetworkSimulator):
     """Flow-level network simulator: see the module docstring for the model."""
@@ -141,8 +111,6 @@ class FluidNetwork(NetworkSimulator):
         fusion: "FusionConfig | None" = None,
         engine: "EventQueue | None" = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: FluidOptions | None = None,
     ) -> None:
@@ -153,8 +121,6 @@ class FluidNetwork(NetworkSimulator):
             fusion=fusion,
             engine=engine,
             record_ops=record_ops,
-            indexed_queues=indexed_queues,
-            plan_cache=plan_cache,
             audit=audit,
         )
         self.options = options or FluidOptions()
@@ -293,8 +259,6 @@ class FluidBackend(NetworkBackend):
         fusion: "FusionConfig | None" = None,
         engine: "EventQueue | None" = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: dict[str, Any] | None = None,
     ) -> FluidNetwork:
@@ -305,11 +269,9 @@ class FluidBackend(NetworkBackend):
             fusion=fusion,
             engine=engine,
             record_ops=record_ops,
-            indexed_queues=indexed_queues,
-            plan_cache=plan_cache,
             audit=audit,
-            options=FluidOptions.from_dict(options),
+            options=options_from_dict(FluidOptions, options, self.key),
         )
 
     def validate_options(self, options: dict[str, Any] | None) -> None:
-        FluidOptions.from_dict(options)
+        options_from_dict(FluidOptions, options, self.key)

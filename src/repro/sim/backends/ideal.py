@@ -1,26 +1,98 @@
-"""The Table 3 "Ideal" network as a registered backend.
+"""The Table 3 "Ideal" network and its registered backend.
 
-Folds :class:`~repro.sim.network.IdealNetwork` into the backend registry:
-``backend: "ideal"`` is the registry spelling of the older
-``ideal_network: true`` training flag (the flag remains an alias).  The
-ideal model has no scheduler, no per-tenant accounting, and no fault
+:class:`IdealNetwork` is a fluid server that moves each collective's
+schedule-invariant byte volume at the full aggregate bandwidth of the
+dimensions it spans.  ``backend: "ideal"`` is the registry spelling of the
+older ``ideal_network: true`` training flag (the flag remains an alias).
+The ideal model has no scheduler, no per-tenant accounting, and no fault
 surface — the capability flags below let the spec layer reject those
 combinations up front.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, ClassVar
 
-from ..network import IdealNetwork
+from ...core.ideal import IdealEstimator
+from ..engine import EventQueue
+from ..network import CollectiveResult, _check_not_past
 from .base import NetworkBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...collectives.types import CollectiveRequest
     from ...core.policies import IntraDimPolicy
     from ...core.scheduler import SchedulerFactory
     from ...topology import Topology
-    from ..engine import EventQueue
     from ..executor import FusionConfig
+
+
+class IdealNetwork:
+    """Fluid 100%-utilization network (Table 3 "Ideal").
+
+    Each collective completes after ``invariant_bytes / total_BW`` of
+    *service* time; concurrent collectives queue FIFO on the fluid server
+    (they share the same wires, so a lower bound must still serialize their
+    byte volumes).  Used for the Ideal bars of Fig. 12.
+    """
+
+    #: The ideal server is schedule-free and exposes no execution trace.
+    accepts_scheduler = False
+    provides_result = False
+
+    def __init__(self, topology: "Topology", engine: EventQueue | None = None) -> None:
+        self.topology = topology
+        self.engine = engine or EventQueue()
+        self._estimator = IdealEstimator()
+        self._server_free_at = 0.0
+        self._results: list[CollectiveResult] = []
+        self._subtopo_cache: dict[tuple, "Topology"] = {}
+
+    def _subtopology(self, request: "CollectiveRequest") -> "Topology":
+        key = request.communicator_key
+        if key not in self._subtopo_cache:
+            if request.dim_indices is None:
+                subtopo = self.topology
+            else:
+                subtopo = self.topology.communicator(
+                    request.dim_indices, request.peer_counts
+                )
+            self._subtopo_cache[key] = subtopo
+        return self._subtopo_cache[key]
+
+    def submit(
+        self,
+        request: "CollectiveRequest",
+        at_time: float | None = None,
+        on_complete: Callable[[CollectiveResult], None] | None = None,
+    ) -> CollectiveResult:
+        issue_time = self.engine.now if at_time is None else at_time
+        _check_not_past(self.engine, request, issue_time)
+        result = CollectiveResult(request=request, plan=None, issue_time=issue_time)
+        self._results.append(result)
+
+        def start() -> None:
+            subtopo = self._subtopology(request)
+            service = self._estimator.collective_time(
+                request.ctype, request.size, subtopo
+            )
+            begin = max(self.engine.now, self._server_free_at)
+            finish = begin + service
+            self._server_free_at = finish
+
+            def complete() -> None:
+                result.completion_time = self.engine.now
+                if on_complete is not None:
+                    on_complete(result)
+
+            self.engine.schedule(finish, complete)
+
+        self.engine.schedule(issue_time, start)
+        return result
+
+    def run(self) -> list[CollectiveResult]:
+        self.engine.run()
+        return list(self._results)
 
 
 class IdealBackend(NetworkBackend):
@@ -46,8 +118,6 @@ class IdealBackend(NetworkBackend):
         fusion: "FusionConfig | None" = None,
         engine: "EventQueue | None" = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: dict[str, Any] | None = None,
     ) -> IdealNetwork:

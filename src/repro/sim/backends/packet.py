@@ -53,12 +53,10 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar
 
-from ...collectives.registry import algorithms_for_topology
 from ...collectives.types import CollectiveRequest
-from ...core.chunk import CollectivePlan
 from ...core.latency_model import LatencyModel
 from ...core.scheduler import SchedulerFactory
 from ...errors import ConfigError, SimulationError
@@ -67,20 +65,17 @@ from ...topology.dimension import DimensionKind, DimensionSpec
 from ..audit import InvariantAuditor, resolve_audit
 from ..engine import EventQueue
 from ..executor import OpState
-from ..faults import (
-    FaultSchedule,
-    LinkFault,
-    ScaledLatencyModel,
-    compose_factors,
-)
+from ..faults import FaultSchedule, LinkFault, compose_factors
 from ..network import (
+    CollectivePlanner,
     CollectiveResult,
     ExecutionResult,
     _check_not_past,
     _CollectiveState,
+    build_chunk_ops,
 )
 from ..timeline import Interval, OpRecord, merge_intervals
-from .base import NetworkBackend
+from .base import NetworkBackend, options_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...core.policies import IntraDimPolicy
@@ -130,39 +125,6 @@ class PacketOptions:
                 "max_packets_per_op must be >= 1, got "
                 f"{self.max_packets_per_op}"
             )
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any] | None) -> "PacketOptions":
-        """Build from a spec's ``backend_options`` document.
-
-        Unknown keys get the same did-you-mean rejection as every other
-        spec field.
-        """
-        if not data:
-            return cls()
-        known = ("mtu_bytes", "header_bytes", "routing", "max_packets_per_op")
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            import difflib
-
-            hints = []
-            for key in unknown:
-                match = difflib.get_close_matches(key, known, n=1, cutoff=0.5)
-                hints.append(
-                    f"{key!r} (did you mean {match[0]!r}?)" if match else repr(key)
-                )
-            raise ConfigError(
-                f"unknown packet backend option(s): {', '.join(hints)}; "
-                f"known: {', '.join(known)}"
-            )
-        return cls(
-            mtu_bytes=float(data.get("mtu_bytes", cls.mtu_bytes)),
-            header_bytes=float(data.get("header_bytes", cls.header_bytes)),
-            routing=str(data.get("routing", cls.routing)),
-            max_packets_per_op=int(
-                data.get("max_packets_per_op", cls.max_packets_per_op)
-            ),
-        )
 
 
 def packetize(nbytes: float, mtu_bytes: float) -> list[float]:
@@ -363,7 +325,6 @@ class PacketNetwork:
         scheduler: SchedulerFactory | None = None,
         engine: EventQueue | None = None,
         record_ops: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: PacketOptions | None = None,
         algorithm_overrides: dict[int, str] | None = None,
@@ -373,7 +334,7 @@ class PacketNetwork:
         self.engine = engine or EventQueue()
         self.options = options or PacketOptions()
         self.record_ops = record_ops
-        self.algorithm_overrides = dict(algorithm_overrides or {})
+        self.planner = CollectivePlanner(topology, algorithm_overrides)
         self.auditor: InvariantAuditor | None = None
         if resolve_audit(audit):
             self.auditor = self.engine.auditor or InvariantAuditor()
@@ -393,9 +354,6 @@ class PacketNetwork:
         self._results: list[CollectiveResult] = []
         self._records: list[OpRecord] = []
         self._records_sorted = True
-        self._subtopo_cache: dict[tuple, tuple[Topology, LatencyModel]] = {}
-        self._plan_cache_enabled = plan_cache
-        self._plan_cache: dict[tuple, CollectivePlan] = {}
         self._dim_transfer = [0.0] * len(self.channels)
         #: Flows parked on a zero-capacity dimension, resumed (in parking
         #: order) when a restore event lifts the factor above zero.
@@ -508,42 +466,6 @@ class PacketNetwork:
         )
         return result
 
-    def _resolve_subtopology(
-        self, request: CollectiveRequest
-    ) -> tuple[Topology, LatencyModel]:
-        key = request.communicator_key
-        cached = self._subtopo_cache.get(key)
-        if cached is not None:
-            return cached
-        if request.dim_indices is None:
-            subtopo = self.topology
-        else:
-            subtopo = self.topology.communicator(
-                request.dim_indices, request.peer_counts
-            )
-        local_overrides = {
-            local: self.algorithm_overrides[parent]
-            for local, parent in enumerate(subtopo.parent_indices)
-            if parent in self.algorithm_overrides
-        }
-        model = LatencyModel(
-            subtopo, algorithms_for_topology(subtopo, local_overrides)
-        )
-        self._subtopo_cache[key] = (subtopo, model)
-        return subtopo, model
-
-    def _plan_key(
-        self, request: CollectiveRequest, factory: SchedulerFactory
-    ) -> tuple | None:
-        if not self._plan_cache_enabled or type(factory) is not SchedulerFactory:
-            return None
-        return (
-            factory.signature,
-            request.ctype,
-            request.size,
-            request.communicator_key,
-        )
-
     def _start_collective(
         self,
         result: CollectiveResult,
@@ -551,62 +473,18 @@ class PacketNetwork:
         scheduler_factory: SchedulerFactory | None = None,
     ) -> None:
         request = result.request
-        subtopo, model = self._resolve_subtopology(request)
-        factory = scheduler_factory or self.scheduler_factory
-        plan_key = self._plan_key(request, factory)
-        # Degraded dimensions must look expensive to a bandwidth-aware
-        # scheduler — identical discipline to the analytical backend.
-        factors = tuple(group.capacity_factor for group in self.channels)
-        degraded = any(factor != 1.0 for factor in factors)
-        if degraded and plan_key is not None:
-            plan_key = plan_key + (factors,)
-        cached = self._plan_cache.get(plan_key) if plan_key is not None else None
-        if cached is not None:
-            plan = replace(
-                cached, request=request, issue_time=self.engine.now, metadata={}
-            )
-        else:
-            scheduler = factory.create()
-            plan_model: LatencyModel = model
-            if degraded:
-                local = tuple(
-                    factors[subtopo.parent_index(i)]
-                    for i in range(subtopo.ndims)
-                )
-                if any(factor != 1.0 for factor in local):
-                    plan_model = ScaledLatencyModel(model, local)
-            plan = scheduler.plan(
-                request, subtopo, plan_model, issue_time=self.engine.now
-            )
-            if plan_key is not None:
-                self._plan_cache[plan_key] = plan
+        subtopo, model = self.planner.subtopology(request)
+        # The live port capacities are the planning input, exactly as on
+        # the analytical backend: degraded dimensions look expensive.
+        plan, _ = self.planner.plan(
+            request,
+            scheduler_factory or self.scheduler_factory,
+            tuple(group.capacity_factor for group in self.channels),
+            self.engine.now,
+        )
         result.plan = plan
-
-        chunk_ops: list[list[OpState]] = []
-        flows: list[_FlowState] = []
-        for chunk in plan.chunks:
-            ops = []
-            for stage_index, stage in enumerate(chunk.stages):
-                parent_dim = subtopo.parent_index(stage.dim_index)
-                op = OpState(
-                    collective_seq=request.request_id,
-                    chunk_id=chunk.chunk_id,
-                    stage_index=stage_index,
-                    stage=stage,
-                    parent_dim=parent_dim,
-                    bytes_sent=model.bytes_per_npu(
-                        stage.op, stage.stage_size, stage.dim_index
-                    ),
-                    transfer_time=model.chunk_load(
-                        stage.op, stage.stage_size, stage.dim_index
-                    ),
-                    fixed_time=model.fixed_latency(stage.op, stage.dim_index),
-                    priority=request.priority,
-                    owner=request.owner,
-                )
-                ops.append(op)
-            chunk_ops.append(ops)
-            flows.append(self._flow_for(ops[0], subtopo, model))
+        chunk_ops = build_chunk_ops(request, plan, subtopo, model)
+        flows = [self._flow_for(ops[0], subtopo, model) for ops in chunk_ops]
 
         state = _CollectiveState(result, chunk_ops, on_complete)
         self._states[request.request_id] = state
@@ -697,7 +575,7 @@ class PacketNetwork:
         ops = state.chunk_ops[op.chunk_id]
         next_index = op.stage_index + 1
         if next_index < len(ops):
-            subtopo, model = self._resolve_subtopology(state.result.request)
+            subtopo, model = self.planner.subtopology(state.result.request)
             self._start_flow(self._flow_for(ops[next_index], subtopo, model))
         state.remaining_ops -= 1
         if state.remaining_ops == 0:
@@ -813,23 +691,20 @@ class PacketBackend(NetworkBackend):
         fusion: "FusionConfig | None" = None,
         engine: "EventQueue | None" = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: dict[str, Any] | None = None,
     ) -> PacketNetwork:
-        # policy / fusion / indexed_queues are analytical-channel knobs
-        # with no packet-level counterpart; accepted and ignored so all
-        # backends build through one uniform call.
+        # policy / fusion are analytical-channel knobs with no packet-level
+        # counterpart; accepted and ignored so all backends build through
+        # one uniform call.
         return PacketNetwork(
             topology,
             scheduler=scheduler,
             engine=engine,
             record_ops=record_ops,
-            plan_cache=plan_cache,
             audit=audit,
-            options=PacketOptions.from_dict(options),
+            options=options_from_dict(PacketOptions, options, self.key),
         )
 
     def validate_options(self, options: dict[str, Any] | None) -> None:
-        PacketOptions.from_dict(options)
+        options_from_dict(PacketOptions, options, self.key)

@@ -87,11 +87,6 @@ class EventQueue:
     ----------
     start_time:
         Initial simulation time.
-    cancellation:
-        When False, :meth:`cancel` is a no-op and retracted events stay in
-        the heap to fire as caller-guarded stale no-ops — the pre-indexing
-        behavior, kept selectable so the perf harness and the determinism
-        property tests can compare against it.
     compaction_min_dead:
         Minimum number of cancelled entries before a compaction sweep is
         considered (avoids churn on tiny heaps).
@@ -100,14 +95,12 @@ class EventQueue:
     def __init__(
         self,
         start_time: float = 0.0,
-        cancellation: bool = True,
         compaction_min_dead: int = 64,
     ) -> None:
         self.now = start_time
         self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        self._cancellation = cancellation
         self._compaction_min_dead = compaction_min_dead
         self._dead = 0
         #: Diagnostics for the perf harness.
@@ -167,13 +160,7 @@ class EventQueue:
         return self.schedule(self.now + delay, callback)
 
     def cancel(self, handle: EventHandle | None) -> bool:
-        """Retract a pending event; returns True if it was still pending.
-
-        With ``cancellation=False`` this is a no-op (the caller's own
-        staleness guard must then absorb the eventual firing).
-        """
-        if not self._cancellation:
-            return False
+        """Retract a pending event; returns True if it was still pending."""
         if handle is None or handle.cancelled or handle.fired:
             return False
         handle.cancelled = True

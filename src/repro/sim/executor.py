@@ -38,9 +38,10 @@ fairness disciplines beyond the default serial (first-come) service
 Fault injection reuses the same machinery: the wire carries a live
 ``capacity_factor`` (fraction of nominal bandwidth, see
 :mod:`repro.sim.faults`), :meth:`DimensionChannel.set_capacity_factor`
-re-segments in-flight work at the new rate through the generation-guarded
-rescheduling path, and a factor of zero parks everything in flight — a
-failed link loses no bytes, it just stops draining until restored.
+re-segments in-flight work at the new rate through the same path that
+preemption and reweights use (cancel the superseded events, re-arm new
+ones), and a factor of zero parks everything in flight — a failed link
+loses no bytes, it just stops draining until restored.
 """
 
 from __future__ import annotations
@@ -182,10 +183,8 @@ class _RunningBatch:
     """Serial-wire bookkeeping for the batch currently (or lately) on the wire.
 
     ``remaining`` is the transfer time still owed; preemption decrements it
-    by the elapsed segment and *cancels* the segment's pending release and
-    completion events outright (the ``generation`` counter stays as a
-    defensive guard, and carries the legacy no-cancellation engine mode used
-    by the perf harness's before/after comparison).
+    by the elapsed segment and cancels the segment's pending release and
+    completion events.
     """
 
     __slots__ = (
@@ -196,7 +195,6 @@ class _RunningBatch:
         "priority",
         "remaining",
         "segment_start",
-        "generation",
         "release_handle",
         "complete_handle",
     )
@@ -209,7 +207,6 @@ class _RunningBatch:
         self.priority = max(op.priority for op in batch)
         self.remaining = transfer
         self.segment_start = 0.0
-        self.generation = 0
         self.release_handle: EventHandle | None = None
         self.complete_handle: EventHandle | None = None
 
@@ -220,8 +217,7 @@ class _FlowState:
     ``remaining`` is transfer work measured in seconds at *full* wire rate;
     the flow drains at ``rate`` (its weight share), so its finish event is
     recomputed — and the old one cancelled — every time the active set or
-    the weights change.  ``generation`` remains as a defensive guard and
-    carries the legacy no-cancellation engine mode.
+    the weights change.
     """
 
     __slots__ = (
@@ -232,7 +228,6 @@ class _FlowState:
         "remaining",
         "rate",
         "last_update",
-        "generation",
         "finish_handle",
     )
 
@@ -246,7 +241,6 @@ class _FlowState:
         self.remaining = transfer
         self.rate = 0.0
         self.last_update = 0.0
-        self.generation = 0
         self.finish_handle: EventHandle | None = None
 
 
@@ -267,10 +261,6 @@ class DimensionChannel:
     The cluster fairness layer may switch it to weighted per-tenant sharing
     (:meth:`set_share_weights`) or arm priority preemption
     (:meth:`enable_preemption`); see the module docstring.
-
-    ``indexed`` selects the ready-queue structure: the policy-keyed indexed
-    queues (default, O(log n) per decision) or the seed-semantics flat list
-    (the reference path the determinism property tests compare against).
     """
 
     def __init__(
@@ -281,7 +271,6 @@ class DimensionChannel:
         fusion: FusionConfig,
         engine: EventQueue,
         on_batch_done: Callable[["DimensionChannel", list[OpState]], None],
-        indexed: bool = True,
     ) -> None:
         self.dim_index = dim_index
         self.dim = dim
@@ -289,8 +278,7 @@ class DimensionChannel:
         self.fusion = fusion
         self.engine = engine
         self.on_batch_done = on_batch_done
-        self.queue: ReadyQueue = policy.make_queue(indexed=indexed)
-        self.queue.bind(self._op_is_eligible)
+        self.queue = ReadyQueue(policy.sort_key)
         self.busy = False
         self.stats = ChannelStats()
         # Live outstanding load (enqueued but not yet completed work) — read
@@ -384,8 +372,8 @@ class DimensionChannel:
 
         ``factor`` is the fraction of nominal bandwidth the dimension now
         carries (``1.0`` = healthy, ``0.0`` = failed).  In-flight work is
-        re-segmented at the new rate through the same generation-guarded
-        path preemption uses, so byte/seconds accounting is conserved
+        re-segmented at the new rate through the same path preemption
+        uses, so byte/seconds accounting is conserved
         across the change: the done part of the current segment stays
         credited, the leftover is debited and re-credited when its new
         segment (or its park/resume cycle) runs.  At ``0.0`` the in-flight
@@ -425,7 +413,6 @@ class DimensionChannel:
             done = (now - running.segment_start) * old
             remaining = running.remaining - done
             if remaining > 1e-18:
-                running.generation += 1
                 self.engine.cancel(running.complete_handle)
                 self.engine.cancel(running.release_handle)
                 frac = remaining / running.transfer_total
@@ -670,25 +657,22 @@ class DimensionChannel:
         for op in running.batch:
             op.end_time = end
         self._update_activity()
-        generation = running.generation
         # Completion is scheduled before the wire release so that when the
         # fixed delay is zero (same-instant tie) the finished batch's
         # successor ops are enqueued before the channel picks its next batch.
         running.complete_handle = self.engine.schedule(
-            end, lambda: self._complete(running, generation)
+            end, lambda: self._complete(running)
         )
         running.release_handle = self.engine.schedule(
-            now + wall, lambda: self._release_wire(running, generation)
+            now + wall, lambda: self._release_wire(running)
         )
 
     def _preempt_running(self) -> None:
         """Pause the running batch; its leftover transfer re-runs later.
 
-        The segment's pending release/completion events are cancelled
-        outright (the generation counter remains as a guard for the legacy
-        no-cancellation engine mode), and the statistics credited at segment
-        start are debited by exactly the un-done part, so preemption never
-        loses or double-counts work.
+        The segment's pending release/completion events are cancelled, and
+        the statistics credited at segment start are debited by exactly the
+        un-done part, so preemption never loses or double-counts work.
         """
         running = self._running
         assert running is not None
@@ -697,7 +681,6 @@ class DimensionChannel:
         remaining = running.remaining - done
         if remaining <= 1e-18:
             return  # the segment is done; the wire releases this instant
-        running.generation += 1
         self.engine.cancel(running.complete_handle)
         self.engine.cancel(running.release_handle)
         frac = remaining / running.transfer_total
@@ -727,9 +710,7 @@ class DimensionChannel:
                 best = running
         return best
 
-    def _release_wire(self, running: _RunningBatch, generation: int) -> None:
-        if running.generation != generation:
-            return  # segment was preempted; a later segment owns the wire
+    def _release_wire(self, running: _RunningBatch) -> None:
         if not self.busy:  # pragma: no cover - defensive
             raise SimulationError(
                 f"dim{self.dim_index} released its wire while not busy"
@@ -740,9 +721,7 @@ class DimensionChannel:
         self._update_activity()
         self.try_start()
 
-    def _complete(self, running: _RunningBatch, generation: int) -> None:
-        if running.generation != generation:
-            return  # segment was preempted before its transfer finished
+    def _complete(self, running: _RunningBatch) -> None:
         self._track_completed(running.batch)
         if self.auditor is not None:
             self.auditor.on_batch_complete(self, running.batch)
@@ -790,8 +769,7 @@ class DimensionChannel:
         progress since its last update is banked at its old rate, then every
         flow gets rate ``w_i / sum(active w)`` and a fresh finish event; the
         superseded finish event is cancelled so reweight storms cannot grow
-        the heap (the generation counter remains as a guard for the legacy
-        no-cancellation engine mode).
+        the heap.
 
         With a :class:`FlowCoalescer` attached, non-``immediate`` calls are
         deferred to one same-instant flush per channel: no simulated time
@@ -841,8 +819,6 @@ class DimensionChannel:
                 flow.rate = (
                     self.capacity_factor * self._weight(flow.owner) / total
                 )
-            flow.generation += 1
-            generation = flow.generation
             self.engine.cancel(flow.finish_handle)
             if flow.rate <= 0.0:
                 # Failed link (or priority-parked flow): parks with its
@@ -853,17 +829,12 @@ class DimensionChannel:
                 continue
             finish = now + flow.remaining / flow.rate
             flow.finish_handle = self.engine.schedule(
-                finish,
-                lambda flow=flow, generation=generation: self._finish_flow(
-                    flow, generation
-                ),
+                finish, lambda flow=flow: self._finish_flow(flow)
             )
         if self.auditor is not None:
             self.auditor.on_flows_rescheduled(self, self._flows)
 
-    def _finish_flow(self, flow: _FlowState, generation: int) -> None:
-        if flow.generation != generation:
-            return  # superseded by a reschedule
+    def _finish_flow(self, flow: _FlowState) -> None:
         flow.remaining = 0.0
         del self._flows[flow.owner]
         self.queue.set_owner_active(flow.owner, False)

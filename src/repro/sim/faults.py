@@ -49,6 +49,7 @@ __all__ = [
     "ScaledLatencyModel",
     "compose_factors",
     "fault_substream",
+    "stream_seed",
 ]
 
 #: Capacity factors below this clamp to a full failure: an event horizon
@@ -57,16 +58,22 @@ __all__ = [
 MIN_CAPACITY_FACTOR = 1e-9
 
 
-def fault_substream(seed: int, label: str) -> random.Random:
-    """A seeded RNG on a disjoint substream derived from ``(seed, label)``.
+def stream_seed(seed: int, label: str) -> int:
+    """Derive an independent substream seed from ``(seed, label)``.
 
-    Same construction as the cluster trace generators: SHA-256 over
-    ``"{seed}:{label}"`` keys the stream, so substreams for different
-    labels are independent and adding a new label never perturbs the
-    draws of an existing one.
+    SHA-256 over ``"{seed}:{label}"``, truncated to 64 bits — stable across
+    Python versions and processes (unlike the salted builtin ``hash``), so
+    substreams for different labels are independent and adding a new label
+    never perturbs the draws of an existing one.  The fault generators and
+    the cluster trace generators both draw from it.
     """
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return int.from_bytes(digest[:8], "big")
+
+
+def fault_substream(seed: int, label: str) -> random.Random:
+    """A seeded RNG on the disjoint substream ``stream_seed(seed, label)``."""
+    return random.Random(stream_seed(seed, label))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ the per-dimension channels, and the event engine.  It supports:
 * optional enforcement of pre-simulated intra-dimension orders (Sec. 4.6.2),
 * completion callbacks, used by the training-loop simulator.
 
-The *Ideal* network model of Table 3 is :class:`IdealNetwork`: a fluid
-server that moves each collective's schedule-invariant byte volume at the
-full aggregate bandwidth of the dimensions it spans.
+Planning is shared with the packet backend: :class:`CollectivePlanner`
+turns each request into a :class:`CollectivePlan` behind the sub-topology
+and plan caches, and :func:`build_chunk_ops` materializes a plan as one
+executable op per (chunk, stage).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from ..collectives.registry import algorithms_for_topology
 from ..collectives.types import CollectiveRequest
 from ..core.chunk import CollectivePlan
-from ..core.ideal import IdealEstimator
 from ..core.latency_model import LatencyModel
 from ..core.policies import IntraDimPolicy, get_policy
 from ..core.scheduler import SchedulerFactory
@@ -164,6 +164,138 @@ class _CollectiveState:
         self.on_complete = on_complete
 
 
+class CollectivePlanner:
+    """Plans submitted collectives; owns the sub-topology and plan caches.
+
+    Each communicator's sub-topology and :class:`LatencyModel` are built
+    once.  Load-independent plans are cached by request signature:
+    schedulers are pure per collective (the Themis tracker resets every
+    request), so training loops that resubmit identical collectives each
+    iteration plan only once.  Only plain :class:`SchedulerFactory`
+    instances are cached; subclasses (e.g. replay factories) may carry
+    state and always plan afresh.
+    """
+
+    def __init__(
+        self,
+        topology: Topology,
+        algorithm_overrides: dict[int, str] | None = None,
+    ) -> None:
+        self.topology = topology
+        #: ``{parent dim index: algorithm name}`` replacing Table 1 defaults.
+        self.algorithm_overrides = dict(algorithm_overrides or {})
+        self._subtopologies: dict[tuple, tuple[Topology, LatencyModel]] = {}
+        self._plans: dict[tuple, CollectivePlan] = {}
+
+    def subtopology(self, request: CollectiveRequest) -> tuple[Topology, LatencyModel]:
+        """The request's communicator sub-topology and its latency model."""
+        key = request.communicator_key
+        cached = self._subtopologies.get(key)
+        if cached is not None:
+            return cached
+        if request.dim_indices is None:
+            subtopo = self.topology
+        else:
+            subtopo = self.topology.communicator(
+                request.dim_indices, request.peer_counts
+            )
+        local_overrides = {
+            local: self.algorithm_overrides[parent]
+            for local, parent in enumerate(subtopo.parent_indices)
+            if parent in self.algorithm_overrides
+        }
+        model = LatencyModel(
+            subtopo, algorithms_for_topology(subtopo, local_overrides)
+        )
+        self._subtopologies[key] = (subtopo, model)
+        return subtopo, model
+
+    def plan(
+        self,
+        request: CollectiveRequest,
+        factory: SchedulerFactory,
+        factors: tuple[float, ...],
+        now: float,
+    ) -> tuple[CollectivePlan, tuple | None]:
+        """Plan ``request`` issued at ``now``; returns ``(plan, cache key)``.
+
+        ``factors`` are the live per-dimension capacity factors.  They are
+        part of the planning input: a degraded dimension must look
+        expensive to a bandwidth-aware scheduler, so plans made under
+        different fault states never share a cache slot.  The key is
+        ``None`` for a factory that is never cached.
+        """
+        subtopo, model = self.subtopology(request)
+        key: tuple | None = None
+        if type(factory) is SchedulerFactory:
+            # A chunk's dimension order never depends on issue time,
+            # priority, or owner: the signature is the whole planning input.
+            key = (
+                factory.signature,
+                request.ctype,
+                request.size,
+                request.communicator_key,
+            )
+        degraded = any(factor != 1.0 for factor in factors)
+        if degraded and key is not None:
+            key = key + (factors,)
+        cached = self._plans.get(key) if key is not None else None
+        if cached is not None:
+            # The chunk schedules are shared; only the identity fields are
+            # re-stamped for this submission.
+            return replace(cached, request=request, issue_time=now, metadata={}), key
+        scheduler = factory.create()
+        plan_model: LatencyModel = model
+        if degraded:
+            local = tuple(
+                factors[subtopo.parent_index(i)] for i in range(subtopo.ndims)
+            )
+            if any(factor != 1.0 for factor in local):
+                plan_model = ScaledLatencyModel(model, local)
+        plan = scheduler.plan(request, subtopo, plan_model, issue_time=now)
+        if key is not None:
+            self._plans[key] = plan
+        return plan, key
+
+
+def build_chunk_ops(
+    request: CollectiveRequest,
+    plan: CollectivePlan,
+    subtopo: Topology,
+    model: LatencyModel,
+) -> list[list[OpState]]:
+    """One executable op per (chunk, stage) of ``plan``, indexed by chunk.
+
+    Each op's bytes, transfer and fixed times come from ``model`` on the
+    request's communicator ``subtopo``.
+    """
+    chunk_ops: list[list[OpState]] = []
+    for chunk in plan.chunks:
+        ops = []
+        for stage_index, stage in enumerate(chunk.stages):
+            parent_dim = subtopo.parent_index(stage.dim_index)
+            ops.append(
+                OpState(
+                    collective_seq=request.request_id,
+                    chunk_id=chunk.chunk_id,
+                    stage_index=stage_index,
+                    stage=stage,
+                    parent_dim=parent_dim,
+                    bytes_sent=model.bytes_per_npu(
+                        stage.op, stage.stage_size, stage.dim_index
+                    ),
+                    transfer_time=model.chunk_load(
+                        stage.op, stage.stage_size, stage.dim_index
+                    ),
+                    fixed_time=model.fixed_latency(stage.op, stage.dim_index),
+                    priority=request.priority,
+                    owner=request.owner,
+                )
+            )
+        chunk_ops.append(ops)
+    return chunk_ops
+
+
 class NetworkSimulator:
     """Event-driven network that executes scheduled collectives.
 
@@ -194,22 +326,10 @@ class NetworkSimulator:
         analysis (timelines, Fig. 5/9 reproductions).  Cluster sweeps with
         hundreds of jobs turn it off: the per-op list grows without bound
         and none of the cluster metrics read it.
-    indexed_queues:
-        When True (default), dimension channels use the policy-indexed
-        ready queues (O(log n) per scheduling decision).  False selects the
-        seed-semantics flat-list scan — the reference path used by the
-        determinism property tests and the perf harness; when the simulator
-        also owns its engine, event cancellation is disabled with it so the
-        pre-indexing heap-growth behavior is reproduced faithfully.
-    plan_cache:
-        When True (default), load-independent :class:`CollectivePlan`s are
-        cached by request signature (schedulers are pure per collective —
-        the Themis tracker resets every request — so training loops that
-        resubmit identical collectives each iteration replan only once).
-        Enforced intra-dimension orders are cached under the same key,
-        which also skips the per-iteration consistency pre-simulation.
-        Caching applies only to plain :class:`SchedulerFactory` instances;
-        subclasses (e.g. replay factories) always plan afresh.
+
+    Plans come from a :class:`CollectivePlanner`, cached by request
+    signature; enforced intra-dimension orders are cached under the same
+    key, which also skips the per-iteration consistency pre-simulation.
     """
 
     #: Capability flags read by backend-agnostic callers (the training
@@ -228,8 +348,6 @@ class NetworkSimulator:
         enforce_consistency: bool = False,
         algorithm_overrides: dict[int, str] | None = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
     ) -> None:
         self.topology = topology
@@ -238,11 +356,10 @@ class NetworkSimulator:
             policy if isinstance(policy, IntraDimPolicy) else get_policy(policy)
         )
         self.fusion = fusion or FusionConfig()
-        self.engine = engine or EventQueue(cancellation=indexed_queues)
+        self.engine = engine or EventQueue()
         self.enforce_consistency = enforce_consistency
-        self.algorithm_overrides = dict(algorithm_overrides or {})
+        self.planner = CollectivePlanner(topology, algorithm_overrides)
         self.record_ops = record_ops
-        self.indexed_queues = indexed_queues
         #: Runtime invariant auditor — ``None`` unless requested via the
         #: ``audit`` parameter or ``THEMIS_AUDIT=1`` (see repro.sim.audit).
         self.auditor: InvariantAuditor | None = None
@@ -259,7 +376,6 @@ class NetworkSimulator:
                 self.fusion,
                 self.engine,
                 self._on_batch_done,
-                indexed=indexed_queues,
             )
             for i, dim in enumerate(topology.dims)
         ]
@@ -271,9 +387,6 @@ class NetworkSimulator:
         self._results: list[CollectiveResult] = []
         self._records: list[OpRecord] = []
         self._records_sorted = True
-        self._subtopo_cache: dict[tuple, tuple[Topology, LatencyModel]] = {}
-        self._plan_cache_enabled = plan_cache
-        self._plan_cache: dict[tuple, CollectivePlan] = {}
         #: ``plan key -> {parent dim: [(chunk_id, stage_index), ...]}`` —
         #: enforced orders with the request id stripped, re-stamped per
         #: submission (op keys embed the submitting request's id).
@@ -426,51 +539,6 @@ class NetworkSimulator:
         )
         return result
 
-    def _resolve_subtopology(
-        self, request: CollectiveRequest
-    ) -> tuple[Topology, LatencyModel]:
-        key = request.communicator_key
-        cached = self._subtopo_cache.get(key)
-        if cached is not None:
-            return cached
-        if request.dim_indices is None:
-            subtopo = self.topology
-        else:
-            subtopo = self.topology.communicator(
-                request.dim_indices, request.peer_counts
-            )
-        local_overrides = {
-            local: self.algorithm_overrides[parent]
-            for local, parent in enumerate(subtopo.parent_indices)
-            if parent in self.algorithm_overrides
-        }
-        model = LatencyModel(
-            subtopo, algorithms_for_topology(subtopo, local_overrides)
-        )
-        self._subtopo_cache[key] = (subtopo, model)
-        return subtopo, model
-
-    def _plan_key(
-        self, request: CollectiveRequest, factory: SchedulerFactory
-    ) -> tuple | None:
-        """Cache key for load-independent plans, or ``None`` (don't cache).
-
-        A plan is a pure function of the request signature and the factory
-        configuration: both built-in schedulers are stateless across
-        collectives (the Themis load tracker resets per request) and a
-        chunk's dimension order never depends on issue time, priority, or
-        owner.  Subclassed factories may carry state, so only exact
-        :class:`SchedulerFactory` instances are cached.
-        """
-        if not self._plan_cache_enabled or type(factory) is not SchedulerFactory:
-            return None
-        return (
-            factory.signature,
-            request.ctype,
-            request.size,
-            request.communicator_key,
-        )
-
     def _start_collective(
         self,
         result: CollectiveResult,
@@ -478,38 +546,13 @@ class NetworkSimulator:
         scheduler_factory: SchedulerFactory | None = None,
     ) -> None:
         request = result.request
-        subtopo, model = self._resolve_subtopology(request)
-        factory = scheduler_factory or self.scheduler_factory
-        plan_key = self._plan_key(request, factory)
-        # Live capacity factors are part of the planning input: a degraded
-        # dimension must look expensive to a bandwidth-aware scheduler, so
-        # plans made under different fault states never share a cache slot.
-        factors = tuple(channel.capacity_factor for channel in self.channels)
-        degraded = any(factor != 1.0 for factor in factors)
-        if degraded and plan_key is not None:
-            plan_key = plan_key + (factors,)
-        cached = self._plan_cache.get(plan_key) if plan_key is not None else None
-        if cached is not None:
-            # The chunk schedules are shared; only the identity fields are
-            # re-stamped for this submission.
-            plan = replace(
-                cached, request=request, issue_time=self.engine.now, metadata={}
-            )
-        else:
-            scheduler = factory.create()
-            plan_model = model
-            if degraded:
-                local = tuple(
-                    factors[subtopo.parent_index(i)]
-                    for i in range(subtopo.ndims)
-                )
-                if any(factor != 1.0 for factor in local):
-                    plan_model = ScaledLatencyModel(model, local)
-            plan = scheduler.plan(
-                request, subtopo, plan_model, issue_time=self.engine.now
-            )
-            if plan_key is not None:
-                self._plan_cache[plan_key] = plan
+        subtopo, model = self.planner.subtopology(request)
+        plan, plan_key = self.planner.plan(
+            request,
+            scheduler_factory or self.scheduler_factory,
+            tuple(channel.capacity_factor for channel in self.channels),
+            self.engine.now,
+        )
         result.plan = plan
 
         chunk_ops = self._build_chunk_ops(request, plan, subtopo, model)
@@ -541,31 +584,7 @@ class NetworkSimulator:
         to the next stage), so overrides must keep ``chunk_id`` equal to
         the op list's position.
         """
-        chunk_ops: list[list[OpState]] = []
-        for chunk in plan.chunks:
-            ops = []
-            for stage_index, stage in enumerate(chunk.stages):
-                parent_dim = subtopo.parent_index(stage.dim_index)
-                ops.append(
-                    OpState(
-                        collective_seq=request.request_id,
-                        chunk_id=chunk.chunk_id,
-                        stage_index=stage_index,
-                        stage=stage,
-                        parent_dim=parent_dim,
-                        bytes_sent=model.bytes_per_npu(
-                            stage.op, stage.stage_size, stage.dim_index
-                        ),
-                        transfer_time=model.chunk_load(
-                            stage.op, stage.stage_size, stage.dim_index
-                        ),
-                        fixed_time=model.fixed_latency(stage.op, stage.dim_index),
-                        priority=request.priority,
-                        owner=request.owner,
-                    )
-                )
-            chunk_ops.append(ops)
-        return chunk_ops
+        return build_chunk_ops(request, plan, subtopo, model)
 
     def _install_enforced_orders(
         self, state: _CollectiveState, plan_key: tuple | None
@@ -728,71 +747,3 @@ class NetworkSimulator:
                 for owner, intervals in sorted(by_owner.items())
             },
         )
-
-
-class IdealNetwork:
-    """Fluid 100%-utilization network (Table 3 "Ideal").
-
-    Each collective completes after ``invariant_bytes / total_BW`` of
-    *service* time; concurrent collectives queue FIFO on the fluid server
-    (they share the same wires, so a lower bound must still serialize their
-    byte volumes).  Used for the Ideal bars of Fig. 12.
-    """
-
-    #: The ideal server is schedule-free and exposes no execution trace.
-    accepts_scheduler = False
-    provides_result = False
-
-    def __init__(self, topology: Topology, engine: EventQueue | None = None) -> None:
-        self.topology = topology
-        self.engine = engine or EventQueue()
-        self._estimator = IdealEstimator()
-        self._server_free_at = 0.0
-        self._results: list[CollectiveResult] = []
-        self._subtopo_cache: dict[tuple, Topology] = {}
-
-    def _subtopology(self, request: CollectiveRequest) -> Topology:
-        key = request.communicator_key
-        if key not in self._subtopo_cache:
-            if request.dim_indices is None:
-                subtopo = self.topology
-            else:
-                subtopo = self.topology.communicator(
-                    request.dim_indices, request.peer_counts
-                )
-            self._subtopo_cache[key] = subtopo
-        return self._subtopo_cache[key]
-
-    def submit(
-        self,
-        request: CollectiveRequest,
-        at_time: float | None = None,
-        on_complete: Callable[[CollectiveResult], None] | None = None,
-    ) -> CollectiveResult:
-        issue_time = self.engine.now if at_time is None else at_time
-        _check_not_past(self.engine, request, issue_time)
-        result = CollectiveResult(request=request, plan=None, issue_time=issue_time)
-        self._results.append(result)
-
-        def start() -> None:
-            subtopo = self._subtopology(request)
-            service = self._estimator.collective_time(
-                request.ctype, request.size, subtopo
-            )
-            begin = max(self.engine.now, self._server_free_at)
-            finish = begin + service
-            self._server_free_at = finish
-
-            def complete() -> None:
-                result.completion_time = self.engine.now
-                if on_complete is not None:
-                    on_complete(result)
-
-            self.engine.schedule(finish, complete)
-
-        self.engine.schedule(issue_time, start)
-        return result
-
-    def run(self) -> list[CollectiveResult]:
-        self.engine.run()
-        return list(self._results)

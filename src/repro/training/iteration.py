@@ -35,10 +35,11 @@ from ..collectives.types import CollectiveRequest, CollectiveType
 from ..core.scheduler import SchedulerFactory
 from ..errors import ConfigError, SimulationError, WorkloadError
 from ..sim.backends import get_backend, resolve_backend_key
+from ..sim.backends.ideal import IdealNetwork
 from ..sim.backends.packet import PacketNetwork
 from ..sim.engine import EventQueue
 from ..sim.executor import FusionConfig
-from ..sim.network import CollectiveResult, IdealNetwork, NetworkSimulator
+from ..sim.network import CollectiveResult, NetworkSimulator
 from ..sim.stats import bw_utilization
 from ..topology import Topology
 from ..workloads.base import Workload

@@ -192,7 +192,7 @@ class TestPacketOptions:
 
     def test_from_dict_unknown_key_did_you_mean(self):
         with pytest.raises(ConfigError, match="mtu_bytes"):
-            PacketOptions.from_dict({"mtu_byte": 1024})
+            get_backend("packet").validate_options({"mtu_byte": 1024})
 
     def test_rejects_bad_routing(self):
         with pytest.raises(ConfigError, match="deterministic"):

@@ -34,8 +34,6 @@ def _cell(jobs, policy, *, events=1000, peak=50, cancelled=10, wall=0.1):
             "peak_pending_events": peak,
             "cancelled_events": cancelled,
         },
-        "legacy": None,
-        "speedup": None,
     }
 
 

@@ -158,9 +158,9 @@ class TestIndexedReadyQueueIteration:
 
     @staticmethod
     def _queue():
-        from repro.core.ready_queue import IndexedReadyQueue
+        from repro.core.ready_queue import ReadyQueue
 
-        return IndexedReadyQueue(lambda op: (op.priority, op.key))
+        return ReadyQueue(lambda op: (op.priority, op.key))
 
     def test_stale_entries_collapse(self):
         queue = self._queue()

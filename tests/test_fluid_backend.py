@@ -17,8 +17,8 @@ Covered:
   flows and counts preemptions;
 * clean runs under the invariant auditor, including across fault-driven
   capacity transitions (byte conservation at rate-change points);
-* the heap-of-heads admission index: selections identical to the O(T)
-  reference scan under churn.
+* the heap-of-heads admission index: selections identical to the
+  policy's linear ``select`` over the live ops under churn.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro import api
 from repro.collectives import CollectiveRequest, CollectiveType
 from repro.collectives.types import PhaseOp
 from repro.collectives.phases import Stage
-from repro.core import SchedulerFactory, Splitter
+from repro.core import ReadyQueue, SchedulerFactory, Splitter
 from repro.core.policies import get_policy
 from repro.errors import ConfigError, SpecError
 from repro.sim import FaultSchedule, LinkFault
@@ -106,7 +106,7 @@ class TestOptions:
 
     def test_unknown_key_did_you_mean(self):
         with pytest.raises(ConfigError, match="tolerance"):
-            FluidOptions.from_dict({"tolerence": 0.1})
+            get_backend("fluid").validate_options({"tolerence": 0.1})
 
     def test_spec_level_rejection(self):
         with pytest.raises(SpecError, match="hybrid"):
@@ -337,7 +337,8 @@ class TestHeadlineSpeedup:
 
 
 class TestHeadsHeap:
-    """The O(log T) admission index returns exactly what the scan returns."""
+    """The O(log T) admission index returns exactly what the policy's
+    defining ``select`` (a linear ``min(sort_key)``) returns."""
 
     def _op(self, owner: str, seq: int, transfer: float) -> OpState:
         return OpState(
@@ -359,10 +360,7 @@ class TestHeadsHeap:
         rng = random.Random(11)
         for policy_key in ("FIFO", "SCF", "LCF"):
             policy = get_policy(policy_key)
-            indexed = policy.make_queue(indexed=True)
-            reference = policy.make_queue(indexed=False)
-            indexed.bind(lambda op: True)
-            reference.bind(lambda op: True)
+            queue = ReadyQueue(policy.sort_key)
             ops = []
             active: set[str] = set()
             seq = 0
@@ -371,13 +369,11 @@ class TestHeadsHeap:
                 if action < 0.5 or not ops:
                     op = self._op(f"t{rng.randrange(12)}", seq, rng.random())
                     seq += 1
-                    indexed.push(op, True)
-                    reference.push(op, True)
+                    queue.push(op, True)
                     ops.append(op)
                 elif action < 0.7:
                     op = ops.pop(rng.randrange(len(ops)))
-                    indexed.discard(op)
-                    reference.discard(op)
+                    queue.discard(op)
                 else:
                     owner = f"t{rng.randrange(12)}"
                     now_active = rng.random() < 0.5
@@ -385,11 +381,12 @@ class TestHeadsHeap:
                         active.add(owner)
                     else:
                         active.discard(owner)
-                    indexed.set_owner_active(owner, now_active)
-                got = indexed.select(exclude_owners=active)
-                want = reference.select(exclude_owners=active)
+                    queue.set_owner_active(owner, now_active)
+                got = queue.select(exclude_owners=active)
+                candidates = [op for op in ops if op.owner not in active]
+                want = policy.select(candidates) if candidates else None
                 # total-order sort keys: the minimum is unique, so both
-                # structures must return the same op object (or neither)
+                # must return the same op object (or neither)
                 assert got is want
 
 

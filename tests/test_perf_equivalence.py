@@ -7,10 +7,12 @@ none may move a single timestamp.  Each cell below runs one fixed
 scenario and reduces its exact output — per-op ready/start/end times and
 completion order, or a cluster run's JCTs and wire statistics — to
 ``sha256(repr(value))``.  ``tests/data/golden_timelines.json`` holds the
-digests recorded from the pre-indexing reference path (flat-list ready
-queues, no plan cache, no event cancellation), so every cell checks the
-production path against that reference's output with exact float
-equality: float ``repr`` is exact and stable across Python versions.
+digests recorded from the pre-indexing reference implementation
+(flat-list ready queues, no plan cache, no event cancellation) before it
+was deleted, so every cell checks the production path against that
+reference's output with exact float equality: float ``repr`` is exact and
+stable across Python versions.  A cell that changes fails with its name
+and fresh digest.
 """
 
 from __future__ import annotations
@@ -122,7 +124,6 @@ def _timeline(sim) -> tuple:
 
 
 def _single_sim(
-    optimized: bool,
     scheduler: str,
     policy: str,
     fusion_on: bool = True,
@@ -135,32 +136,26 @@ def _single_sim(
         policy=policy,
         fusion=FusionConfig(enabled=fusion_on),
         enforce_consistency=enforce,
-        indexed_queues=optimized,
-        plan_cache=optimized,
     )
     _submit_mixed_workload(sim, scale)
     return sim
 
 
-def _backend_sim(optimized: bool, backend: str, chunks: int):
+def _backend_sim(backend: str, chunks: int):
     sim = get_backend(backend).build(
         three_dim_topology(),
         scheduler=SchedulerFactory("themis", splitter=Splitter(chunks)),
-        indexed_queues=optimized,
-        plan_cache=optimized,
     )
     _submit_mixed_workload(sim)
     return sim
 
 
-def _shared_engine_sim(optimized: bool) -> NetworkSimulator:
+def _shared_engine_sim() -> NetworkSimulator:
     sim = NetworkSimulator(
         three_dim_topology(),
         SchedulerFactory("themis", splitter=Splitter(4)),
         policy="scf",
-        engine=EventQueue(cancellation=optimized),
-        indexed_queues=optimized,
-        plan_cache=optimized,
+        engine=EventQueue(),
     )
     _submit_mixed_workload(sim)
     return sim
@@ -175,15 +170,13 @@ class TestSingleSimulatorEquivalence:
             f"themis/{policy}/fusion_{_switch(fusion_on)}"
             f"/consistency_{_switch(enforce)}"
         )
-        for optimized in (True, False):
-            sim = _single_sim(optimized, "themis", policy, fusion_on, enforce)
-            _check(cell, _timeline(sim))
+        sim = _single_sim("themis", policy, fusion_on, enforce)
+        _check(cell, _timeline(sim))
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_baseline_scheduler_identical(self, policy):
-        for optimized in (True, False):
-            sim = _single_sim(optimized, "baseline", policy)
-            _check(f"baseline/{policy}", _timeline(sim))
+        sim = _single_sim("baseline", policy)
+        _check(f"baseline/{policy}", _timeline(sim))
 
 
 class TestFusedTimelines:
@@ -199,15 +192,12 @@ class TestFusedTimelines:
             f"kb/{scheduler}/{policy}/fusion_{_switch(fusion_on)}"
             f"/consistency_{_switch(enforce)}"
         )
-        for optimized in (True, False):
-            sim = _single_sim(
-                optimized, scheduler, policy, fusion_on, enforce, KB_SCALE
-            )
-            _check(cell, _timeline(sim))
-            if fusion_on:
-                ops = sum(channel.stats.op_count for channel in sim.channels)
-                batches = sum(channel.stats.batch_count for channel in sim.channels)
-                assert batches < ops, f"{cell}: no op was fused"
+        sim = _single_sim(scheduler, policy, fusion_on, enforce, KB_SCALE)
+        _check(cell, _timeline(sim))
+        if fusion_on:
+            ops = sum(channel.stats.op_count for channel in sim.channels)
+            batches = sum(channel.stats.batch_count for channel in sim.channels)
+            assert batches < ops, f"{cell}: no op was fused"
 
 
 class TestBackendTimelines:
@@ -219,9 +209,8 @@ class TestBackendTimelines:
         "backend, chunks", [("fluid", 8), ("fluid", 64), ("packet", 8)]
     )
     def test_backend_timeline_matches_golden(self, backend, chunks):
-        for optimized in (True, False):
-            sim = _backend_sim(optimized, backend, chunks)
-            _check(f"backend/{backend}/chunks_{chunks}", _timeline(sim))
+        sim = _backend_sim(backend, chunks)
+        _check(f"backend/{backend}/chunks_{chunks}", _timeline(sim))
 
 
 def _comm_heavy(layers: int, param_mb: float, name: str) -> Workload:
@@ -260,20 +249,19 @@ def _cluster_jobs() -> list[JobSpec]:
     ]
 
 
-def _cluster_report(optimized: bool, fairness: str):
+def _cluster_report(fairness: str):
     config = ClusterConfig(
         training=TrainingConfig(chunks_per_collective=16),
         isolated_baselines=False,
         fairness=fairness,
-        optimized=optimized,
     )
     sim = ClusterSimulator(three_dim_topology(), _cluster_jobs(), config)
     report = sim.run()
     return report, sim
 
 
-def _cluster_value(optimized: bool, fairness: str) -> tuple:
-    report, sim = _cluster_report(optimized, fairness)
+def _cluster_value(fairness: str) -> tuple:
+    report, sim = _cluster_report(fairness)
     result = sim.network.result()
     return (
         tuple(job.jct for job in report.jobs),
@@ -291,21 +279,17 @@ class TestClusterEquivalence:
 
     @pytest.mark.parametrize("fairness", ["fifo", "weighted", "ftf", "preempt"])
     def test_identical_cluster_stats(self, fairness):
-        for optimized in (True, False):
-            _check(f"cluster/{fairness}", _cluster_value(optimized, fairness))
+        _check(f"cluster/{fairness}", _cluster_value(fairness))
 
     def test_reweight_storm_keeps_heap_bounded(self):
         """Cancelling every superseded finish event keeps the heap a small
         multiple of the in-flight work under FTF's reweight storms.  Exact
         counters: the no-cancellation engine peaked at 112 pending events
         and fired 17,319 on this cell."""
-        _, sim = _cluster_report(True, "ftf")
+        _, sim = _cluster_report("ftf")
         assert sim.engine.peak_pending == 15
         assert sim.engine.cancelled_events == 9826
         assert sim.engine.events_processed == 7493
-        _, reference = _cluster_report(False, "ftf")
-        assert reference.engine.peak_pending == 112
-        assert reference.engine.events_processed == 17319
 
 
 class TestAuditEquivalence:
@@ -357,5 +341,4 @@ class TestSharedEngineEquivalence:
     def test_two_simulators_on_one_engine(self):
         """The training/cluster layers share one engine across simulators;
         a simulator on a caller-supplied engine runs identically."""
-        for optimized in (True, False):
-            _check("shared_engine/scf", _timeline(_shared_engine_sim(optimized)))
+        _check("shared_engine/scf", _timeline(_shared_engine_sim()))

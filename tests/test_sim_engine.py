@@ -197,14 +197,6 @@ class TestCancellation:
         engine.run()
         assert fired == [5]
 
-    def test_disabled_cancellation_is_noop(self):
-        engine = EventQueue(cancellation=False)
-        fired = []
-        handle = engine.schedule(1.0, lambda: fired.append(True))
-        assert handle.cancel() is False
-        engine.run()
-        assert fired == [True]
-
 
 class TestCompaction:
     def test_heap_compacts_when_mostly_dead(self):
