@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, ClassVar
 
 from ...core.ideal import IdealEstimator
 from ..engine import EventQueue
-from ..network import CollectiveResult, _check_not_past
+from ..network import CollectivePlanner, CollectiveResult, _check_not_past
 from .base import NetworkBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,19 +46,7 @@ class IdealNetwork:
         self._estimator = IdealEstimator()
         self._server_free_at = 0.0
         self._results: list[CollectiveResult] = []
-        self._subtopo_cache: dict[tuple, "Topology"] = {}
-
-    def _subtopology(self, request: "CollectiveRequest") -> "Topology":
-        key = request.communicator_key
-        if key not in self._subtopo_cache:
-            if request.dim_indices is None:
-                subtopo = self.topology
-            else:
-                subtopo = self.topology.communicator(
-                    request.dim_indices, request.peer_counts
-                )
-            self._subtopo_cache[key] = subtopo
-        return self._subtopo_cache[key]
+        self._planner = CollectivePlanner(topology)
 
     def submit(
         self,
@@ -72,7 +60,7 @@ class IdealNetwork:
         self._results.append(result)
 
         def start() -> None:
-            subtopo = self._subtopology(request)
+            subtopo = self._planner.subtopology(request)[0]
             service = self._estimator.collective_time(
                 request.ctype, request.size, subtopo
             )

@@ -63,7 +63,7 @@ from ...errors import ConfigError, SimulationError
 from ...topology import Topology
 from ...topology.dimension import DimensionKind, DimensionSpec
 from ..audit import InvariantAuditor, resolve_audit
-from ..engine import EventQueue
+from ..engine import EventQueue, ordered_sum
 from ..executor import OpState
 from ..faults import FaultSchedule, LinkFault, compose_factors
 from ..network import (
@@ -278,7 +278,7 @@ class _PortGroup:
             start,
         )
         finish = max(arrivals[-1]) if arrivals and arrivals[-1] else start
-        wire_seconds = sum(
+        wire_seconds = ordered_sum(
             (payload + header_bytes) / rate for payload in payloads
         )
         lanes = len(self.free_at[0])

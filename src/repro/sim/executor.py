@@ -55,7 +55,7 @@ from ..core.policies import IntraDimPolicy
 from ..core.ready_queue import ReadyQueue
 from ..errors import ConfigError, SimulationError
 from ..topology import DimensionSpec
-from .engine import EventHandle, EventQueue
+from .engine import EventHandle, EventQueue, ordered_sum
 from .faults import MIN_CAPACITY_FACTOR
 from .timeline import Interval, OpRecord
 
@@ -203,7 +203,7 @@ class _RunningBatch:
         self.batch = batch
         self.fixed = fixed
         self.transfer_total = transfer
-        self.bytes_total = sum(op.bytes_sent for op in batch)
+        self.bytes_total = ordered_sum(op.bytes_sent for op in batch)
         self.priority = max(op.priority for op in batch)
         self.remaining = transfer
         self.segment_start = 0.0
@@ -612,7 +612,7 @@ class DimensionChannel:
         """
         now = self.engine.now
         fixed = max(op.fixed_time for op in batch)
-        transfer = sum(op.transfer_time for op in batch)
+        transfer = ordered_sum(op.transfer_time for op in batch)
         for op in batch:
             op.start_time = now
         self.stats.op_count += len(batch)
@@ -744,13 +744,13 @@ class DimensionChannel:
     def _start_flow(self, batch: list[OpState]) -> None:
         now = self.engine.now
         fixed = max(op.fixed_time for op in batch)
-        transfer = sum(op.transfer_time for op in batch)
+        transfer = ordered_sum(op.transfer_time for op in batch)
         for op in batch:
             op.start_time = now
         self.stats.busy_seconds += transfer
         self.stats.transfer_seconds += transfer
         self.stats.fixed_seconds += fixed
-        self.stats.bytes_sent += sum(op.bytes_sent for op in batch)
+        self.stats.bytes_sent += ordered_sum(op.bytes_sent for op in batch)
         self.stats.op_count += len(batch)
         self.stats.batch_count += 1
         if self.auditor is not None:
@@ -797,7 +797,7 @@ class DimensionChannel:
             }
             if len(active) < len(self._flows):
                 parked_priority = top
-        total = sum(self._weight(owner) for owner in active)
+        total = ordered_sum(self._weight(owner) for owner in active)
         for flow in self._flows.values():
             if now > flow.last_update and flow.rate > 0:
                 flow.remaining = max(

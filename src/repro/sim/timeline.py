@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from ..collectives.types import PhaseOp
 from ..units import fmt_size, fmt_time
+from .engine import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def merge_intervals(intervals: list[Interval]) -> list[Interval]:
 
 def total_length(intervals: list[Interval]) -> float:
     """Total covered time of a set of (possibly overlapping) intervals."""
-    return sum(iv.length for iv in merge_intervals(intervals))
+    return ordered_sum(iv.length for iv in merge_intervals(intervals))
 
 
 def render_gantt(

@@ -10,9 +10,12 @@ completion order, or a cluster run's JCTs and wire statistics — to
 digests recorded from the pre-indexing reference implementation
 (flat-list ready queues, no plan cache, no event cancellation) before it
 was deleted, so every cell checks the production path against that
-reference's output with exact float equality: float ``repr`` is exact and
-stable across Python versions.  A cell that changes fails with its name
-and fresh digest.
+reference's output with exact float equality.  Float ``repr`` is exact,
+and the simulator totals its float terms left to right
+(:func:`repro.sim.engine.ordered_sum`) rather than with the builtin
+``sum``, whose rounding changed in Python 3.12, so one set of digests
+holds on every supported version.  A cell that changes fails with its
+name and fresh digest.
 """
 
 from __future__ import annotations

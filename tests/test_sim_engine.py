@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import EventQueue, Interval, merge_intervals, total_length
+from repro.sim.engine import ordered_sum
 from repro.sim.timeline import OpRecord, render_gantt
 from repro.collectives import PhaseOp
 
@@ -229,6 +230,17 @@ class TestCompaction:
         assert engine.peak_pending == 10
         engine.run()
         assert engine.peak_pending == 10
+
+
+class TestOrderedSum:
+    def test_rounds_after_every_addition(self):
+        # A compensated sum (the builtin's since Python 3.12) would cancel
+        # this round-off and return exactly 1.0.
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+
+    def test_empty_sum_is_integer_zero_like_the_builtin(self):
+        total = ordered_sum([])
+        assert total == 0 and type(total) is int
 
 
 class TestIntervals:
