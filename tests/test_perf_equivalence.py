@@ -286,9 +286,9 @@ class TestClusterEquivalence:
 
     def test_reweight_storm_keeps_heap_bounded(self):
         """Cancelling every superseded finish event keeps the heap a small
-        multiple of the in-flight work under FTF's reweight storms.  Exact
-        counters: the no-cancellation engine peaked at 112 pending events
-        and fired 17,319 on this cell."""
+        multiple of the in-flight work under FTF's reweight storms.  The
+        counters are exact, so a superseded event that is left to fire
+        (a stale-event leak) moves them."""
         _, sim = _cluster_report("ftf")
         assert sim.engine.peak_pending == 15
         assert sim.engine.cancelled_events == 9826
