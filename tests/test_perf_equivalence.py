@@ -10,8 +10,11 @@ completion order, or a cluster run's JCTs and wire statistics — to
 digests recorded from the pre-indexing reference implementation
 (flat-list ready queues, no plan cache, no event cancellation) before it
 was deleted, so every cell checks the production path against that
-reference's output with exact float equality.  Float ``repr`` is exact,
-and the simulator totals its float terms left to right
+reference's output with exact float equality.  The faulted cells and the
+fluid and packet cluster cells were recorded while every submission still
+recomputed its op costs from the latency model, so they pin op costs
+served from the plan cache to that recomputation.  Float ``repr`` is
+exact, and the simulator totals its float terms left to right
 (:func:`repro.sim.engine.ordered_sum`) rather than with the builtin
 ``sum``, whose rounding changed in Python 3.12, so one set of digests
 holds on every supported version.  A cell that changes fails with its
@@ -29,7 +32,7 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterSimulator, JobSpec
 from repro.collectives import CollectiveRequest, CollectiveType
 from repro.core import SchedulerFactory, Splitter
-from repro.sim import EventQueue, FusionConfig, NetworkSimulator
+from repro.sim import EventQueue, FusionConfig, LinkFault, NetworkSimulator
 from repro.sim.backends import get_backend
 from repro.topology import Topology, dimension
 from repro.training import TrainingConfig
@@ -216,6 +219,20 @@ class TestBackendTimelines:
         _check(f"backend/{backend}/chunks_{chunks}", _timeline(sim))
 
 
+class TestFaultedTimelines:
+    """The mixed workload with dim 1 at half capacity from 250 us to
+    1.25 ms: the repeated All-Reduce (issued at 300 us) plans under a
+    degraded key, while every op still costs its nominal latency."""
+
+    @pytest.mark.parametrize("backend, chunks", [("analytical", 8), ("fluid", 64)])
+    def test_faulted_timeline_matches_golden(self, backend, chunks):
+        sim = _backend_sim(backend, chunks)
+        sim.apply_fault(
+            LinkFault(dim_index=1, start=2.5e-4, factor=0.5, duration=1e-3)
+        )
+        _check(f"faulted/{backend}", _timeline(sim))
+
+
 def _comm_heavy(layers: int, param_mb: float, name: str) -> Workload:
     return Workload(
         name=name,
@@ -252,19 +269,22 @@ def _cluster_jobs() -> list[JobSpec]:
     ]
 
 
-def _cluster_report(fairness: str):
+def _cluster_report(fairness: str, backend: str | None = None, chunks: int = 16):
     config = ClusterConfig(
-        training=TrainingConfig(chunks_per_collective=16),
+        training=TrainingConfig(chunks_per_collective=chunks),
         isolated_baselines=False,
         fairness=fairness,
+        backend=backend,
     )
     sim = ClusterSimulator(three_dim_topology(), _cluster_jobs(), config)
     report = sim.run()
     return report, sim
 
 
-def _cluster_value(fairness: str) -> tuple:
-    report, sim = _cluster_report(fairness)
+def _cluster_value(
+    fairness: str, backend: str | None = None, chunks: int = 16
+) -> tuple:
+    report, sim = _cluster_report(fairness, backend, chunks)
     result = sim.network.result()
     return (
         tuple(job.jct for job in report.jobs),
@@ -283,6 +303,18 @@ class TestClusterEquivalence:
     @pytest.mark.parametrize("fairness", ["fifo", "weighted", "ftf", "preempt"])
     def test_identical_cluster_stats(self, fairness):
         _check(f"cluster/{fairness}", _cluster_value(fairness))
+
+    @pytest.mark.parametrize(
+        "backend, fairness, chunks",
+        [("fluid", "fifo", 64), ("fluid", "preempt", 64), ("packet", "fifo", 16)],
+    )
+    def test_backend_cluster_stats(self, backend, fairness, chunks):
+        """Three iterations per job: all but 3 of the 40 collectives are
+        plan-cache hits.  At 64 chunks the fluid FIFO run collapses every
+        plan to per-dimension flows; armed preemption keeps exact chunks."""
+        _check(
+            f"cluster/{backend}/{fairness}", _cluster_value(fairness, backend, chunks)
+        )
 
     def test_reweight_storm_keeps_heap_bounded(self):
         """Cancelling every superseded finish event keeps the heap a small
