@@ -12,7 +12,9 @@ Two signals with very different noise profiles are reported:
   peak-pending-event count, and cancelled events are machine-independent:
   identical inputs must reproduce them exactly, so any drift is a real
   behavioral change in the hot path and **gates the exit code** (default
-  tolerance 2%, events-only; ``--counters-only`` gates all three at 0%);
+  tolerance 2%, events-only; ``--counters-only`` gates all three at 0%,
+  plus each row's simulated ``mean_jct`` at 1e-9 relative, so a cache
+  that served wrong op costs without moving an event count still fails);
 * **wall seconds** — the committed baseline was measured on a different
   machine than the CI runner, so absolute ratios are not comparable
   run-to-run: cases slower than ``--wall-tolerance`` are flagged in the
@@ -44,12 +46,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 #: The machine-independent engine counters ``--counters-only`` gates.
 GATED_COUNTERS = ("events", "peak_pending_events", "cancelled_events")
+#: Relative tolerance of the ``--counters-only`` mean-JCT check (the same
+#: as perfbench's seed-0 cross-check against this file).
+MEAN_JCT_RTOL = 1e-9
 
 
 def load_cases(path: Path) -> "dict[tuple[int, str], dict]":
@@ -102,9 +108,10 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--counters-only", action="store_true",
                         help="gating mode: compare only the deterministic "
                              "engine counters (events, peak_pending_events, "
-                             "cancelled_events) at zero tolerance, and fail "
-                             "when a fresh case has no baseline row instead "
-                             "of skipping it")
+                             "cancelled_events) at zero tolerance and "
+                             "mean_jct at 1e-9 relative, and fail when a "
+                             "fresh case has no baseline row instead of "
+                             "skipping it")
     parser.add_argument("--wall-tolerance", type=float, default=1.6,
                         help="fresh/baseline wall-time ratio above which a "
                              "case is flagged 'slow' in the table — "
@@ -160,6 +167,15 @@ def main(argv: "list[str] | None" = None) -> int:
                         f"{counter} changed: {base[counter]} -> "
                         f"{new.get(counter)}"
                     )
+            if "mean_jct" not in base:
+                gating.append("baseline row lacks 'mean_jct'")
+            elif not math.isclose(
+                new.get("mean_jct", math.nan), base["mean_jct"], rel_tol=MEAN_JCT_RTOL
+            ):
+                gating.append(
+                    f"mean_jct changed: {base['mean_jct']!r} -> "
+                    f"{new.get('mean_jct')!r}"
+                )
         else:
             events_base, events_new = base["events"], new["events"]
             if events_base > 0:

@@ -22,11 +22,13 @@ Concretely, :class:`FluidNetwork` is a :class:`NetworkSimulator` whose
   exact — but the resulting chunk train collapses into one aggregate flow
   per traversed dimension (bytes and transfer seconds summed, the fixed
   latency ``A_K`` carried once as the pipeline tail, exactly as the exact
-  wire pays it).  Per-dimension flows start concurrently, modeling the
-  chunk pipeline's dimension overlap; the collective completes when its
-  slowest dimension drains.  The modeling error is the pipeline fill/drain
-  skew the collapse hides — a ``(ndims − 1)/chunks`` fraction of a
-  dimension's work — which the hybrid bounds via ``tolerance``;
+  wire pays it).  The aggregate is computed once per plan-cache key, from
+  the op costs the planner caches beside the plan.  Per-dimension flows
+  start concurrently, modeling the chunk pipeline's dimension overlap;
+  the collective completes when its slowest dimension drains.  The
+  modeling error is the pipeline fill/drain skew the collapse hides — a
+  ``(ndims − 1)/chunks`` fraction of a dimension's work — which the
+  hybrid bounds via ``tolerance``;
 * simultaneous rate changes coalesce across channels
   (:class:`~repro.sim.executor.FlowCoalescer`): a same-instant burst of
   flow starts/finishes/reweights recomputes each channel's rates once
@@ -61,13 +63,11 @@ from typing import TYPE_CHECKING, Any, ClassVar
 from ...collectives.phases import Stage
 from ...errors import ConfigError
 from ..executor import FlowCoalescer, OpState
-from ..network import NetworkSimulator
+from ..network import NetworkSimulator, PlanCosts, build_chunk_ops
 from .base import NetworkBackend, options_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...collectives.types import CollectiveRequest
-    from ...core.chunk import CollectivePlan
-    from ...core.latency_model import LatencyModel
     from ...core.policies import IntraDimPolicy
     from ...core.scheduler import SchedulerFactory
     from ...topology import Topology
@@ -128,6 +128,9 @@ class FluidNetwork(NetworkSimulator):
         #: collectives to exact chunk granularity (preemption boundaries
         #: are precision points).
         self._preemption_armed = False
+        #: ``plan key -> op costs to run``: a fluidized plan's aggregate,
+        #: or the plan's own costs when it is too coarse to fluidize.
+        self._run_costs: dict[tuple, PlanCosts] = {}
         # The channels run in GPS sharing mode from the first byte: the
         # closed-form flow integrator is the fluid model.  Enabling it
         # before anything is in flight also means the serial-wire guard in
@@ -156,31 +159,23 @@ class FluidNetwork(NetworkSimulator):
             channel.enable_priority_sharing()
 
     # --- execution granularity --------------------------------------------
-    def _fluidize(self, plan: "CollectivePlan") -> bool:
-        """Whether this plan may collapse to aggregate per-dim flows."""
-        options = self.options
-        if options.hybrid:
-            if self._preemption_armed:
-                return False
-            ndims = len({
-                stage.dim_index
-                for chunk in plan.chunks
-                for stage in chunk.stages
-            })
-            chunks = len(plan.chunks)
-            if ndims > 1 and (ndims - 1) > options.tolerance * chunks:
-                return False
-        return True
-
     def _build_chunk_ops(
-        self,
-        request: "CollectiveRequest",
-        plan: "CollectivePlan",
-        subtopo: "Topology",
-        model: "LatencyModel",
+        self, request: "CollectiveRequest", costs: PlanCosts, plan_key: tuple | None
     ) -> list[list[OpState]]:
-        if not self._fluidize(plan):
-            return super()._build_chunk_ops(request, plan, subtopo, model)
+        # Arming preemption pins every later collective to chunk
+        # granularity, so it is checked per call, never cached.
+        if not (self.options.hybrid and self._preemption_armed):
+            run_costs = self._run_costs.get(plan_key) if plan_key is not None else None
+            if run_costs is None:
+                run_costs = self._fluidize(costs)
+                if plan_key is not None:
+                    self._run_costs[plan_key] = run_costs
+            costs = run_costs
+        return build_chunk_ops(request, costs)
+
+    def _fluidize(self, costs: PlanCosts) -> PlanCosts:
+        """The op costs a plan runs at: collapsed to per-dimension flows,
+        or ``costs`` itself when the hybrid keeps it at chunk granularity."""
         # One aggregate single-stage pseudo-chunk per traversed dimension,
         # in first-traversal order (deterministic: plan order, no sets).
         # All of them enqueue immediately — stage 0 of every chunk — so the
@@ -190,50 +185,36 @@ class FluidNetwork(NetworkSimulator):
         # plan's sums, so byte conservation is untouched; the fixed latency
         # is carried once per dimension, exactly as the exact wire pays it
         # (a pipeline tail, not a per-chunk cost).
-        order: list[int] = []
+        firsts: list[tuple[Stage, int]] = []
         totals: dict[int, list[float]] = {}
-        first_stage: dict[int, Stage] = {}
-        for chunk in plan.chunks:
-            for stage in chunk.stages:
-                local = stage.dim_index
-                bucket = totals.get(local)
+        for chunk in costs:
+            for stage, parent_dim, nbytes, transfer, fixed in chunk:
+                bucket = totals.get(stage.dim_index)
                 if bucket is None:
-                    order.append(local)
-                    totals[local] = bucket = [0.0, 0.0, 0.0, 0.0]
-                    first_stage[local] = stage
-                bucket[0] += model.bytes_per_npu(
-                    stage.op, stage.stage_size, local
-                )
-                bucket[1] += model.chunk_load(stage.op, stage.stage_size, local)
-                fixed = model.fixed_latency(stage.op, local)
+                    firsts.append((stage, parent_dim))
+                    totals[stage.dim_index] = bucket = [0.0, 0.0, 0.0, 0.0]
+                bucket[0] += nbytes
+                bucket[1] += transfer
                 if fixed > bucket[2]:
                     bucket[2] = fixed
                 bucket[3] += stage.stage_size
-        chunk_ops: list[list[OpState]] = []
-        for pseudo_id, local in enumerate(order):
-            nbytes, transfer, fixed, stage_size = totals[local]
-            template = first_stage[local]
-            chunk_ops.append(
-                [
-                    OpState(
-                        collective_seq=request.request_id,
-                        chunk_id=pseudo_id,
-                        stage_index=0,
-                        stage=Stage(
-                            dim_index=local,
-                            op=template.op,
-                            stage_size=stage_size,
-                        ),
-                        parent_dim=subtopo.parent_index(local),
-                        bytes_sent=nbytes,
-                        transfer_time=transfer,
-                        fixed_time=fixed,
-                        priority=request.priority,
-                        owner=request.owner,
-                    )
-                ]
+        options = self.options
+        if options.hybrid and len(firsts) - 1 > options.tolerance * len(costs):
+            return costs
+        return tuple(
+            (
+                (
+                    Stage(dim_index=first.dim_index, op=first.op, stage_size=size),
+                    parent_dim,
+                    nbytes,
+                    transfer,
+                    fixed,
+                ),
             )
-        return chunk_ops
+            for (first, parent_dim), (nbytes, transfer, fixed, size) in zip(
+                firsts, totals.values()
+            )
+        )
 
 
 class FluidBackend(NetworkBackend):

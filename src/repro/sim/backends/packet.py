@@ -59,22 +59,21 @@ from typing import TYPE_CHECKING, Any, ClassVar
 from ...collectives.types import CollectiveRequest
 from ...core.latency_model import LatencyModel
 from ...core.scheduler import SchedulerFactory
-from ...errors import ConfigError, SimulationError
+from ...errors import ConfigError
 from ...topology import Topology
 from ...topology.dimension import DimensionKind, DimensionSpec
-from ..audit import InvariantAuditor, resolve_audit
 from ..engine import EventQueue, ordered_sum
 from ..executor import OpState
-from ..faults import FaultSchedule, LinkFault, compose_factors
 from ..network import (
-    CollectivePlanner,
     CollectiveResult,
     ExecutionResult,
+    NetworkBookkeeping,
+    WireStats,
     _check_not_past,
     _CollectiveState,
     build_chunk_ops,
 )
-from ..timeline import Interval, OpRecord, merge_intervals
+from ..timeline import Interval
 from .base import NetworkBackend, options_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -303,7 +302,7 @@ class _FlowState:
         self.mtu_bytes = mtu_bytes
 
 
-class PacketNetwork:
+class PacketNetwork(NetworkBookkeeping):
     """Event-driven packet-level network (the ``"packet"`` backend).
 
     Planning is shared with the analytical backend — the same scheduler
@@ -329,47 +328,23 @@ class PacketNetwork:
         options: PacketOptions | None = None,
         algorithm_overrides: dict[int, str] | None = None,
     ) -> None:
-        self.topology = topology
-        self.scheduler_factory = scheduler or SchedulerFactory("themis")
-        self.engine = engine or EventQueue()
+        super().__init__(
+            topology, scheduler, engine, record_ops, audit, algorithm_overrides
+        )
         self.options = options or PacketOptions()
-        self.record_ops = record_ops
-        self.planner = CollectivePlanner(topology, algorithm_overrides)
-        self.auditor: InvariantAuditor | None = None
-        if resolve_audit(audit):
-            self.auditor = self.engine.auditor or InvariantAuditor()
-            self.engine.auditor = self.auditor
         #: Per-dimension port groups; placement policies read
         #: ``channels[d].outstanding_bytes`` exactly as on the analytical
         #: backend, so the live-load signal survives the fidelity switch.
-        self.channels = [
-            _PortGroup(i, dim) for i, dim in enumerate(topology.dims)
-        ]
-        self._states: dict[int, _CollectiveState] = {}
+        self.channels = [_PortGroup(i, dim) for i, dim in enumerate(topology.dims)]
         #: Per-network dense collective index used in routing flow keys.
         #: ``request_id`` comes from a process-global counter, so hashing
         #: it would make ECMP lane picks depend on process history; this
         #: map keeps identical networks bit-identical.
         self._flow_seq: dict[int, int] = {}
-        self._results: list[CollectiveResult] = []
-        self._records: list[OpRecord] = []
-        self._records_sorted = True
         self._dim_transfer = [0.0] * len(self.channels)
         #: Flows parked on a zero-capacity dimension, resumed (in parking
         #: order) when a restore event lifts the factor above zero.
         self._parked: list[list[_FlowState]] = [[] for _ in self.channels]
-        self._inflight = 0
-        self._comm_active_since: float | None = None
-        self._comm_active: list[Interval] = []
-        self._owner_inflight: dict[str, int] = {}
-        self._owner_active_since: dict[str, float] = {}
-        self._owner_active: dict[str, list[Interval]] = {}
-        # --- fault injection (same discipline as NetworkSimulator) ----------
-        self.fault_timeline: list[tuple[float, int, float]] = []
-        self._active_faults: list[dict[int, float]] = [
-            {} for _ in self.channels
-        ]
-        self._fault_seq = 0
 
     # --- fairness: not available at this fidelity ---------------------------
     def set_tenant_weights(
@@ -395,50 +370,11 @@ class PacketNetwork:
         return 0
 
     # --- fault injection ----------------------------------------------------
-    def apply_fault(self, fault: LinkFault) -> None:
-        """Schedule one capacity fault (and its restoration) on the engine.
-
-        Rate changes apply to ops booked *after* the event fires; ops
-        already on the wire complete at their booked time (op granularity
-        — chunk ops are short relative to fault durations).  A factor of
-        zero parks arriving ops until a restore.
-        """
-        if not 0 <= fault.dim_index < len(self.channels):
-            raise ConfigError(
-                f"fault targets dimension {fault.dim_index} but the "
-                f"topology has {len(self.channels)} dimension(s)"
-            )
-        if fault.start < self.engine.now:
-            raise ConfigError(
-                f"fault starts at {fault.start} but the simulation is "
-                f"already at {self.engine.now}"
-            )
-        fault_id = self._fault_seq
-        self._fault_seq += 1
-        self.engine.schedule(
-            fault.start, lambda: self._fault_begin(fault_id, fault)
-        )
-        end = fault.end
-        if end is not None:
-            self.engine.schedule(end, lambda: self._fault_end(fault_id, fault))
-
-    def apply_fault_schedule(self, schedule: FaultSchedule) -> None:
-        """Apply every event of a :class:`FaultSchedule` (validated against
-        this topology's dimension count)."""
-        for fault in schedule.restricted_to(len(self.channels)).events:
-            self.apply_fault(fault)
-
-    def _fault_begin(self, fault_id: int, fault: LinkFault) -> None:
-        self._active_faults[fault.dim_index][fault_id] = fault.factor
-        self._apply_capacity(fault.dim_index)
-
-    def _fault_end(self, fault_id: int, fault: LinkFault) -> None:
-        self._active_faults[fault.dim_index].pop(fault_id, None)
-        self._apply_capacity(fault.dim_index)
-
-    def _apply_capacity(self, dim_index: int) -> None:
-        factor = compose_factors(self._active_faults[dim_index])
-        self.fault_timeline.append((self.engine.now, dim_index, factor))
+    def _apply_capacity(self, dim_index: int, factor: float) -> None:
+        """Rate changes apply to ops booked *after* the change; ops already
+        on the wire complete at their booked time (op granularity — chunk
+        ops are short relative to fault durations).  A factor of zero parks
+        arriving ops until a restore."""
         group = self.channels[dim_index]
         group.capacity_factor = factor
         if factor > 0.0 and self._parked[dim_index]:
@@ -473,23 +409,21 @@ class PacketNetwork:
         scheduler_factory: SchedulerFactory | None = None,
     ) -> None:
         request = result.request
-        subtopo, model = self.planner.subtopology(request)
         # The live port capacities are the planning input, exactly as on
         # the analytical backend: degraded dimensions look expensive.
-        plan, _ = self.planner.plan(
+        plan, _, costs = self.planner.plan(
             request,
             scheduler_factory or self.scheduler_factory,
             tuple(group.capacity_factor for group in self.channels),
             self.engine.now,
         )
         result.plan = plan
-        chunk_ops = build_chunk_ops(request, plan, subtopo, model)
+        chunk_ops = build_chunk_ops(request, costs)
+        subtopo, model = self.planner.subtopology(request)
         flows = [self._flow_for(ops[0], subtopo, model) for ops in chunk_ops]
 
-        state = _CollectiveState(result, chunk_ops, on_complete)
-        self._states[request.request_id] = state
+        self._register_collective(_CollectiveState(result, chunk_ops, on_complete))
         self._flow_seq[request.request_id] = len(self._flow_seq)
-        self._mark_comm_active(request.owner)
         for flow in flows:
             self._start_flow(flow)
 
@@ -581,90 +515,20 @@ class PacketNetwork:
         if state.remaining_ops == 0:
             self._finish_collective(state)
 
-    def _finish_collective(self, state: _CollectiveState) -> None:
-        state.result.completion_time = self.engine.now
-        del self._states[state.result.request.request_id]
-        self._mark_comm_idle_if_done(state.result.request.owner)
-        if state.on_complete is not None:
-            state.on_complete(state.result)
-
-    # --- comm-active accounting (same discipline as NetworkSimulator) -------
-    def _mark_comm_active(self, owner: str) -> None:
-        self._inflight += 1
-        if self._comm_active_since is None:
-            self._comm_active_since = self.engine.now
-        self._owner_inflight[owner] = self._owner_inflight.get(owner, 0) + 1
-        if owner not in self._owner_active_since:
-            self._owner_active_since[owner] = self.engine.now
-
-    def _mark_comm_idle_if_done(self, owner: str) -> None:
-        now = self.engine.now
-        self._inflight -= 1
-        if self._inflight == 0 and self._comm_active_since is not None:
-            if now > self._comm_active_since:
-                self._comm_active.append(Interval(self._comm_active_since, now))
-            self._comm_active_since = None
-        self._owner_inflight[owner] -= 1
-        if self._owner_inflight[owner] == 0:
-            since = self._owner_active_since.pop(owner)
-            if now > since:
-                self._owner_active.setdefault(owner, []).append(
-                    Interval(since, now)
-                )
-
     # --- running ------------------------------------------------------------
     def run(self, max_events: int | None = None) -> ExecutionResult:
         """Run the engine to quiescence and package the results."""
         self.engine.run(max_events=max_events)
-        if self._states:
-            dead = [
-                group.dim_index
-                for group in self.channels
-                if group.capacity_factor <= 0.0
-            ]
-            hint = (
-                f"; dimension(s) {dead} have zero capacity (failed links "
-                "with no restore event) — in-flight work is parked forever"
-                if dead
-                else ""
-            )
-            raise SimulationError(
-                f"{len(self._states)} collectives never completed "
-                f"(deadlock or missing events){hint}"
-            )
+        self._check_drained()
         return self.result()
 
-    def result(self) -> ExecutionResult:
-        """Snapshot results at the current simulation time (mid-run safe)."""
-        if not self._results:
-            raise SimulationError("no collectives were submitted")
-        now = self.engine.now
-        comm_active = list(self._comm_active)
-        if self._comm_active_since is not None and now > self._comm_active_since:
-            comm_active.append(Interval(self._comm_active_since, now))
-        by_owner = {
-            owner: list(intervals)
-            for owner, intervals in self._owner_active.items()
-        }
-        for owner, since in self._owner_active_since.items():
-            if now > since:
-                by_owner.setdefault(owner, []).append(Interval(since, now))
-        if not self._records_sorted:
-            self._records.sort(key=lambda r: (r.start_time, r.dim_index))
-            self._records_sorted = True
-        return ExecutionResult(
-            topology=self.topology,
-            records=list(self._records),
-            collectives=list(self._results),
-            dim_transfer_seconds=list(self._dim_transfer),
-            dim_busy_seconds=[g.busy_seconds for g in self.channels],
-            dim_bytes=[g.bytes_sent for g in self.channels],
-            dim_activity=[merge_intervals(g.activity) for g in self.channels],
-            comm_active_intervals=merge_intervals(comm_active),
-            comm_active_by_owner={
-                owner: merge_intervals(intervals)
-                for owner, intervals in sorted(by_owner.items())
-            },
+    def _wire_stats(self) -> WireStats:
+        groups = self.channels
+        return (
+            list(self._dim_transfer),
+            [g.busy_seconds for g in groups],
+            [g.bytes_sent for g in groups],
+            [g.activity for g in groups],
         )
 
 

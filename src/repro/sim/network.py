@@ -10,9 +10,12 @@ the per-dimension channels, and the event engine.  It supports:
 * completion callbacks, used by the training-loop simulator.
 
 Planning is shared with the packet backend: :class:`CollectivePlanner`
-turns each request into a :class:`CollectivePlan` behind the sub-topology
-and plan caches, and :func:`build_chunk_ops` materializes a plan as one
-executable op per (chunk, stage).
+turns each request into a :class:`CollectivePlan` and its op costs behind
+the sub-topology and plan caches, and :func:`build_chunk_ops` materializes
+those costs as one executable op per (chunk, stage) without querying the
+latency model.  :class:`NetworkBookkeeping` holds what the channel and
+packet networks keep besides their wires: submissions, op records,
+comm-active intervals and the fault schedule.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
+from ..collectives.phases import Stage
 from ..collectives.registry import algorithms_for_topology
 from ..collectives.types import CollectiveRequest
 from ..core.chunk import CollectivePlan
@@ -164,6 +168,17 @@ class _CollectiveState:
         self.on_complete = on_complete
 
 
+#: One executable op's cost, in :class:`OpState`'s argument order: its
+#: stage, the stage's parent dimension, and the bytes per NPU, transfer
+#: seconds and fixed seconds the nominal :class:`LatencyModel` charges it.
+OpCost = tuple[Stage, int, float, float, float]
+#: A plan's op costs, indexed by chunk, then by stage.
+PlanCosts = tuple[tuple[OpCost, ...], ...]
+#: A wire's per-dimension transfer seconds, busy seconds, bytes sent and
+#: activity intervals.
+WireStats = tuple[list[float], list[float], list[float], list[list[Interval]]]
+
+
 class CollectivePlanner:
     """Plans submitted collectives; owns the sub-topology and plan caches.
 
@@ -171,9 +186,11 @@ class CollectivePlanner:
     once.  Load-independent plans are cached by request signature:
     schedulers are pure per collective (the Themis tracker resets every
     request), so training loops that resubmit identical collectives each
-    iteration plan only once.  Only plain :class:`SchedulerFactory`
-    instances are cached; subclasses (e.g. replay factories) may carry
-    state and always plan afresh.
+    iteration plan only once.  A plan's op costs are cached beside it: the
+    latency model is a pure function of (op, size, dim), so they are
+    computed once per key.  Only plain :class:`SchedulerFactory` instances
+    are cached; subclasses (e.g. replay factories) may carry state and
+    always plan afresh.
     """
 
     def __init__(
@@ -185,7 +202,7 @@ class CollectivePlanner:
         #: ``{parent dim index: algorithm name}`` replacing Table 1 defaults.
         self.algorithm_overrides = dict(algorithm_overrides or {})
         self._subtopologies: dict[tuple, tuple[Topology, LatencyModel]] = {}
-        self._plans: dict[tuple, CollectivePlan] = {}
+        self._plans: dict[tuple, tuple[CollectivePlan, PlanCosts]] = {}
 
     def subtopology(self, request: CollectiveRequest) -> tuple[Topology, LatencyModel]:
         """The request's communicator sub-topology and its latency model."""
@@ -216,14 +233,17 @@ class CollectivePlanner:
         factory: SchedulerFactory,
         factors: tuple[float, ...],
         now: float,
-    ) -> tuple[CollectivePlan, tuple | None]:
-        """Plan ``request`` issued at ``now``; returns ``(plan, cache key)``.
+    ) -> tuple[CollectivePlan, tuple | None, PlanCosts]:
+        """Plan ``request`` issued at ``now``.
 
-        ``factors`` are the live per-dimension capacity factors.  They are
-        part of the planning input: a degraded dimension must look
-        expensive to a bandwidth-aware scheduler, so plans made under
-        different fault states never share a cache slot.  The key is
-        ``None`` for a factory that is never cached.
+        Returns ``(plan, cache key, op costs)``.  ``factors`` are the live
+        per-dimension capacity factors.  They are part of the planning
+        input: a degraded dimension must look expensive to a
+        bandwidth-aware scheduler, so plans made under different fault
+        states never share a cache slot.  The op costs hold one
+        :data:`OpCost` per (chunk, stage) from the nominal model, since
+        the wire, not the op, carries a fault.  The key is ``None`` for a
+        factory that is never cached.
         """
         subtopo, model = self.subtopology(request)
         key: tuple | None = None
@@ -241,9 +261,11 @@ class CollectivePlanner:
             key = key + (factors,)
         cached = self._plans.get(key) if key is not None else None
         if cached is not None:
-            # The chunk schedules are shared; only the identity fields are
-            # re-stamped for this submission.
-            return replace(cached, request=request, issue_time=now, metadata={}), key
+            # The chunk schedules and op costs are shared; only the
+            # identity fields are re-stamped for this submission.
+            plan, costs = cached
+            plan = replace(plan, request=request, issue_time=now, metadata={})
+            return plan, key, costs
         scheduler = factory.create()
         plan_model: LatencyModel = model
         if degraded:
@@ -253,50 +275,246 @@ class CollectivePlanner:
             if any(factor != 1.0 for factor in local):
                 plan_model = ScaledLatencyModel(model, local)
         plan = scheduler.plan(request, subtopo, plan_model, issue_time=now)
+        costs = tuple(
+            tuple(
+                (
+                    stage,
+                    subtopo.parent_index(stage.dim_index),
+                    model.bytes_per_npu(stage.op, stage.stage_size, stage.dim_index),
+                    model.chunk_load(stage.op, stage.stage_size, stage.dim_index),
+                    model.fixed_latency(stage.op, stage.dim_index),
+                )
+                for stage in chunk.stages
+            )
+            for chunk in plan.chunks
+        )
         if key is not None:
-            self._plans[key] = plan
-        return plan, key
+            self._plans[key] = (plan, costs)
+        return plan, key, costs
 
 
 def build_chunk_ops(
-    request: CollectiveRequest,
-    plan: CollectivePlan,
-    subtopo: Topology,
-    model: LatencyModel,
+    request: CollectiveRequest, costs: PlanCosts
 ) -> list[list[OpState]]:
-    """One executable op per (chunk, stage) of ``plan``, indexed by chunk.
+    """One executable op per (chunk, stage) of ``costs``, indexed by chunk."""
+    seq, priority, owner = request.request_id, request.priority, request.owner
+    return [
+        [
+            OpState(seq, chunk_id, stage_index, *cost, priority, owner)
+            for stage_index, cost in enumerate(chunk)
+        ]
+        for chunk_id, chunk in enumerate(costs)
+    ]
 
-    Each op's bytes, transfer and fixed times come from ``model`` on the
-    request's communicator ``subtopo``.
+
+class NetworkBookkeeping:
+    """What the channel and packet networks keep besides their wires.
+
+    It holds the planner, the submitted collectives, the op records, the
+    comm-active intervals (overall and per owner) and the fault schedule,
+    and snapshots them as an :class:`ExecutionResult`.  A subclass owns
+    the wire: it starts each submitted collective, calls
+    :meth:`_finish_collective` when its last op completes, applies
+    capacity changes in :meth:`_apply_capacity`, and reports its
+    per-dimension statistics from :meth:`_wire_stats`.
     """
-    chunk_ops: list[list[OpState]] = []
-    for chunk in plan.chunks:
-        ops = []
-        for stage_index, stage in enumerate(chunk.stages):
-            parent_dim = subtopo.parent_index(stage.dim_index)
-            ops.append(
-                OpState(
-                    collective_seq=request.request_id,
-                    chunk_id=chunk.chunk_id,
-                    stage_index=stage_index,
-                    stage=stage,
-                    parent_dim=parent_dim,
-                    bytes_sent=model.bytes_per_npu(
-                        stage.op, stage.stage_size, stage.dim_index
-                    ),
-                    transfer_time=model.chunk_load(
-                        stage.op, stage.stage_size, stage.dim_index
-                    ),
-                    fixed_time=model.fixed_latency(stage.op, stage.dim_index),
-                    priority=request.priority,
-                    owner=request.owner,
-                )
+
+    def __init__(
+        self,
+        topology: Topology,
+        scheduler: SchedulerFactory | None,
+        engine: EventQueue | None,
+        record_ops: bool,
+        audit: bool | None,
+        algorithm_overrides: dict[int, str] | None,
+    ) -> None:
+        self.topology = topology
+        self.scheduler_factory = scheduler or SchedulerFactory("themis")
+        self.engine = engine or EventQueue()
+        self.planner = CollectivePlanner(topology, algorithm_overrides)
+        self.record_ops = record_ops
+        #: Runtime invariant auditor — ``None`` unless requested via the
+        #: ``audit`` parameter or ``THEMIS_AUDIT=1`` (see repro.sim.audit).
+        self.auditor: InvariantAuditor | None = None
+        if resolve_audit(audit):
+            # Simulators sharing one engine share its auditor so engine-level
+            # checks stay consistent across co-tenants.
+            self.auditor = self.engine.auditor or InvariantAuditor()
+            self.engine.auditor = self.auditor
+        self._states: dict[int, _CollectiveState] = {}
+        self._results: list[CollectiveResult] = []
+        self._records: list[OpRecord] = []
+        self._records_sorted = True
+        self._inflight = 0
+        self._comm_active_since: float | None = None
+        self._comm_active: list[Interval] = []
+        self._owner_inflight: dict[str, int] = {}
+        self._owner_active_since: dict[str, float] = {}
+        self._owner_active: dict[str, list[Interval]] = {}
+        #: Applied capacity changes, in order: ``(time, dim, new factor)``.
+        self.fault_timeline: list[tuple[float, int, float]] = []
+        #: Per-dimension live faults (fault id -> factor); overlapping
+        #: faults compose as the product, recomputed from the survivors at
+        #: every start/end (never divided out).
+        self._active_faults: list[dict[int, float]] = [{} for _ in topology.dims]
+        self._fault_seq = 0
+
+    # --- fault injection ----------------------------------------------------
+    def apply_fault(self, fault: LinkFault) -> None:
+        """Schedule one capacity fault (and its restoration) on the engine.
+
+        At ``fault.start`` the dimension's capacity factor becomes the
+        product of every fault live on it; at ``fault.end`` (if any) the
+        product of the survivors is recomputed and re-applied (see the
+        backend's :meth:`_apply_capacity`).  Themis's per-request load
+        tracker plans against the degraded :class:`ScaledLatencyModel`
+        while the fault is live — bandwidth awareness is exactly what is
+        under test here.
+        """
+        ndims = self.topology.ndims
+        if not 0 <= fault.dim_index < ndims:
+            raise ConfigError(
+                f"fault targets dimension {fault.dim_index} but the "
+                f"topology has {ndims} dimension(s)"
             )
-        chunk_ops.append(ops)
-    return chunk_ops
+        if fault.start < self.engine.now:
+            raise ConfigError(
+                f"fault starts at {fault.start} but the simulation is "
+                f"already at {self.engine.now}"
+            )
+        fault_id = self._fault_seq
+        self._fault_seq += 1
+        self.engine.schedule(
+            fault.start, lambda: self._set_fault(fault_id, fault, True)
+        )
+        end = fault.end
+        if end is not None:
+            self.engine.schedule(end, lambda: self._set_fault(fault_id, fault, False))
+
+    def apply_fault_schedule(self, schedule: FaultSchedule) -> None:
+        """Apply every event of a :class:`FaultSchedule` (validated against
+        this topology's dimension count)."""
+        for fault in schedule.restricted_to(self.topology.ndims).events:
+            self.apply_fault(fault)
+
+    def _set_fault(self, fault_id: int, fault: LinkFault, live: bool) -> None:
+        faults = self._active_faults[fault.dim_index]
+        if live:
+            faults[fault_id] = fault.factor
+        else:
+            faults.pop(fault_id, None)
+        factor = compose_factors(faults)
+        self.fault_timeline.append((self.engine.now, fault.dim_index, factor))
+        self._apply_capacity(fault.dim_index, factor)
+
+    def _apply_capacity(self, dim_index: int, factor: float) -> None:
+        """Run dimension ``dim_index``'s wire at capacity ``factor``."""
+        raise NotImplementedError
+
+    # --- comm-active accounting ---------------------------------------------
+    def _register_collective(self, state: _CollectiveState) -> None:
+        """Track ``state`` as in flight from now on (comm-active)."""
+        now = self.engine.now
+        owner = state.result.request.owner
+        self._states[state.result.request.request_id] = state
+        self._inflight += 1
+        if self._comm_active_since is None:
+            self._comm_active_since = now
+        self._owner_inflight[owner] = self._owner_inflight.get(owner, 0) + 1
+        if owner not in self._owner_active_since:
+            self._owner_active_since[owner] = now
+
+    def _finish_collective(self, state: _CollectiveState) -> None:
+        """Complete ``state`` now and close its comm-active intervals."""
+        now = self.engine.now
+        state.result.completion_time = now
+        request = state.result.request
+        owner = request.owner
+        del self._states[request.request_id]
+        self._inflight -= 1
+        if self._inflight == 0 and self._comm_active_since is not None:
+            if now > self._comm_active_since:
+                self._comm_active.append(Interval(self._comm_active_since, now))
+            self._comm_active_since = None
+        self._owner_inflight[owner] -= 1
+        if self._owner_inflight[owner] == 0:
+            since = self._owner_active_since.pop(owner)
+            if now > since:
+                self._owner_active.setdefault(owner, []).append(Interval(since, now))
+        if state.on_complete is not None:
+            state.on_complete(state.result)
+
+    # --- running --------------------------------------------------------------
+    def _check_drained(self) -> None:
+        """Raise if collectives are still in flight once the engine is idle."""
+        if not self._states:
+            return
+        dead = [
+            dim_index
+            for dim_index, faults in enumerate(self._active_faults)
+            if compose_factors(faults) <= 0.0
+        ]
+        hint = (
+            f"; dimension(s) {dead} have zero capacity (failed links "
+            "with no restore event) — in-flight work is parked forever"
+            if dead
+            else ""
+        )
+        raise SimulationError(
+            f"{len(self._states)} collectives never completed "
+            f"(deadlock or missing events){hint}"
+        )
+
+    def _wire_stats(self) -> WireStats:
+        """The wire's per-dimension statistics for :meth:`result`."""
+        raise NotImplementedError
+
+    def result(self) -> ExecutionResult:
+        """Snapshot results at the current simulation time.
+
+        Safe to call mid-run: open activity and comm-active intervals are
+        closed *in the snapshot only* (internal accounting is untouched, so
+        the simulation can keep running afterwards), and collectives still
+        in flight keep their NaN ``completion_time`` — the aggregate
+        :class:`ExecutionResult` timings skip them.
+        """
+        if not self._results:
+            raise SimulationError("no collectives were submitted")
+        now = self.engine.now
+        comm_active = list(self._comm_active)
+        if self._comm_active_since is not None and now > self._comm_active_since:
+            comm_active.append(Interval(self._comm_active_since, now))
+        by_owner = {
+            owner: list(intervals) for owner, intervals in self._owner_active.items()
+        }
+        for owner, since in self._owner_active_since.items():
+            if now > since:
+                by_owner.setdefault(owner, []).append(Interval(since, now))
+        # Records are sorted lazily, once per batch of appends: repeated
+        # mid-run snapshots re-sort only what arrived since the last one
+        # (timsort on the nearly sorted list), and record-free cluster
+        # sweeps skip the O(n log n) entirely.
+        if not self._records_sorted:
+            self._records.sort(key=lambda r: (r.start_time, r.dim_index))
+            self._records_sorted = True
+        transfer, busy, nbytes, activity = self._wire_stats()
+        return ExecutionResult(
+            topology=self.topology,
+            records=list(self._records),
+            collectives=list(self._results),
+            dim_transfer_seconds=transfer,
+            dim_busy_seconds=busy,
+            dim_bytes=nbytes,
+            dim_activity=[merge_intervals(intervals) for intervals in activity],
+            comm_active_intervals=merge_intervals(comm_active),
+            comm_active_by_owner={
+                owner: merge_intervals(intervals)
+                for owner, intervals in sorted(by_owner.items())
+            },
+        )
 
 
-class NetworkSimulator:
+class NetworkSimulator(NetworkBookkeeping):
     """Event-driven network that executes scheduled collectives.
 
     Parameters
@@ -327,9 +545,10 @@ class NetworkSimulator:
         hundreds of jobs turn it off: the per-op list grows without bound
         and none of the cluster metrics read it.
 
-    Plans come from a :class:`CollectivePlanner`, cached by request
-    signature; enforced intra-dimension orders are cached under the same
-    key, which also skips the per-iteration consistency pre-simulation.
+    Plans and their op costs come from a :class:`CollectivePlanner`,
+    cached by request signature; enforced intra-dimension orders are cached
+    under the same key, which also skips the per-iteration consistency
+    pre-simulation.
     """
 
     #: Capability flags read by backend-agnostic callers (the training
@@ -350,24 +569,14 @@ class NetworkSimulator:
         record_ops: bool = True,
         audit: bool | None = None,
     ) -> None:
-        self.topology = topology
-        self.scheduler_factory = scheduler or SchedulerFactory("themis")
+        super().__init__(
+            topology, scheduler, engine, record_ops, audit, algorithm_overrides
+        )
         self.policy = (
             policy if isinstance(policy, IntraDimPolicy) else get_policy(policy)
         )
         self.fusion = fusion or FusionConfig()
-        self.engine = engine or EventQueue()
         self.enforce_consistency = enforce_consistency
-        self.planner = CollectivePlanner(topology, algorithm_overrides)
-        self.record_ops = record_ops
-        #: Runtime invariant auditor — ``None`` unless requested via the
-        #: ``audit`` parameter or ``THEMIS_AUDIT=1`` (see repro.sim.audit).
-        self.auditor: InvariantAuditor | None = None
-        if resolve_audit(audit):
-            # Simulators sharing one engine share its auditor so engine-level
-            # checks stay consistent across co-tenants.
-            self.auditor = self.engine.auditor or InvariantAuditor()
-            self.engine.auditor = self.auditor
         self.channels = [
             DimensionChannel(
                 i,
@@ -383,30 +592,10 @@ class NetworkSimulator:
             for channel in self.channels:
                 channel.auditor = self.auditor
                 self.auditor.register_channel(channel)
-        self._states: dict[int, _CollectiveState] = {}
-        self._results: list[CollectiveResult] = []
-        self._records: list[OpRecord] = []
-        self._records_sorted = True
         #: ``plan key -> {parent dim: [(chunk_id, stage_index), ...]}`` —
         #: enforced orders with the request id stripped, re-stamped per
         #: submission (op keys embed the submitting request's id).
         self._order_cache: dict[tuple, dict[int, list[tuple[int, int]]]] = {}
-        self._inflight = 0
-        self._comm_active_since: float | None = None
-        self._comm_active: list[Interval] = []
-        self._owner_inflight: dict[str, int] = {}
-        self._owner_active_since: dict[str, float] = {}
-        self._owner_active: dict[str, list[Interval]] = {}
-        # --- fault injection -------------------------------------------------
-        #: Applied capacity changes, in order: ``(time, dim, new factor)``.
-        self.fault_timeline: list[tuple[float, int, float]] = []
-        #: Per-dimension live faults (fault id -> factor); overlapping
-        #: faults compose as the product, recomputed from the survivors at
-        #: every start/end (never divided out).
-        self._active_faults: list[dict[int, float]] = [
-            {} for _ in self.channels
-        ]
-        self._fault_seq = 0
 
     # --- fairness (multi-tenant wire disciplines) ---------------------------
     def set_tenant_weights(
@@ -462,54 +651,10 @@ class NetworkSimulator:
         return sum(channel.preemption_count for channel in self.channels)
 
     # --- fault injection ----------------------------------------------------
-    def apply_fault(self, fault: LinkFault) -> None:
-        """Schedule one capacity fault (and its restoration) on the engine.
-
-        At ``fault.start`` the dimension's capacity factor becomes the
-        product of every fault live on it; at ``fault.end`` (if any) the
-        product of the survivors is recomputed and re-applied.  In-flight
-        work re-segments at each change via
-        :meth:`DimensionChannel.set_capacity_factor`; a factor of zero
-        parks it until a restore.  Themis's per-request load tracker plans
-        against the degraded :class:`ScaledLatencyModel` while the fault is
-        live — bandwidth awareness is exactly what is under test here.
-        """
-        if not 0 <= fault.dim_index < len(self.channels):
-            raise ConfigError(
-                f"fault targets dimension {fault.dim_index} but the "
-                f"topology has {len(self.channels)} dimension(s)"
-            )
-        if fault.start < self.engine.now:
-            raise ConfigError(
-                f"fault starts at {fault.start} but the simulation is "
-                f"already at {self.engine.now}"
-            )
-        fault_id = self._fault_seq
-        self._fault_seq += 1
-        self.engine.schedule(
-            fault.start, lambda: self._fault_begin(fault_id, fault)
-        )
-        end = fault.end
-        if end is not None:
-            self.engine.schedule(end, lambda: self._fault_end(fault_id, fault))
-
-    def apply_fault_schedule(self, schedule: FaultSchedule) -> None:
-        """Apply every event of a :class:`FaultSchedule` (validated against
-        this topology's dimension count)."""
-        for fault in schedule.restricted_to(len(self.channels)).events:
-            self.apply_fault(fault)
-
-    def _fault_begin(self, fault_id: int, fault: LinkFault) -> None:
-        self._active_faults[fault.dim_index][fault_id] = fault.factor
-        self._apply_capacity(fault.dim_index)
-
-    def _fault_end(self, fault_id: int, fault: LinkFault) -> None:
-        self._active_faults[fault.dim_index].pop(fault_id, None)
-        self._apply_capacity(fault.dim_index)
-
-    def _apply_capacity(self, dim_index: int) -> None:
-        factor = compose_factors(self._active_faults[dim_index])
-        self.fault_timeline.append((self.engine.now, dim_index, factor))
+    def _apply_capacity(self, dim_index: int, factor: float) -> None:
+        """In-flight work re-segments at the change (see
+        :meth:`DimensionChannel.set_capacity_factor`); a factor of zero
+        parks it until a restore."""
         self.channels[dim_index].set_capacity_factor(factor)
 
     # --- submission ---------------------------------------------------------
@@ -546,8 +691,7 @@ class NetworkSimulator:
         scheduler_factory: SchedulerFactory | None = None,
     ) -> None:
         request = result.request
-        subtopo, model = self.planner.subtopology(request)
-        plan, plan_key = self.planner.plan(
+        plan, plan_key, costs = self.planner.plan(
             request,
             scheduler_factory or self.scheduler_factory,
             tuple(channel.capacity_factor for channel in self.channels),
@@ -555,11 +699,10 @@ class NetworkSimulator:
         )
         result.plan = plan
 
-        chunk_ops = self._build_chunk_ops(request, plan, subtopo, model)
+        chunk_ops = self._build_chunk_ops(request, costs, plan_key)
 
         state = _CollectiveState(result, chunk_ops, on_complete)
-        self._states[request.request_id] = state
-        self._mark_comm_active(request.owner)
+        self._register_collective(state)
 
         if self.enforce_consistency:
             self._install_enforced_orders(state, plan_key)
@@ -568,23 +711,20 @@ class NetworkSimulator:
             self.channels[ops[0].parent_dim].enqueue(ops[0])
 
     def _build_chunk_ops(
-        self,
-        request: CollectiveRequest,
-        plan: CollectivePlan,
-        subtopo: Topology,
-        model: LatencyModel,
+        self, request: CollectiveRequest, costs: PlanCosts, plan_key: tuple | None
     ) -> list[list[OpState]]:
-        """Materialize the plan's chunk stages as executable channel ops.
+        """Materialize the plan's op costs as executable channel ops.
 
         The execution-granularity hook: the exact simulator emits one op
         per (chunk, stage) so every pipelining and contention boundary is
         an event; the fluid backend overrides this to collapse the chunk
-        train into aggregate per-dimension flows.  Op lists are indexed by
-        ``chunk_id`` (``_on_batch_done`` advances ``chunk_ops[op.chunk_id]``
-        to the next stage), so overrides must keep ``chunk_id`` equal to
-        the op list's position.
+        train into aggregate per-dimension flows, cached under
+        ``plan_key``.  Op lists are indexed by ``chunk_id``
+        (``_on_batch_done`` advances ``chunk_ops[op.chunk_id]`` to the
+        next stage), so overrides must keep ``chunk_id`` equal to the op
+        list's position.
         """
-        return build_chunk_ops(request, plan, subtopo, model)
+        return build_chunk_ops(request, costs)
 
     def _install_enforced_orders(
         self, state: _CollectiveState, plan_key: tuple | None
@@ -643,107 +783,27 @@ class NetworkSimulator:
             if state.remaining_ops == 0:
                 self._finish_collective(state)
 
-    def _finish_collective(self, state: _CollectiveState) -> None:
-        state.result.completion_time = self.engine.now
-        del self._states[state.result.request.request_id]
-        self._mark_comm_idle_if_done(state.result.request.owner)
-        if state.on_complete is not None:
-            state.on_complete(state.result)
-
-    def _mark_comm_active(self, owner: str) -> None:
-        self._inflight += 1
-        if self._comm_active_since is None:
-            self._comm_active_since = self.engine.now
-        self._owner_inflight[owner] = self._owner_inflight.get(owner, 0) + 1
-        if owner not in self._owner_active_since:
-            self._owner_active_since[owner] = self.engine.now
-
-    def _mark_comm_idle_if_done(self, owner: str) -> None:
-        now = self.engine.now
-        self._inflight -= 1
-        if self._inflight == 0 and self._comm_active_since is not None:
-            if now > self._comm_active_since:
-                self._comm_active.append(Interval(self._comm_active_since, now))
-            self._comm_active_since = None
-        self._owner_inflight[owner] -= 1
-        if self._owner_inflight[owner] == 0:
-            since = self._owner_active_since.pop(owner)
-            if now > since:
-                self._owner_active.setdefault(owner, []).append(
-                    Interval(since, now)
-                )
-
     # --- running ----------------------------------------------------------------
     def run(self, max_events: int | None = None) -> ExecutionResult:
         """Run the engine to quiescence and package the results."""
         self.engine.run(max_events=max_events)
-        if self._states:
-            dead = [
-                channel.dim_index
-                for channel in self.channels
-                if channel.capacity_factor <= 0.0
-            ]
-            hint = (
-                f"; dimension(s) {dead} have zero capacity (failed links "
-                "with no restore event) — in-flight work is parked forever"
-                if dead
-                else ""
-            )
-            raise SimulationError(
-                f"{len(self._states)} collectives never completed "
-                f"(deadlock or missing events){hint}"
-            )
+        self._check_drained()
         return self.result()
 
-    def result(self) -> ExecutionResult:
-        """Snapshot results at the current simulation time.
+    def _wire_stats(self) -> WireStats:
+        """The channels' statistics.
 
-        Safe to call mid-run: open activity/comm-active intervals are
-        closed *in the snapshot only* (internal accounting is untouched, so
-        the simulation can keep running afterwards), and collectives still
-        in flight keep their NaN ``completion_time`` — the aggregate
-        :class:`ExecutionResult` timings skip them.
-
-        Caveat for mid-run use: ``dim_busy_seconds`` / ``dim_bytes`` are
-        batch-granular (credited in full when a batch *starts*), so a
+        Caveat for mid-run snapshots: ``dim_busy_seconds`` / ``dim_bytes``
+        are batch-granular (credited in full when a batch *starts*), so a
         snapshot taken while a batch is mid-transfer counts that batch's
         whole transfer against an active window that has only partially
         elapsed.  The skew is bounded by one batch per dimension and is
         zero once the engine is quiescent.
         """
-        if not self._results:
-            raise SimulationError("no collectives were submitted")
-        now = self.engine.now
-        comm_active = list(self._comm_active)
-        if self._comm_active_since is not None and now > self._comm_active_since:
-            comm_active.append(Interval(self._comm_active_since, now))
-        by_owner = {
-            owner: list(intervals)
-            for owner, intervals in self._owner_active.items()
-        }
-        for owner, since in self._owner_active_since.items():
-            if now > since:
-                by_owner.setdefault(owner, []).append(Interval(since, now))
-        # Records are sorted lazily, once per batch of appends: repeated
-        # mid-run snapshots re-sort only what arrived since the last one
-        # (timsort on the nearly sorted list), and record-free cluster
-        # sweeps skip the O(n log n) entirely.
-        if not self._records_sorted:
-            self._records.sort(key=lambda r: (r.start_time, r.dim_index))
-            self._records_sorted = True
-        return ExecutionResult(
-            topology=self.topology,
-            records=list(self._records),
-            collectives=list(self._results),
-            dim_transfer_seconds=[c.stats.transfer_seconds for c in self.channels],
-            dim_busy_seconds=[c.stats.busy_seconds for c in self.channels],
-            dim_bytes=[c.stats.bytes_sent for c in self.channels],
-            dim_activity=[
-                merge_intervals(c.snapshot_activity()) for c in self.channels
-            ],
-            comm_active_intervals=merge_intervals(comm_active),
-            comm_active_by_owner={
-                owner: merge_intervals(intervals)
-                for owner, intervals in sorted(by_owner.items())
-            },
+        channels = self.channels
+        return (
+            [c.stats.transfer_seconds for c in channels],
+            [c.stats.busy_seconds for c in channels],
+            [c.stats.bytes_sent for c in channels],
+            [c.snapshot_activity() for c in channels],
         )

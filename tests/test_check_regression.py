@@ -22,7 +22,9 @@ sys.modules.setdefault("check_regression", check_regression)
 _spec.loader.exec_module(check_regression)
 
 
-def _cell(jobs, policy, *, events=1000, peak=50, cancelled=10, wall=0.1):
+def _cell(
+    jobs, policy, *, events=1000, peak=50, cancelled=10, wall=0.1, mean_jct=0.04
+):
     return {
         "jobs": jobs,
         "policy": policy,
@@ -33,11 +35,12 @@ def _cell(jobs, policy, *, events=1000, peak=50, cancelled=10, wall=0.1):
             "events": events,
             "peak_pending_events": peak,
             "cancelled_events": cancelled,
+            "mean_jct": mean_jct,
         },
     }
 
 
-def _fluid_row(jobs, *, events=500, peak=20, cancelled=0, wall=0.05):
+def _fluid_row(jobs, *, events=500, peak=20, cancelled=0, wall=0.05, mean_jct=1.2e-4):
     return {
         "jobs": jobs,
         "backend": "fluid",
@@ -45,6 +48,7 @@ def _fluid_row(jobs, *, events=500, peak=20, cancelled=0, wall=0.05):
         "events": events,
         "peak_pending_events": peak,
         "cancelled_events": cancelled,
+        "mean_jct": mean_jct,
     }
 
 
@@ -131,6 +135,37 @@ class TestCountersOnly:
             exact_reference=_fluid_row(512, events=9001),
         )
         assert _run(tmp_path, baseline, fresh, "--counters-only") == 1
+
+    def test_mean_jct_within_tolerance_passes(self, tmp_path):
+        baseline = _document([_cell(8, "fifo")], [_fluid_row(512)])
+        fresh = _document(
+            [_cell(8, "fifo", mean_jct=0.04 * (1 + 5e-10))],
+            [_fluid_row(512, mean_jct=1.2e-4 * (1 - 5e-10))],
+        )
+        assert _run(tmp_path, baseline, fresh, "--counters-only") == 0
+
+    def test_mean_jct_outside_tolerance_fails(self, tmp_path, capsys):
+        baseline = _document([_cell(8, "fifo")], [_fluid_row(512)])
+        fresh = _document(
+            [_cell(8, "fifo")], [_fluid_row(512, mean_jct=1.2e-4 * (1 + 2e-9))]
+        )
+        assert _run(tmp_path, baseline, fresh, "--counters-only") == 1
+        assert "mean_jct changed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("side", ["baseline", "fresh"])
+    def test_row_lacking_mean_jct_fails(self, tmp_path, side, capsys):
+        lacking = _cell(8, "fifo")
+        del lacking["optimized"]["mean_jct"]
+        documents = {
+            "baseline": _document([_cell(8, "fifo")]),
+            "fresh": _document([_cell(8, "fifo")]),
+        }
+        documents[side] = _document([lacking])
+        code = _run(
+            tmp_path, documents["baseline"], documents["fresh"], "--counters-only"
+        )
+        assert code == 1
+        assert "mean_jct" in capsys.readouterr().out
 
     def test_wall_drift_never_gates(self, tmp_path):
         baseline = _document([_cell(8, "fifo", wall=0.1)])

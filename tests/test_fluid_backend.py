@@ -209,6 +209,23 @@ class TestHybridTriggers:
         assert armed_ev > 20 * fluid_ev
         assert all(ch.priority_sharing for ch in net.channels)
 
+        # Armed after the plan's aggregate was cached: the resubmission
+        # still runs one op per (chunk, stage), not the cached flows.
+        net = get_backend("fluid").build(
+            _2d(), scheduler=SchedulerFactory("themis", splitter=Splitter(64))
+        )
+        net.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
+        net.run()
+        net.enable_preemption()
+        net.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
+        result = net.run()
+        cached, armed = (
+            [r for r in result.records if r.collective_seq == c.request.request_id]
+            for c in result.collectives
+        )
+        assert len(cached) == 2  # one aggregate flow per dimension
+        assert len(armed) == result.collectives[1].plan.total_ops == 64 * 4
+
 
 class TestDeterminism:
     def test_bit_identical_repeats(self):

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulator, JobSpec
 from repro.collectives import CollectiveRequest, CollectiveType
-from repro.core import SchedulerFactory, Splitter
+from repro.core import LatencyModel, SchedulerFactory, Splitter
 from repro.sim import EventQueue, FusionConfig, LinkFault, NetworkSimulator
 from repro.sim.backends import get_backend
 from repro.topology import Topology, dimension
@@ -147,10 +148,12 @@ def _single_sim(
     return sim
 
 
-def _backend_sim(backend: str, chunks: int):
+def _backend_sim(
+    backend: str, chunks: int, factory: type[SchedulerFactory] = SchedulerFactory
+):
     sim = get_backend(backend).build(
         three_dim_topology(),
-        scheduler=SchedulerFactory("themis", splitter=Splitter(chunks)),
+        scheduler=factory("themis", splitter=Splitter(chunks)),
     )
     _submit_mixed_workload(sim)
     return sim
@@ -231,6 +234,53 @@ class TestFaultedTimelines:
             LinkFault(dim_index=1, start=2.5e-4, factor=0.5, duration=1e-3)
         )
         _check(f"faulted/{backend}", _timeline(sim))
+
+
+class _UncachedFactory(SchedulerFactory):
+    """A factory subclass: the planner caches neither its plans nor their
+    op costs, so every submission plans and costs its ops afresh."""
+
+
+class TestPlanCacheContract:
+    """Op costs are computed once per plan key and served from the cache."""
+
+    @pytest.mark.parametrize("backend", ["analytical", "fluid", "packet"])
+    def test_resubmission_queries_no_latency_model(self, backend, monkeypatch):
+        queries: Counter[str] = Counter()
+        for name in [n for n in vars(LatencyModel) if not n.startswith("_")]:
+            original = getattr(LatencyModel, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                queries[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(LatencyModel, name, counted)
+        sim = get_backend(backend).build(
+            three_dim_topology(),
+            scheduler=SchedulerFactory("themis", splitter=Splitter(64)),
+        )
+        first = sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 16 * MB))
+        sim.run()
+        assert queries["bytes_per_npu"] > 0
+        queries.clear()
+        second = sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 16 * MB))
+        sim.run()
+        assert not queries
+        assert second.duration == pytest.approx(first.duration, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "backend, chunks, cell",
+        [
+            ("analytical", 8, "themis/scf/fusion_on/consistency_off"),
+            ("fluid", 8, "backend/fluid/chunks_8"),
+            ("fluid", 64, "backend/fluid/chunks_64"),
+            ("packet", 8, "backend/packet/chunks_8"),
+        ],
+    )
+    def test_uncached_factory_gets_correct_ops(self, backend, chunks, cell):
+        sim = _backend_sim(backend, chunks, _UncachedFactory)
+        _check(cell, _timeline(sim))
+        assert not sim.planner._plans
 
 
 def _comm_heavy(layers: int, param_mb: float, name: str) -> Workload:
