@@ -37,6 +37,7 @@ from .audit import InvariantAuditor, resolve_audit
 from .engine import EventQueue
 from .executor import DimensionChannel, FusionConfig, OpState
 from .faults import (
+    MIN_CAPACITY_FACTOR,
     FaultSchedule,
     LinkFault,
     ScaledLatencyModel,
@@ -449,10 +450,11 @@ class NetworkBookkeeping:
         """Raise if collectives are still in flight once the engine is idle."""
         if not self._states:
             return
+        # A factor below MIN_CAPACITY_FACTOR runs as a failure.
         dead = [
             dim_index
             for dim_index, faults in enumerate(self._active_faults)
-            if compose_factors(faults) <= 0.0
+            if compose_factors(faults) < MIN_CAPACITY_FACTOR
         ]
         hint = (
             f"; dimension(s) {dead} have zero capacity (failed links "
