@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -222,6 +223,12 @@ class TestBackendTimelines:
         _check(f"backend/{backend}/chunks_{chunks}", _timeline(sim))
 
 
+def _faulted_sim(backend: str, chunks: int):
+    sim = _backend_sim(backend, chunks)
+    sim.apply_fault(LinkFault(dim_index=1, start=2.5e-4, factor=0.5, duration=1e-3))
+    return sim
+
+
 class TestFaultedTimelines:
     """The mixed workload with dim 1 at half capacity from 250 us to
     1.25 ms: the repeated All-Reduce (issued at 300 us) plans under a
@@ -229,11 +236,7 @@ class TestFaultedTimelines:
 
     @pytest.mark.parametrize("backend, chunks", [("analytical", 8), ("fluid", 64)])
     def test_faulted_timeline_matches_golden(self, backend, chunks):
-        sim = _backend_sim(backend, chunks)
-        sim.apply_fault(
-            LinkFault(dim_index=1, start=2.5e-4, factor=0.5, duration=1e-3)
-        )
-        _check(f"faulted/{backend}", _timeline(sim))
+        _check(f"faulted/{backend}", _timeline(_faulted_sim(backend, chunks)))
 
 
 class _UncachedFactory(SchedulerFactory):
@@ -427,3 +430,64 @@ class TestSharedEngineEquivalence:
         """The training/cluster layers share one engine across simulators;
         a simulator on a caller-supplied engine runs identically."""
         _check("shared_engine/scf", _timeline(_shared_engine_sim()))
+
+
+#: Raw values of the seven cells that run on the shared (weighted-share)
+#: wire, recorded alongside their digests.  The shared wire's arithmetic
+#: may be reassociated without changing the model — a digest then moves
+#: while every value agrees to round-off — so these cells are also held
+#: value by value: floats within ``SHARED_WIRE_RTOL`` relative, counts
+#: (records, jobs, preemptions) exactly.
+SHARED_WIRE = json.loads(
+    (Path(__file__).parent / "data" / "shared_wire_values.json").read_text()
+)
+SHARED_WIRE_RTOL = 1e-9
+SHARED_WIRE_CELLS = {
+    "backend/fluid/chunks_8": lambda: _timeline(_backend_sim("fluid", 8)),
+    "backend/fluid/chunks_64": lambda: _timeline(_backend_sim("fluid", 64)),
+    "faulted/fluid": lambda: _timeline(_faulted_sim("fluid", 64)),
+    "cluster/weighted": lambda: _cluster_value("weighted"),
+    "cluster/ftf": lambda: _cluster_value("ftf"),
+    "cluster/fluid/fifo": lambda: _cluster_value("fifo", "fluid", 64),
+    "cluster/fluid/preempt": lambda: _cluster_value("preempt", "fluid", 64),
+}
+
+
+def _agreement_view(cell: str, value: list) -> object:
+    """A timeline keyed by op identity ``(seq, chunk, stage, dim)`` and
+    collective seq, so same-instant completions may swap list order; a
+    cluster value stays positional (jobs are in spec order)."""
+    if cell.startswith("cluster/"):
+        return value
+    records, completions = value
+    return (
+        len(records),
+        {tuple(record[:4]): record[4:] for record in records},
+        {seq: time for seq, time in completions},
+    )
+
+
+def _assert_agrees(fresh: object, golden: object, where: str) -> None:
+    if isinstance(golden, dict):
+        assert isinstance(fresh, dict) and fresh.keys() == golden.keys(), where
+        for key, value in golden.items():
+            _assert_agrees(fresh[key], value, f"{where}[{key}]")
+    elif isinstance(golden, (list, tuple)):
+        assert isinstance(fresh, (list, tuple)) and len(fresh) == len(golden), where
+        for index, (mine, theirs) in enumerate(zip(fresh, golden)):
+            _assert_agrees(mine, theirs, f"{where}[{index}]")
+    elif isinstance(golden, float):
+        assert math.isclose(fresh, golden, rel_tol=SHARED_WIRE_RTOL), (
+            f"{where}: {fresh!r} vs recorded {golden!r}"
+        )
+    else:
+        assert fresh == golden, f"{where}: {fresh!r} vs recorded {golden!r}"
+
+
+class TestSharedWireAgreement:
+    @pytest.mark.parametrize("cell", sorted(SHARED_WIRE_CELLS))
+    def test_agrees_with_recorded_values(self, cell):
+        fresh = json.loads(json.dumps(SHARED_WIRE_CELLS[cell]()))
+        _assert_agrees(
+            _agreement_view(cell, fresh), _agreement_view(cell, SHARED_WIRE[cell]), cell
+        )
