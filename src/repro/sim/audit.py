@@ -38,7 +38,7 @@ from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import EventHandle, EventQueue
-    from .executor import DimensionChannel, OpState, _FlowState, _RunningBatch
+    from .executor import DimensionChannel, OpState, _FlowView, _RunningBatch
 
 #: Relative tolerance for conserved-quantity comparisons.  Byte and time
 #: ledgers accumulate float round-off proportional to the running totals;
@@ -359,7 +359,7 @@ class InvariantAuditor:
                 )
 
     def on_flows_rescheduled(
-        self, channel: "DimensionChannel", flows: "dict[str, _FlowState]"
+        self, channel: "DimensionChannel", flows: "dict[str, _FlowView]"
     ) -> None:
         """After a reweight: rates positive, live capacity respected.
 

@@ -14,8 +14,8 @@ event* is scheduled — no per-chunk events while rates are stable.
 Concretely, :class:`FluidNetwork` is a :class:`NetworkSimulator` whose
 
 * channels run in weighted GPS sharing mode from construction (the
-  existing ``_FlowState`` closed-form integrator — bank progress at the
-  old rate, re-split capacity, re-arm one finish event per flow — *is*
+  shared wire's virtual clock — each flow's finish tag fixed at its
+  start, one finish event armed per channel for the smallest tag — *is*
   the fluid model; the serial per-chunk wire is simply never used);
 * plans are **fluidized** (:meth:`FluidNetwork._build_chunk_ops`): the
   exact scheduler still plans every collective — plan decisions stay
@@ -28,25 +28,21 @@ Concretely, :class:`FluidNetwork` is a :class:`NetworkSimulator` whose
   the collective completes when its slowest dimension drains.  The
   modeling error is the pipeline fill/drain skew the collapse hides — a
   ``(ndims − 1)/chunks`` fraction of a dimension's work — which the
-  hybrid bounds via ``tolerance``;
-* simultaneous rate changes coalesce across channels
-  (:class:`~repro.sim.executor.FlowCoalescer`): a same-instant burst of
-  flow starts/finishes/reweights recomputes each channel's rates once
-  instead of once per cause.
+  hybrid bounds via ``tolerance``.
 
 The **hybrid escape hatch** falls back to the exact per-chunk event path
 where precision matters (``hybrid=True``, the default):
 
 * **plan decisions** are always exact — fluidization happens after the
   scheduler has planned, never changes what it sees;
-* **fault transitions** always take the exact path: capacity changes
-  recompute rates immediately (never coalesced) through the same progress
-  banking the analytical backend uses, so byte conservation holds across
-  every rate-change point;
+* **fault transitions** always take the exact path: a capacity change
+  advances each channel's virtual clock at the old rate and re-arms its
+  finish event at the new one, as on the analytical backend's shared
+  wire, so byte conservation holds across every rate-change point;
 * **priority preemption boundaries**: arming preemption switches the
   channels to strict-priority sharing (only the highest-priority in-flight
-  flows get rate; lower-priority flows park at rate zero with progress
-  banked) *and* keeps collectives at exact chunk granularity, so
+  flows get rate; lower-priority flows park with their progress kept)
+  *and* keeps collectives at exact chunk granularity, so
   preemption points land at chunk boundaries as they do on the serial
   wire;
 * **coarse multi-dimensional plans**, where the fill/drain skew exceeds
@@ -62,7 +58,7 @@ from typing import TYPE_CHECKING, Any, ClassVar
 
 from ...collectives.phases import Stage
 from ...errors import ConfigError
-from ..executor import FlowCoalescer, OpState
+from ..executor import OpState
 from ..network import NetworkSimulator, PlanCosts, build_chunk_ops
 from .base import NetworkBackend, options_from_dict
 
@@ -85,13 +81,11 @@ class FluidOptions:
     ``hybrid`` on, multi-dimensional plans where that fraction exceeds
     ``tolerance`` keep exact chunk granularity.  ``hybrid=False`` fluidizes
     everything regardless (fastest, coarsest); fault transitions stay
-    exact either way.  ``coalesce`` enables the cross-channel same-instant
-    rate-change coalescer.
+    exact either way.
     """
 
     tolerance: float = 0.05
     hybrid: bool = True
-    coalesce: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tolerance <= 1.0:
@@ -137,19 +131,14 @@ class FluidNetwork(NetworkSimulator):
         # set_share_weights can never trip.
         for channel in self.channels:
             channel.set_share_weights({}, default=1.0)
-        self.coalescer: FlowCoalescer | None = None
-        if self.options.coalesce:
-            self.coalescer = FlowCoalescer(self.engine)
-            for channel in self.channels:
-                channel.flow_coalescer = self.coalescer
 
     # --- fairness ----------------------------------------------------------
     def enable_preemption(self) -> None:
         """Arm fluid preemption: strict-priority rates, exact boundaries.
 
         Only the highest-priority in-flight flows on a dimension receive
-        bandwidth; lower-priority flows park at rate zero with their
-        progress banked (each running→parked transition counts one
+        bandwidth; lower-priority flows park with their progress kept (each
+        parked flow that had drained since its class last ran counts one
         preemption).  With ``hybrid`` on, collectives additionally keep
         exact chunk granularity so preemption points land at chunk
         boundaries, matching the serial wire's precision.

@@ -28,8 +28,11 @@ fairness disciplines beyond the default serial (first-come) service
 * **weighted sharing** (:meth:`DimensionChannel.set_share_weights`): each
   tenant may have one batch in flight concurrently and the wire's bandwidth
   is split between the in-flight batches in proportion to per-tenant
-  weights (GPS-style fluid sharing, recomputed whenever the active set or
-  the weights change);
+  weights (GPS fluid sharing).  The channel keeps a GPS virtual clock
+  (:class:`_GpsClock`, the virtual time of WFQ): a flow's finish tag is
+  fixed when it starts, so a flow start or finish costs one heap operation
+  and one re-armed finish event per channel, whatever the number of flows
+  in flight; a weight change re-tags only the flows whose weight moved;
 * **preemption** (:meth:`DimensionChannel.enable_preemption`): a ready op
   whose priority strictly exceeds the running batch's pauses that batch;
   the remainder of its transfer is re-run later, with statistics adjusted
@@ -37,18 +40,22 @@ fairness disciplines beyond the default serial (first-come) service
 
 Fault injection reuses the same machinery: the wire carries a live
 ``capacity_factor`` (fraction of nominal bandwidth, see
-:mod:`repro.sim.faults`), :meth:`DimensionChannel.set_capacity_factor`
-re-segments in-flight work at the new rate through the same path that
-preemption and reweights use (cancel the superseded events, re-arm new
-ones), and a factor of zero parks everything in flight — a failed link
-loses no bytes, it just stops draining until restored.
+:mod:`repro.sim.faults`).  :meth:`DimensionChannel.set_capacity_factor`
+re-segments the serial wire's in-flight batch at the new rate through the
+path preemption uses, and on the shared wire advances the virtual clock
+at the old rate and re-arms its finish event at the new one.  A factor of
+zero parks everything in flight — a failed link loses no bytes, it just
+stops draining until restored.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..collectives.phases import Stage
 from ..core.policies import IntraDimPolicy
@@ -214,39 +221,92 @@ class _RunningBatch:
 class _FlowState:
     """One tenant's in-flight batch under weighted bandwidth sharing.
 
-    ``remaining`` is transfer work measured in seconds at *full* wire rate;
-    the flow drains at ``rate`` (its weight share), so its finish event is
-    recomputed — and the old one cancelled — every time the active set or
-    the weights change.
+    Its transfer work is fixed once, as the virtual finish ``tag`` on its
+    priority class's :class:`_GpsClock`: the flow finishes when that clock
+    reaches the tag, however other flows come and go.  Only a change of
+    its own weight re-tags it.
     """
 
-    __slots__ = (
-        "batch",
-        "owner",
-        "fixed",
-        "priority",
-        "remaining",
-        "rate",
-        "last_update",
-        "finish_handle",
-    )
+    __slots__ = ("batch", "owner", "fixed", "priority", "weight", "seq", "clock", "tag")
+    clock: _GpsClock  # set by _GpsClock.push
 
     def __init__(
-        self, batch: list[OpState], owner: str, fixed: float, transfer: float
+        self, batch: list[OpState], fixed: float, weight: float, seq: int
     ) -> None:
         self.batch = batch
-        self.owner = owner
+        self.owner = batch[0].owner
         self.fixed = fixed
         self.priority = max(op.priority for op in batch)
-        self.remaining = transfer
-        self.rate = 0.0
-        self.last_update = 0.0
-        self.finish_handle: EventHandle | None = None
+        self.weight = weight
+        self.seq = seq
+        self.tag = 0.0
+
+
+class _FlowView(NamedTuple):
+    """A shared-wire flow as the auditor sees it (rate and remaining work
+    in nominal seconds, derived from the virtual clock on demand)."""
+
+    rate: float
+    remaining: float
+    priority: int
 
 
 #: Weights below this are clamped up so a zero-weight tenant still drains
 #: (otherwise its flow would never finish and the simulation would deadlock).
 _MIN_WEIGHT = 1e-9
+#: A virtual clock restarts from zero before it tags work more than this
+#: many times smaller than its current reading, so every tag keeps about
+#: 13 significant digits of its flow's remaining work.
+_REBASE_RATIO = 1e3
+#: Serial-wire leftover below this fraction of a batch's transfer is
+#: float round-off of a segment that is done, not work to re-run.
+_SEGMENT_RTOL = 1e-12
+
+
+class _GpsClock:
+    """The GPS virtual clock of one priority class on a shared wire.
+
+    While the class runs, ``vtime`` advances at ``capacity_factor /
+    weight_sum`` per second, so a flow of weight ``w`` drains ``w`` work
+    per unit of virtual time and a flow tagged ``vtime + work / w``
+    finishes exactly when ``vtime`` reaches its tag (Parekh–Gallager GPS;
+    the virtual time of WFQ, Demers/Keshav/Shenker).  ``heap`` orders the
+    class's flows by ``(tag, start seq)``.  ``drained_at`` is the last
+    time the clock advanced since the class last ran: a flow started
+    before it has drained for a positive time.
+    """
+
+    __slots__ = ("vtime", "weight_sum", "heap", "drained_at")
+
+    def __init__(self) -> None:
+        self.vtime = 0.0
+        self.weight_sum = 0.0
+        self.heap: list[tuple[float, int, _FlowState]] = []
+        self.drained_at = -math.inf
+
+    def push(self, flow: _FlowState, work: float) -> None:
+        """Admit a flow that is the class's newest."""
+        flow.clock = self
+        self.place(flow, work)
+        heapq.heappush(self.heap, (flow.tag, flow.seq, flow))
+        self.weight_sum += flow.weight
+
+    def place(self, flow: _FlowState, work: float) -> None:
+        """Tag ``flow`` to finish after ``work`` more virtual time."""
+        if self.vtime > _REBASE_RATIO * work > 0.0:
+            base, self.vtime = self.vtime, 0.0
+            for _, _, other in self.heap:
+                other.tag -= base
+            self.heap = [(other.tag, seq, other) for _, seq, other in self.heap]
+            heapq.heapify(self.heap)
+        flow.tag = self.vtime + work
+
+    def reindex(self, flows: list[_FlowState]) -> None:
+        """Rebuild ``heap`` and ``weight_sum`` over the class's ``flows``,
+        given in start order (the order their weights are summed in)."""
+        self.heap = [(flow.tag, flow.seq, flow) for flow in flows]
+        heapq.heapify(self.heap)
+        self.weight_sum = ordered_sum(flow.weight for flow in flows)
 
 
 class DimensionChannel:
@@ -298,14 +358,17 @@ class DimensionChannel:
         self.preemption_count = 0
         #: Strict-priority variant of the shared wire (fluid backend's
         #: preemption model): only the highest-priority in-flight flows get
-        #: rate; lower-priority flows park at rate zero with progress banked.
+        #: rate; lower-priority flows park with their progress kept.
         self.priority_sharing = False
-        #: Optional cross-channel coalescer (:class:`FlowCoalescer`): when
-        #: set, same-instant ``_reschedule_flows`` calls collapse into one
-        #: recomputation per channel per instant.
-        self.flow_coalescer: "FlowCoalescer | None" = None
-        self._coalesce_marked = False
         self._flows: dict[str, _FlowState] = {}
+        #: One virtual clock per priority class with flows in flight (a
+        #: single class 0 unless priority sharing is on); the highest runs.
+        self._clocks: dict[int, _GpsClock] = {}
+        #: When the running class's clock last advanced.
+        self._clock_time = 0.0
+        self._flow_seq = itertools.count()
+        #: The shared wire's one pending finish event.
+        self._finish_handle: EventHandle | None = None
         self._running: _RunningBatch | None = None
         self._paused: list[_RunningBatch] = []
         # --- fault machinery (capacity always nominal by default) ---------
@@ -343,8 +406,8 @@ class DimensionChannel:
             )
         self.share_weights = dict(weights)
         self.default_weight = default
-        if self._flows:
-            self._reschedule_flows()
+        if self._retag_flows():
+            self._arm_finish()
         self.try_start()
 
     def enable_preemption(self) -> None:
@@ -355,14 +418,15 @@ class DimensionChannel:
         """Strict-priority rates on the shared wire (fluid preemption).
 
         Only in-flight flows at the current maximum priority split the
-        wire; lower-priority flows are parked at rate zero with their
-        progress banked — the fluid-model analogue of serial preemption,
-        with each running→parked transition counted as a preemption.
+        wire; lower-priority flows park with their progress kept — the
+        fluid-model analogue of serial preemption.  Parking a class counts
+        one preemption for each of its flows that drained for a positive
+        time since the class last started running.
         """
-        if self.share_weights is None:
+        if self.share_weights is None or self._flows:
             raise ConfigError(
                 f"dim{self.dim_index}: priority sharing requires the shared "
-                "wire; call set_share_weights first"
+                "wire with no flow in flight; call set_share_weights first"
             )
         self.priority_sharing = True
 
@@ -376,10 +440,12 @@ class DimensionChannel:
         uses, so byte/seconds accounting is conserved
         across the change: the done part of the current segment stays
         credited, the leftover is debited and re-credited when its new
-        segment (or its park/resume cycle) runs.  At ``0.0`` the in-flight
-        batch parks (serial wire) or every flow's rate drops to zero with
-        progress banked (shared wire); nothing is lost and nothing drains
-        until a later call restores capacity.
+        segment (or its park/resume cycle) runs.  On the shared wire the
+        virtual clock advances at the old factor and the finish event is
+        re-armed at the new one.  At ``0.0`` the in-flight batch parks
+        (serial wire) or the clock stands still with nothing armed (shared
+        wire); nothing is lost and nothing drains until a later call
+        restores capacity.
         """
         if factor < 0.0:
             raise ConfigError(
@@ -397,44 +463,20 @@ class DimensionChannel:
         if factor == old:
             return
         if self.share_weights is not None:
+            self._advance_clock()
             self.capacity_factor = factor
-            # Fault transitions are precision points (the fluid backend's
-            # hybrid contract): recompute immediately, never coalesced.
-            self._reschedule_flows(immediate=True)
-            if self.auditor is not None:
-                self.auditor.on_capacity_change(self, old, factor)
-            self.try_start()
-            return
-        # Serial wire: close the running segment at the old rate, then
-        # either restart the leftover at the new rate or park it.
-        running = self._running
-        if running is not None and self.busy:
-            now = self.engine.now
-            done = (now - running.segment_start) * old
-            remaining = running.remaining - done
-            if remaining > 1e-18:
-                self.engine.cancel(running.complete_handle)
-                self.engine.cancel(running.release_handle)
-                frac = remaining / running.transfer_total
-                self.stats.busy_seconds -= remaining
-                self.stats.transfer_seconds -= remaining
-                self.stats.fixed_seconds -= running.fixed
-                self.stats.bytes_sent -= running.bytes_total * frac
-                running.remaining = remaining
-                self.busy = False
-                self._running = None
-                self.capacity_factor = factor
-                if factor > 0.0:
-                    self._start_segment(running)
-                else:
-                    self._paused.append(running)
-                    self._update_activity()
-                if self.auditor is not None:
-                    self.auditor.on_capacity_change(self, old, factor)
-                self.try_start()
-                return
-            # else: segment effectively done — let its pending events fire.
-        self.capacity_factor = factor
+            self._arm_finish()
+        else:
+            # Serial wire: close the running segment at the old rate, then
+            # either restart the leftover at the new rate or park it.  A
+            # segment that is effectively done lets its pending events fire.
+            stopped = self._stop_segment() if self.busy else None
+            self.capacity_factor = factor
+            if stopped is not None and factor > 0.0:
+                self._start_segment(stopped)
+            elif stopped is not None:
+                self._paused.append(stopped)
+                self._update_activity()
         if self.auditor is not None:
             self.auditor.on_capacity_change(self, old, factor)
         self.try_start()
@@ -610,16 +652,19 @@ class DimensionChannel:
         the paper's per-dimension total ``A_K + N_K x B_K + idle_K``, where
         A_K is paid once (by the exposed tail), not per chunk.
         """
-        now = self.engine.now
+        self._start_segment(_RunningBatch(batch, *self._begin_batch(batch)))
+
+    def _begin_batch(self, batch: list[OpState]) -> tuple[float, float]:
+        """Stamp and count a starting batch; returns its fixed latency and
+        transfer time."""
         fixed = max(op.fixed_time for op in batch)
-        transfer = ordered_sum(op.transfer_time for op in batch)
         for op in batch:
-            op.start_time = now
+            op.start_time = self.engine.now
         self.stats.op_count += len(batch)
         self.stats.batch_count += 1
         if self.auditor is not None:
             self.auditor.on_batch_start(self, batch)
-        self._start_segment(_RunningBatch(batch, fixed, transfer))
+        return fixed, ordered_sum(op.transfer_time for op in batch)
 
     def _start_segment(self, running: _RunningBatch) -> None:
         """(Re)occupy the wire for the batch's remaining transfer work.
@@ -667,20 +712,21 @@ class DimensionChannel:
             now + wall, lambda: self._release_wire(running)
         )
 
-    def _preempt_running(self) -> None:
-        """Pause the running batch; its leftover transfer re-runs later.
+    def _stop_segment(self) -> _RunningBatch | None:
+        """Take the running batch off the wire with its leftover work.
 
         The segment's pending release/completion events are cancelled, and
         the statistics credited at segment start are debited by exactly the
-        un-done part, so preemption never loses or double-counts work.
+        un-done part, so a pause never loses or double-counts work.  Returns
+        ``None`` (and changes nothing) when the segment is done up to
+        round-off: the wire releases this instant.
         """
         running = self._running
         assert running is not None
-        now = self.engine.now
-        done = (now - running.segment_start) * self.capacity_factor
+        done = (self.engine.now - running.segment_start) * self.capacity_factor
         remaining = running.remaining - done
-        if remaining <= 1e-18:
-            return  # the segment is done; the wire releases this instant
+        if remaining <= _SEGMENT_RTOL * running.transfer_total:
+            return None
         self.engine.cancel(running.complete_handle)
         self.engine.cancel(running.release_handle)
         frac = remaining / running.transfer_total
@@ -691,6 +737,13 @@ class DimensionChannel:
         running.remaining = remaining
         self.busy = False
         self._running = None
+        return running
+
+    def _preempt_running(self) -> None:
+        """Pause the running batch; its leftover transfer re-runs later."""
+        running = self._stop_segment()
+        if running is None:
+            return
         self._paused.append(running)
         self.preemption_count += 1
         if self.auditor is not None:
@@ -730,122 +783,129 @@ class DimensionChannel:
         self.try_start()
 
     # --- weighted-sharing wire (cluster fairness) ---------------------------
-    def _try_start_shared(self) -> None:
-        """Admit one flow per tenant that has eligible work and none in flight."""
+    def _try_start_shared(self) -> bool:
+        """Admit one flow per tenant that has eligible work and none in
+        flight; re-arms the finish event and returns True if any started."""
+        started = False
         while True:
             first = self.policy.select_from(
                 self.queue, exclude_owners=self._flows
             )
             if first is None:
-                return
-            batch = self._pick_batch(first, fusion_owner=first.owner)
-            self._start_flow(batch)
+                break
+            self._start_flow(self._pick_batch(first, fusion_owner=first.owner))
+            started = True
+        if started:
+            self._arm_finish()
+        return started
 
     def _start_flow(self, batch: list[OpState]) -> None:
-        now = self.engine.now
-        fixed = max(op.fixed_time for op in batch)
-        transfer = ordered_sum(op.transfer_time for op in batch)
-        for op in batch:
-            op.start_time = now
+        fixed, transfer = self._begin_batch(batch)
         self.stats.busy_seconds += transfer
         self.stats.transfer_seconds += transfer
         self.stats.fixed_seconds += fixed
         self.stats.bytes_sent += ordered_sum(op.bytes_sent for op in batch)
-        self.stats.op_count += len(batch)
-        self.stats.batch_count += 1
-        if self.auditor is not None:
-            self.auditor.on_batch_start(self, batch)
-        flow = _FlowState(batch, batch[0].owner, fixed, transfer)
-        flow.last_update = now
-        self._flows[flow.owner] = flow
-        self.queue.set_owner_active(flow.owner, True)
+        self._advance_clock()
+        owner = batch[0].owner
+        flow = _FlowState(batch, fixed, self._weight(owner), next(self._flow_seq))
+        key = flow.priority if self.priority_sharing else 0
+        clock = self._clocks.get(key)
+        if clock is None:
+            if self._clocks and key > max(self._clocks):
+                self._park(self._clocks[max(self._clocks)])
+            clock = self._clocks[key] = _GpsClock()
+        clock.push(flow, transfer / flow.weight)
+        self._flows[owner] = flow
+        self.queue.set_owner_active(owner, True)
         self._update_activity()
-        self._reschedule_flows()
 
-    def _reschedule_flows(self, immediate: bool = False) -> None:
-        """Re-split the wire among active flows and re-arm their finishes.
+    def _park(self, clock: _GpsClock) -> None:
+        """A higher priority class arrived: ``clock``'s class stops
+        draining, and each of its flows that drained for a positive time
+        since the class last ran counts one preemption."""
+        self.preemption_count += sum(
+            1
+            for flow in self._flows.values()
+            if flow.clock is clock and flow.batch[0].start_time < clock.drained_at
+        )
+        clock.drained_at = -math.inf
 
-        Called whenever the active set or the weights change.  Each flow's
-        progress since its last update is banked at its old rate, then every
-        flow gets rate ``w_i / sum(active w)`` and a fresh finish event; the
-        superseded finish event is cancelled so reweight storms cannot grow
-        the heap.
-
-        With a :class:`FlowCoalescer` attached, non-``immediate`` calls are
-        deferred to one same-instant flush per channel: no simulated time
-        passes between the request and the flush, so banking is unaffected
-        and a burst of arrivals/finishes at one instant costs one
-        recomputation instead of one per trigger.
-        """
-        if not self._flows:
-            return
-        if (
-            not immediate
-            and self.flow_coalescer is not None
-            and self.flow_coalescer.defer(self)
-        ):
-            return
+    def _advance_clock(self) -> None:
+        """Advance the running class's virtual time to ``now``."""
         now = self.engine.now
-        active = self._flows
-        parked_priority: int | None = None
-        if self.priority_sharing:
-            top = max(flow.priority for flow in self._flows.values())
-            active = {
-                owner: flow
-                for owner, flow in self._flows.items()
-                if flow.priority == top
-            }
-            if len(active) < len(self._flows):
-                parked_priority = top
-        total = ordered_sum(self._weight(owner) for owner in active)
-        for flow in self._flows.values():
-            if now > flow.last_update and flow.rate > 0:
-                flow.remaining = max(
-                    0.0, flow.remaining - flow.rate * (now - flow.last_update)
-                )
-            flow.last_update = now
-            if parked_priority is not None and flow.priority < parked_priority:
-                # Strict-priority sharing: a lower-priority flow parks at
-                # rate zero with its progress banked; every running→parked
-                # transition is one preemption.
-                if flow.rate > 0.0 and self.capacity_factor > 0.0:
-                    self.preemption_count += 1
-                flow.rate = 0.0
-            else:
-                # A degraded wire splits its *live* capacity by weight; at
-                # nominal capacity the multiplication by 1.0 is lossless, so
-                # fault-free timelines are bit-identical to the pre-fault
-                # code.
-                flow.rate = (
-                    self.capacity_factor * self._weight(flow.owner) / total
-                )
-            self.engine.cancel(flow.finish_handle)
-            if flow.rate <= 0.0:
-                # Failed link (or priority-parked flow): parks with its
-                # progress banked.  No finish event is armed (there is no
-                # finite finish time); a capacity restore or a priority
-                # departure reschedules every parked flow here.
-                flow.finish_handle = None
-                continue
-            finish = now + flow.remaining / flow.rate
-            flow.finish_handle = self.engine.schedule(
-                finish, lambda flow=flow: self._finish_flow(flow)
+        if now > self._clock_time and self._clocks and self.capacity_factor > 0.0:
+            clock = self._clocks[max(self._clocks)]
+            elapsed = now - self._clock_time
+            clock.vtime += elapsed * self.capacity_factor / clock.weight_sum
+            clock.drained_at = now
+        self._clock_time = now
+
+    def _arm_finish(self) -> None:
+        """Re-arm the one finish event, for the running class's minimum
+        tag.  On a failed link the clock stands still and nothing is armed."""
+        self.engine.cancel(self._finish_handle)
+        self._finish_handle = None
+        if self._clocks and self.capacity_factor > 0.0:
+            clock = self._clocks[max(self._clocks)]
+            lag = max(clock.heap[0][0] - clock.vtime, 0.0)
+            self._finish_handle = self.engine.schedule(
+                self.engine.now + lag * clock.weight_sum / self.capacity_factor,
+                self._finish_flow,
             )
-        if self.auditor is not None:
-            self.auditor.on_flows_rescheduled(self, self._flows)
+        if self.auditor is not None and self._flows:
+            self.auditor.on_flows_rescheduled(self, self._flow_views())
 
-    def _finish_flow(self, flow: _FlowState) -> None:
-        flow.remaining = 0.0
+    def _retag_flows(self) -> bool:
+        """Re-tag the in-flight flows whose weight changed (their remaining
+        work is kept); returns True if any did."""
+        self._advance_clock()
+        changed = False
+        for flow in self._flows.values():
+            weight = self._weight(flow.owner)
+            if weight != flow.weight:
+                clock = flow.clock
+                clock.place(flow, (flow.tag - clock.vtime) * flow.weight / weight)
+                flow.weight = weight
+                changed = True
+        for clock in self._clocks.values() if changed else ():
+            clock.reindex([f for f in self._flows.values() if f.clock is clock])
+        return changed
+
+    def _flow_views(self) -> dict[str, _FlowView]:
+        running = self._clocks[max(self._clocks)]
+        return {
+            owner: _FlowView(
+                self.capacity_factor * f.weight / running.weight_sum
+                if f.clock is running
+                else 0.0,
+                (f.tag - f.clock.vtime) * f.weight,
+                f.priority,
+            )
+            for owner, f in self._flows.items()
+        }
+
+    def _finish_flow(self) -> None:
+        self._finish_handle = None
+        self._advance_clock()
+        key = max(self._clocks)
+        clock = self._clocks[key]
+        # The event fires as the clock reaches the minimum tag.
+        clock.vtime, _, flow = heapq.heappop(clock.heap)
         del self._flows[flow.owner]
+        if clock.heap:
+            clock.weight_sum = ordered_sum(
+                f.weight for f in self._flows.values() if f.clock is clock
+            )
+        else:
+            del self._clocks[key]
         self.queue.set_owner_active(flow.owner, False)
-        now = self.engine.now
-        end = now + flow.fixed
+        end = self.engine.now + flow.fixed
         for op in flow.batch:
             op.end_time = end
         self.engine.schedule(end, lambda: self._complete_flow(flow))
         self._update_activity()
-        self._reschedule_flows()
-        self.try_start()
+        if not self._try_start_shared():
+            self._arm_finish()
 
     def _complete_flow(self, flow: _FlowState) -> None:
         self._track_completed(flow.batch)
@@ -854,52 +914,3 @@ class DimensionChannel:
         self.on_batch_done(self, flow.batch)
         self._update_activity()
         self.try_start()
-
-
-class FlowCoalescer:
-    """Cross-channel coalescing of simultaneous rate-change events.
-
-    A burst of flow arrivals/finishes at one simulated instant — a
-    collective fanning out over every dimension, a weight retune touching
-    all channels, a finish cascading into the next stage — triggers one
-    ``_reschedule_flows`` per cause per channel, and each recomputation
-    cancels and re-arms every in-flight finish event.  The coalescer defers
-    those recomputations to a single *flush* event scheduled at the same
-    instant: the event engine fires same-time events in scheduling order,
-    so the flush runs after every same-instant cause, recomputing each
-    dirty channel exactly once.
-
-    Zero simulated time passes between a deferred request and its flush, so
-    progress banking (which integrates over elapsed time) is unaffected —
-    timelines are identical, only the event count drops.  Channels are
-    flushed in the order they were first marked (deterministic; no set
-    iteration).  Precision points (fault transitions) bypass the coalescer
-    via ``_reschedule_flows(immediate=True)``.
-    """
-
-    __slots__ = ("engine", "_marked", "flushes", "deferrals")
-
-    def __init__(self, engine: EventQueue) -> None:
-        self.engine = engine
-        self._marked: list[DimensionChannel] = []
-        #: Diagnostics: flush events fired / reschedules absorbed.
-        self.flushes = 0
-        self.deferrals = 0
-
-    def defer(self, channel: DimensionChannel) -> bool:
-        """Mark ``channel`` dirty; returns True (the call is absorbed)."""
-        self.deferrals += 1
-        if channel._coalesce_marked:
-            return True
-        if not self._marked:
-            self.engine.schedule(self.engine.now, self._flush)
-        channel._coalesce_marked = True
-        self._marked.append(channel)
-        return True
-
-    def _flush(self) -> None:
-        marked, self._marked = self._marked, []
-        self.flushes += 1
-        for channel in marked:
-            channel._coalesce_marked = False
-            channel._reschedule_flows(immediate=True)

@@ -10,7 +10,7 @@ Covered:
   fill/drain), multi-job cluster outcomes diverge boundedly;
 * hybrid escape-hatch triggers: coarse multi-dim plans and armed
   preemption keep exact chunk granularity, ``hybrid: false`` overrides;
-* determinism: bit-identical repeats, coalescing on/off equivalence;
+* determinism: bit-identical repeats;
 * the headline: a 1024-arrival open-loop cluster run processes >= 20x
   fewer events under ``fluid`` than under ``analytical``;
 * fluid preemption: strict-priority rate sharing parks lower-priority
@@ -96,7 +96,6 @@ class TestOptions:
         opts = FluidOptions()
         assert opts.tolerance == 0.05
         assert opts.hybrid is True
-        assert opts.coalesce is True
 
     def test_tolerance_bounds(self):
         with pytest.raises(ConfigError, match="tolerance"):
@@ -122,7 +121,7 @@ class TestOptions:
             workload="dlrm",
             topology="2D-SW_SW",
             backend="fluid",
-            backend_options={"tolerance": 0.2, "coalesce": False},
+            backend_options={"tolerance": 0.2},
         )
         report = api.run(spec)
         assert report.payload["backend"] == "fluid"
@@ -240,35 +239,6 @@ class TestDeterminism:
                 )
             )
         assert runs[0] == runs[1]
-
-    def test_coalescing_preserves_outcomes(self):
-        outcomes = {}
-        for coalesce in (True, False):
-            base = _cluster_spec("fluid")
-            spec = api.ClusterScenario(
-                topology="2D-SW_SW",
-                jobs=base.jobs,
-                backend="fluid",
-                backend_options={"coalesce": coalesce},
-            )
-            report = api.run(spec)
-            outcomes[coalesce] = tuple(j["jct"] for j in report.payload["jobs"])
-        assert outcomes[True] == outcomes[False]
-
-    def test_coalescer_actually_fires(self):
-        net = get_backend("fluid").build(
-            _2d(), scheduler=SchedulerFactory("themis", splitter=Splitter(64))
-        )
-        for i in range(4):
-            net.submit(
-                CollectiveRequest(
-                    CollectiveType.ALL_REDUCE, 8 * MB, owner=f"t{i}"
-                )
-            )
-        net.run()
-        assert net.coalescer is not None
-        assert net.coalescer.flushes > 0
-        assert net.coalescer.deferrals >= net.coalescer.flushes
 
 
 class TestFluidCluster:

@@ -13,7 +13,11 @@ was deleted, so every cell checks the production path against that
 reference's output with exact float equality.  The faulted cells and the
 fluid and packet cluster cells were recorded while every submission still
 recomputed its op costs from the latency model, so they pin op costs
-served from the plan cache to that recomputation.  Float ``repr`` is
+served from the plan cache to that recomputation.  The seven cells that
+run on the shared (weighted-share) wire were re-recorded when its finish
+events moved to a per-channel GPS virtual clock, which reassociates the
+wire's float arithmetic; :class:`TestSharedWireAgreement` holds them to
+the values recorded before that change.  Float ``repr`` is
 exact, and the simulator totals its float terms left to right
 (:func:`repro.sim.engine.ordered_sum`) rather than with the builtin
 ``sum``, whose rounding changed in Python 3.12, so one set of digests
@@ -370,13 +374,14 @@ class TestClusterEquivalence:
         )
 
     def test_reweight_storm_keeps_heap_bounded(self):
-        """Cancelling every superseded finish event keeps the heap a small
-        multiple of the in-flight work under FTF's reweight storms.  The
+        """Each shared channel keeps one finish event, re-armed only when a
+        flow starts, a capacity changes or an in-flight flow's weight
+        changes, so FTF's reweight storms cannot grow the heap.  The
         counters are exact, so a superseded event that is left to fire
-        (a stale-event leak) moves them."""
+        (a stale-event leak) or a needless re-arm moves them."""
         _, sim = _cluster_report("ftf")
-        assert sim.engine.peak_pending == 15
-        assert sim.engine.cancelled_events == 9826
+        assert sim.engine.peak_pending == 10
+        assert sim.engine.cancelled_events == 533
         assert sim.engine.events_processed == 7493
 
 
