@@ -22,6 +22,9 @@ RPL006   No ``object.__setattr__`` outside ``__init__``/``__post_init__``
          and caching contracts built on their immutability.
 RPL007   No mutable default arguments — the shared default leaks state
          across calls (and across simulations).
+RPL008   No comparison against a float literal below 1e-12 in magnitude
+         — an absolute epsilon that small is below the round-off of the
+         quantities it guards; make the tolerance relative.
 =======  ==============================================================
 """
 
@@ -110,6 +113,18 @@ RULES: dict[str, Rule] = {
             ),
             sim_only=False,
         ),
+        Rule(
+            code="RPL008",
+            name="tiny-absolute-epsilon",
+            summary="comparison against a float literal below 1e-12",
+            hint=(
+                "an absolute epsilon below 1e-12 is smaller than the float "
+                "round-off of a simulated time or byte total; compare against "
+                "a tolerance scaled by the quantity (rtol * total, or "
+                "repro.sim.times_close)"
+            ),
+            sim_only=True,
+        ),
     )
 }
 
@@ -160,6 +175,10 @@ _GLOBAL_RANDOM_ATTRS = frozenset(
 _TIME_NAME_EXACT = frozenset({"now", "time"})
 _TIME_NAME_SUFFIXES = ("_time", "_since", "_at", "_deadline")
 
+#: Float literals smaller than this in magnitude (and nonzero) are absolute
+#: epsilons RPL008 rejects in comparisons.
+_TINY_EPSILON = 1e-12
+
 #: Constructors whose zero-argument call builds a mutable container.
 _MUTABLE_FACTORIES = frozenset({"list", "dict", "set"})
 
@@ -179,6 +198,16 @@ def _is_time_like(node: ast.expr) -> bool:
     if name is None:
         return False
     return name in _TIME_NAME_EXACT or name.endswith(_TIME_NAME_SUFFIXES)
+
+
+def _tiny_float(node: ast.expr) -> float | None:
+    """The value of a (signed) float literal below ``_TINY_EPSILON``."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        if 0.0 < abs(node.value) < _TINY_EPSILON:
+            return node.value
+    return None
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -403,9 +432,16 @@ class _Checker(ast.NodeVisitor):
             self._emit(index, "RPL004", "id() used as a subscript key")
         self.generic_visit(node)
 
-    # --- comparisons (RPL004 membership, RPL005) ----------------------------
+    # --- comparisons (RPL004 membership, RPL005, RPL008) ----------------------
     def visit_Compare(self, node: ast.Compare) -> None:
         operands = [node.left, *node.comparators]
+        for operand in operands:
+            if _tiny_float(operand) is not None:
+                self._emit(
+                    node,
+                    "RPL008",
+                    f"comparison against absolute epsilon {ast.unparse(operand)}",
+                )
         for op, left, right in zip(node.ops, operands, operands[1:]):
             if isinstance(op, (ast.Eq, ast.NotEq)):
                 if _is_time_like(left) or _is_time_like(right):

@@ -196,6 +196,38 @@ class TestRPL007MutableDefaults:
         assert codes("def f(xs=(), y=''):\n    pass\n") == []
 
 
+class TestRPL008TinyEpsilon:
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "ok = remaining > 1e-18\n",
+            "ok = remaining <= 1e-18\n",
+            "ok = 1e-15 < gap\n",
+            "ok = delta >= -1e-13\n",
+            "ok = 0.0 < x < 5e-13\n",
+        ],
+    )
+    def test_fires_on_tiny_literal(self, snippet):
+        assert codes(snippet) == ["RPL008"]
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "ok = remaining > 1e-12 * total\n",
+            "ok = x > 1e-12\n",
+            "ok = x > 0.0\n",
+            "ok = x > 1e-9\n",
+            "eps = 1e-18\n",
+            "span = max(t1 - t0, 1e-30)\n",
+        ],
+    )
+    def test_silent_on_relative_or_larger_tolerances(self, snippet):
+        assert codes(snippet) == []
+
+    def test_sim_scoped(self):
+        assert codes("ok = x > 1e-18\n", path="src/repro/analysis/tables.py") == []
+
+
 class TestScope:
     def test_sim_paths(self):
         assert is_sim_path("src/repro/sim/engine.py")
