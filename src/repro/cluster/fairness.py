@@ -249,8 +249,8 @@ class FinishTimeFairness(FairnessPolicy):
                 else:
                     share = max((rho / worst) ** self.exponent, self.min_share)
                     weights[spec.name] = spec.weight * share
-            # Re-pushing unchanged weights would churn every in-flight flow
-            # (stale finish events pile up in the heap), so skip no-ops.
+            # Re-pushing unchanged weights would only re-walk every
+            # channel's in-flight flows to find nothing to re-tag: skip it.
             if weights != self._last_weights:
                 self._last_weights = weights
                 cluster.network.set_tenant_weights(weights)

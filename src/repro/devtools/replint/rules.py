@@ -204,9 +204,12 @@ def _tiny_float(node: ast.expr) -> float | None:
     """The value of a (signed) float literal below ``_TINY_EPSILON``."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         node = node.operand
-    if isinstance(node, ast.Constant) and isinstance(node.value, float):
-        if 0.0 < abs(node.value) < _TINY_EPSILON:
-            return node.value
+    if (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0.0 < abs(node.value) < _TINY_EPSILON
+    ):
+        return node.value
     return None
 
 

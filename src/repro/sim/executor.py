@@ -867,17 +867,17 @@ class DimensionChannel:
                 clock.place(flow, (flow.tag - clock.vtime) * flow.weight / weight)
                 flow.weight = weight
                 changed = True
-        for clock in self._clocks.values() if changed else ():
-            clock.reindex([f for f in self._flows.values() if f.clock is clock])
+        if changed:
+            for clock in self._clocks.values():
+                clock.reindex([f for f in self._flows.values() if f.clock is clock])
         return changed
 
     def _flow_views(self) -> dict[str, _FlowView]:
         running = self._clocks[max(self._clocks)]
+        share = self.capacity_factor / running.weight_sum
         return {
             owner: _FlowView(
-                self.capacity_factor * f.weight / running.weight_sum
-                if f.clock is running
-                else 0.0,
+                f.weight * share if f.clock is running else 0.0,
                 (f.tag - f.clock.vtime) * f.weight,
                 f.priority,
             )

@@ -35,9 +35,8 @@ RTOL = 1e-9
 #: Every capacity change is followed by a final restore at this time.
 RESTORE = 3.0
 
-weights = st.integers(-9, 0).map(lambda exponent: 10.0**exponent) | st.floats(
-    1e-9, 1.0
-)
+#: Share weights across the ``_MIN_WEIGHT`` clamp's 1e9 range.
+weights = st.floats(1e-9, 1.0) | st.integers(-9, 0).map(lambda e: 10.0**e)
 #: ``(start time, transfer, fixed latency, priority, weight)``
 flows = st.lists(
     st.tuples(

@@ -468,7 +468,7 @@ def _agreement_view(cell: str, value: list) -> object:
     return (
         len(records),
         {tuple(record[:4]): record[4:] for record in records},
-        {seq: time for seq, time in completions},
+        dict(completions),
     )
 
 
@@ -482,9 +482,8 @@ def _assert_agrees(fresh: object, golden: object, where: str) -> None:
         for index, (mine, theirs) in enumerate(zip(fresh, golden)):
             _assert_agrees(mine, theirs, f"{where}[{index}]")
     elif isinstance(golden, float):
-        assert math.isclose(fresh, golden, rel_tol=SHARED_WIRE_RTOL), (
-            f"{where}: {fresh!r} vs recorded {golden!r}"
-        )
+        close = math.isclose(fresh, golden, rel_tol=SHARED_WIRE_RTOL)
+        assert close, f"{where}: {fresh!r} vs recorded {golden!r}"
     else:
         assert fresh == golden, f"{where}: {fresh!r} vs recorded {golden!r}"
 
