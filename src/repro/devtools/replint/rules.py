@@ -200,17 +200,16 @@ def _is_time_like(node: ast.expr) -> bool:
     return name in _TIME_NAME_EXACT or name.endswith(_TIME_NAME_SUFFIXES)
 
 
-def _tiny_float(node: ast.expr) -> float | None:
-    """The value of a (signed) float literal below ``_TINY_EPSILON``."""
+def _is_tiny_float(node: ast.expr) -> bool:
+    """Whether ``node`` is a (signed) nonzero float literal below
+    ``_TINY_EPSILON`` in magnitude (RPL008)."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         node = node.operand
-    if (
+    return (
         isinstance(node, ast.Constant)
         and isinstance(node.value, float)
         and 0.0 < abs(node.value) < _TINY_EPSILON
-    ):
-        return node.value
-    return None
+    )
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -439,7 +438,7 @@ class _Checker(ast.NodeVisitor):
     def visit_Compare(self, node: ast.Compare) -> None:
         operands = [node.left, *node.comparators]
         for operand in operands:
-            if _tiny_float(operand) is not None:
+            if _is_tiny_float(operand):
                 self._emit(
                     node,
                     "RPL008",
