@@ -1,4 +1,4 @@
-"""Analysis utilities: utilization, provisioning insights, sweeps, tables."""
+"""Analysis utilities: provisioning insights, microbenchmark records, tables."""
 
 from .provisioning import (
     PairAssessment,
@@ -9,14 +9,7 @@ from .provisioning import (
     classify_topology,
     max_drivable_utilization,
 )
-from .sweep import (
-    PAPER_SCHEDULERS,
-    MicrobenchRecord,
-    SchedulerConfig,
-    geometric_mean,
-    run_collective,
-    sweep,
-)
+from .sweep import MicrobenchRecord, geometric_mean
 from .tables import format_table, ms, pct, ratio, us
 
 __all__ = [
@@ -27,11 +20,7 @@ __all__ = [
     "classify_pair",
     "classify_topology",
     "max_drivable_utilization",
-    "SchedulerConfig",
     "MicrobenchRecord",
-    "PAPER_SCHEDULERS",
-    "run_collective",
-    "sweep",
     "geometric_mean",
     "format_table",
     "pct",

@@ -1,44 +1,16 @@
-"""Microbenchmark sweep harness shared by the Fig. 8-11 experiments.
+"""Records and summaries shared by the Fig. 8-11 microbenchmark experiments.
 
-Runs a single collective through the network simulator for each
-(scheduler, policy, size, chunk-count, topology) combination and returns
-comparable records: communication time and average BW utilization.
+The experiments run their grids through :func:`repro.api.sweep`; each
+point becomes a :class:`MicrobenchRecord` (communication time and average
+BW utilization), and speedups across topologies and sizes are averaged
+with :func:`geometric_mean`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..collectives.types import CollectiveRequest, CollectiveType
-from ..core.ideal import IdealEstimator
-from ..core.scheduler import SchedulerFactory
-from ..core.splitter import Splitter
-from ..sim.executor import FusionConfig
-from ..sim.network import ExecutionResult, NetworkSimulator
-from ..sim.stats import bw_utilization
-from ..topology import Topology
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """One Table 3 row: a scheduler kind plus its intra-dimension policy."""
-
-    kind: str  # "baseline" | "themis"
-    policy: str  # "FIFO" | "SCF" | ...
-
-    @property
-    def label(self) -> str:
-        if self.kind == "baseline":
-            return "Baseline"
-        return f"Themis+{self.policy.upper()}"
-
-
-#: The paper's three simulated configurations (Table 3; Ideal is analytic).
-PAPER_SCHEDULERS: tuple[SchedulerConfig, ...] = (
-    SchedulerConfig("baseline", "FIFO"),
-    SchedulerConfig("themis", "FIFO"),
-    SchedulerConfig("themis", "SCF"),
-)
+from ..collectives.types import CollectiveType
 
 
 @dataclass(frozen=True)
@@ -58,56 +30,6 @@ class MicrobenchRecord:
     def speedup_potential(self) -> float:
         """How far from the 100%-utilization Ideal this run landed."""
         return self.comm_time / self.ideal_time
-
-
-def run_collective(
-    topology: Topology,
-    config: SchedulerConfig,
-    size: float,
-    ctype: CollectiveType = CollectiveType.ALL_REDUCE,
-    chunks: int = 64,
-    fusion: FusionConfig | None = None,
-) -> tuple[MicrobenchRecord, ExecutionResult]:
-    """Simulate one collective and package the comparable numbers."""
-    sim = NetworkSimulator(
-        topology,
-        SchedulerFactory(config.kind, splitter=Splitter(chunks)),
-        policy=config.policy,
-        fusion=fusion or FusionConfig(),
-    )
-    sim.submit(CollectiveRequest(ctype, size))
-    result = sim.run()
-    record = MicrobenchRecord(
-        topology_name=topology.name,
-        scheduler=config.label,
-        ctype=ctype,
-        size=size,
-        chunks=chunks,
-        comm_time=result.makespan,
-        utilization=bw_utilization(result).average,
-        ideal_time=IdealEstimator().collective_time(ctype, size, topology),
-    )
-    return record, result
-
-
-def sweep(
-    topologies: list[Topology],
-    sizes: list[float],
-    configs: tuple[SchedulerConfig, ...] = PAPER_SCHEDULERS,
-    ctype: CollectiveType = CollectiveType.ALL_REDUCE,
-    chunks: int = 64,
-    fusion: FusionConfig | None = None,
-) -> list[MicrobenchRecord]:
-    """Full cartesian sweep used by the Fig. 8 / Fig. 11 benches."""
-    records = []
-    for topology in topologies:
-        for size in sizes:
-            for config in configs:
-                record, _ = run_collective(
-                    topology, config, size, ctype=ctype, chunks=chunks, fusion=fusion
-                )
-                records.append(record)
-    return records
 
 
 def geometric_mean(values: list[float]) -> float:

@@ -30,15 +30,11 @@ from ..cluster import placement as _placement
 from ..collectives import registry as _algorithms
 from ..collectives.types import CollectiveType
 from ..core import policies as _policies
-from ..core.scheduler import SchedulerFactory
+from ..core.scheduler import SCHEDULER_KINDS, SchedulerFactory
 from ..errors import ReproError, SpecError, did_you_mean
 from ..sim import backends as _backends
 from ..topology import presets as _presets
 from ..workloads import get_workload, register_workload, workload_names
-
-#: Scheduler kinds accepted by :class:`~repro.core.SchedulerFactory`; the
-#: factory has no registry of its own, so the unified registry owns the list.
-SCHEDULER_KINDS: tuple[str, ...] = ("baseline", "themis")
 
 #: Collective-type keys (canonical names; ``CollectiveType.from_name`` also
 #: accepts the short aliases ar/rs/ag/a2a).

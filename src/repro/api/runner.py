@@ -28,7 +28,7 @@ from ..core.splitter import Splitter
 from ..errors import EventBudgetError, SpecError
 from ..sim.network import NetworkSimulator
 from ..sim.stats import bw_utilization
-from ..training.iteration import TrainingConfig, TrainingSimulator
+from ..training.iteration import TrainingSimulator
 from .report import RunReport, SweepPoint, SweepResult
 from .spec import (
     ClusterScenario,
@@ -113,18 +113,11 @@ def _run_training(
 ) -> RunReport:
     workload = resolve_workload(spec.workload, spec.workload_args)
     topology = resolve_topology(spec.topology)
-    config = TrainingConfig(
-        iterations=spec.iterations,
-        overlap_dp=spec.overlap_dp,
-        dp_bucket_bytes=spec.dp_bucket_bytes,
-        chunks_per_collective=spec.chunks,
-        policy=spec.policy,
-    )
     sim = TrainingSimulator(
         workload,
         topology,
         scheduler=spec.scheduler,
-        config=config,
+        config=spec.to_config(),
         ideal_network=spec.ideal_network,
         audit=audit,
         backend=spec.backend,
@@ -180,48 +173,13 @@ def _run_cluster(
     audit: bool | None = None,
 ) -> RunReport:
     from ..cluster import (
-        ClusterConfig,
         ClusterSimulator,
-        WeightedSharing,
         derive_open_loop_rate,
         mix_mean_service_time,
     )
 
     topology = resolve_topology(spec.topology)
-    fairness: Any = spec.fairness
-    if spec.fairness == "weighted" and (
-        spec.fairness_weights or spec.fairness_weights_by_dim
-    ):
-        fairness = WeightedSharing(
-            weights=spec.fairness_weights,
-            weights_by_dim=spec.fairness_weights_by_dim,
-        )
-    link_faults, job_faults = (
-        spec.faults.to_runtime() if spec.faults is not None else (None, None)
-    )
-    config = ClusterConfig(
-        training=TrainingConfig(
-            overlap_dp=spec.overlap_dp,
-            dp_bucket_bytes=spec.dp_bucket_bytes,
-            chunks_per_collective=spec.chunks,
-            policy=spec.policy,
-        ),
-        isolated_baselines=spec.isolated_baselines,
-        fairness=fairness,
-        placement=spec.placement,
-        record_ops=spec.record_ops,
-        audit=audit,
-        max_concurrent=spec.max_concurrent,
-        warmup_time=spec.warmup_time,
-        measure_time=spec.measure_time,
-        outcome_cap=spec.outcome_cap,
-        isolated_per_iteration=spec.isolated_per_iteration,
-        convergence_epochs=spec.convergence_epochs,
-        link_faults=link_faults,
-        job_faults=job_faults,
-        backend=spec.backend,
-        backend_options=spec.backend_options,
-    )
+    config = spec.to_config(audit=audit)
     isolated_cache = None
     if context is not None:
         # Isolated JCTs are policy-independent but do depend on the
@@ -303,7 +261,7 @@ def _run_cluster(
         "completion_rate": report.completion_rate,
         "fault_timeline": (
             [list(entry) for entry in sim.network.fault_timeline]
-            if link_faults is not None
+            if config.link_faults is not None
             else None
         ),
         "mean_jct": report.mean_jct,

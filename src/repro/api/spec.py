@@ -9,8 +9,11 @@ so a complete experiment configuration is a small JSON document:
   scenario type, through JSON included;
 * versioned schema — every serialized spec carries ``"schema"``; newer
   documents are rejected with a clear upgrade message;
-* strict validation — unknown keys raise :class:`SpecError` with a
-  did-you-mean hint, registry keys are checked at construction time;
+* strict validation — a spec is valid when the runtime objects it
+  describes can be built, so construction builds them (each range rule
+  lives once, on the runtime type that uses the field) and re-raises
+  their errors as :class:`SpecError`; on top, unknown keys and registry
+  keys get a did-you-mean hint, and cross-field rules are checked here;
 * dotted overrides — ``spec.with_overrides({"trace.seed": "3"})`` rebuilds
   a spec with nested fields replaced (the CLI's ``--set``, and the axis
   mechanism of :func:`repro.api.sweep`).
@@ -24,17 +27,27 @@ registry key — both serialize with the spec.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ClassVar
+from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
 
 from ..collectives.types import CollectiveType
-from ..errors import CollectiveError, SpecError
+from ..core.splitter import Splitter
+from ..errors import CollectiveError, ReproError, SpecError
 from ..topology import Topology, topology_from_dict, topology_to_dict
+from ..training.iteration import TrainingConfig
 from ..units import GB, parse_size
 from ..workloads import Workload, get_workload, workload_from_dict
 from .registry import did_you_mean, validate_key
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster import ClusterConfig
+
+_T = TypeVar("_T")
 
 #: Version stamped into every serialized spec.  Bump when a field changes
 #: meaning; loaders reject documents newer than what they understand.
@@ -74,13 +87,46 @@ def _reject_unknown(cls: type, data: dict, where: str) -> dict:
     return payload
 
 
+def _built(where: str, build: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
+    """``build(*args, **kwargs)``, its library errors re-raised as SpecError.
+
+    A spec validates by building the runtime objects it describes, so
+    each range rule lives once, on the runtime type that uses the field.
+    """
+    try:
+        return build(*args, **kwargs)
+    except SpecError:
+        raise
+    except ReproError as error:
+        raise SpecError(f"{where}: {error}") from None
+
+
+def _dims(values: Iterable[Any], where: str) -> tuple[int, ...]:
+    """Dimension indices as ints; a NaN or inf is a SpecError, not a crash."""
+    try:
+        return tuple(int(value) for value in values)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise SpecError(f"{where}: {error}") from None
+
+
+def _fit_topology(
+    value: "str | dict", schedule: Any, slices: Iterable[tuple[int, ...]] = ()
+) -> None:
+    """Every dimension a fault or job slice names must exist on the topology."""
+    topology = resolve_topology(value)
+    if schedule is not None:
+        schedule.restricted_to(topology.ndims)
+    for dims in slices:
+        topology.subset(dims)
+
+
 def _size_bytes(value: Any, field_name: str) -> float:
     """Byte counts may be written as numbers or strings like ``"100MB"``."""
     if isinstance(value, str):
         value = parse_size(value)
     size = float(value)
-    if size <= 0:
-        raise SpecError(f"{field_name} must be positive, got {size}")
+    if not 0 < size < math.inf:
+        raise SpecError(f"{field_name} must be positive and finite, got {size}")
     return size
 
 
@@ -114,23 +160,15 @@ def _validate_backend(
     backend's own validator, so a packet-option typo is a load-time
     :class:`SpecError` with the backend's did-you-mean hint.
     """
-    from ..errors import ConfigError
     from ..sim.backends import get_backend, resolve_backend_key
 
     if backend is not None:
         validate_key("backend", backend)
-    if ideal_network and backend not in (None, "ideal"):
-        raise SpecError(
-            f"{where}: ideal_network=true conflicts with "
-            f"backend={backend!r}; ideal_network is an alias for "
-            "backend='ideal'"
-        )
-    impl = get_backend(resolve_backend_key(backend, ideal_network=ideal_network))
+    impl = get_backend(
+        _built(where, resolve_backend_key, backend, ideal_network=ideal_network)
+    )
     if backend_options:
-        try:
-            impl.validate_options(backend_options)
-        except ConfigError as error:
-            raise SpecError(f"{where}: backend_options: {error}") from None
+        _built(f"{where}: backend_options", impl.validate_options, backend_options)
     return impl
 
 
@@ -154,10 +192,17 @@ def _validate_workload(value: Any, args: dict) -> Any:
     if isinstance(value, dict):
         if args:
             raise SpecError("workload_args only apply to registry-key workloads")
-        workload_from_dict(value)  # validation only
         return dict(value)
     validate_key("workload", str(value))
     return str(value)
+
+
+def _workload_object(value: "str | dict", args: dict) -> "str | Workload":
+    """What a runtime type takes for a spec's workload: the registry key
+    itself, or the built :class:`Workload` when args or a dict describe it."""
+    if args or isinstance(value, dict):
+        return resolve_workload(value, args)
+    return value
 
 
 def resolve_topology(value: "str | dict") -> Topology:
@@ -320,30 +365,18 @@ class ScenarioJob:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise SpecError("job name must be non-empty")
         object.__setattr__(self, "workload_args", dict(self.workload_args))
         object.__setattr__(
             self, "workload", _validate_workload(self.workload, self.workload_args)
         )
         validate_key("scheduler", self.scheduler)
-        if self.iterations < 1:
-            raise SpecError(
-                f"job {self.name!r}: need >= 1 iterations, got {self.iterations}"
-            )
-        if self.weight <= 0:
-            raise SpecError(
-                f"job {self.name!r}: weight must be positive, got {self.weight}"
-            )
-        if self.arrival_time < 0:
-            raise SpecError(
-                f"job {self.name!r}: arrival time must be >= 0, "
-                f"got {self.arrival_time}"
-            )
         if self.dim_indices is not None:
             object.__setattr__(
-                self, "dim_indices", tuple(int(i) for i in self.dim_indices)
+                self,
+                "dim_indices",
+                _dims(self.dim_indices, f"job {self.name!r}: dim_indices"),
             )
+        _built("ScenarioJob", self.to_jobspec)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioJob":
@@ -377,14 +410,9 @@ class ScenarioJob:
         """The runnable :class:`~repro.cluster.JobSpec` this entry names."""
         from ..cluster import JobSpec
 
-        workload: "str | Workload" = (
-            resolve_workload(self.workload, self.workload_args)
-            if self.workload_args or isinstance(self.workload, dict)
-            else self.workload
-        )
         return JobSpec(
             name=self.name,
-            workload=workload,
+            workload=_workload_object(self.workload, self.workload_args),
             arrival_time=self.arrival_time,
             scheduler=self.scheduler,
             iterations=self.iterations,
@@ -417,22 +445,13 @@ class PoissonTrace:
         object.__setattr__(
             self, "schedulers", tuple(str(s) for s in self.schedulers)
         )
-        if not self.workloads:
-            raise SpecError("a trace needs at least one workload")
         for name in self.workloads:
             validate_key("workload", name)
-        if not self.schedulers:
-            raise SpecError("a trace needs at least one scheduler")
         for name in self.schedulers:
             validate_key("scheduler", name)
-        if self.interarrival <= 0:
-            raise SpecError(
-                f"mean interarrival must be positive, got {self.interarrival}"
-            )
-        if self.iterations < 1:
-            raise SpecError(f"need >= 1 iterations, got {self.iterations}")
-        if self.jobs is not None and self.jobs < 1:
+        if self.jobs is not None and not 1 <= self.jobs < math.inf:
             raise SpecError(f"need >= 1 jobs, got {self.jobs}")
+        _built("PoissonTrace", self.to_jobs)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PoissonTrace":
@@ -449,7 +468,7 @@ class PoissonTrace:
 
         names = list(self.workloads)
         if self.jobs is not None:
-            names = [names[i % len(names)] for i in range(self.jobs)]
+            names = list(itertools.islice(itertools.cycle(names), self.jobs))
         return poisson_trace(
             names,
             self.interarrival,
@@ -458,6 +477,22 @@ class PoissonTrace:
             iterations=self.iterations,
             start_time=self.start_time,
         )
+
+
+#: :class:`OpenLoopTrace` fields that ``open_loop_trace`` (and its argument
+#: check) take unchanged.
+_OPEN_LOOP_KNOBS = (
+    "duration",
+    "max_jobs",
+    "process",
+    "schedulers",
+    "start_time",
+    "rate_amplitude",
+    "rate_period",
+    "burst_on",
+    "burst_off",
+    "burst_ratio",
+)
 
 
 @dataclass(frozen=True)
@@ -498,85 +533,46 @@ class OpenLoopTrace:
     name_prefix: str = "oj"
 
     def __post_init__(self) -> None:
-        from ..cluster import ARRIVAL_PROCESSES, JobMix
-        from ..errors import ConfigError
+        from ..cluster import JobMix, derive_open_loop_rate
+        from ..cluster.jobs import check_open_loop_args
 
         if (self.rate is None) == (self.target_rho is None):
             raise SpecError(
                 "an open-loop trace needs exactly one of 'rate' or "
                 "'target_rho'"
             )
-        if self.rate is not None and self.rate <= 0:
-            raise SpecError(f"arrival rate must be positive, got {self.rate}")
-        if self.target_rho is not None and self.target_rho <= 0:
-            raise SpecError(
-                f"target_rho must be positive, got {self.target_rho}"
-            )
         if self.calibration_slots is not None:
             if self.target_rho is None:
                 raise SpecError("calibration_slots only applies to target_rho")
-            if self.calibration_slots < 1:
+            if not 1 <= self.calibration_slots < math.inf:
                 raise SpecError(
                     f"calibration_slots must be >= 1, "
                     f"got {self.calibration_slots}"
                 )
-        if self.duration is None and self.max_jobs is None:
-            raise SpecError(
-                "an open-loop trace needs 'duration' and/or 'max_jobs'"
-            )
-        if self.duration is not None and self.duration <= 0:
-            raise SpecError(f"duration must be positive, got {self.duration}")
-        if self.max_jobs is not None and self.max_jobs < 1:
-            raise SpecError(f"max_jobs must be >= 1, got {self.max_jobs}")
-        if self.process not in ARRIVAL_PROCESSES:
-            raise SpecError(
-                f"unknown arrival process {self.process!r}"
-                f"{did_you_mean(self.process, ARRIVAL_PROCESSES)}; "
-                f"known: {', '.join(ARRIVAL_PROCESSES)}"
-            )
         object.__setattr__(
             self, "schedulers", tuple(str(s) for s in self.schedulers)
         )
-        if not self.schedulers:
-            raise SpecError("a trace needs at least one scheduler")
         for name in self.schedulers:
             validate_key("scheduler", name)
-        if self.start_time < 0:
-            raise SpecError(
-                f"start_time must be >= 0, got {self.start_time}"
-            )
         mix = self.mix
         if mix is None:
             mix = JobMix()
         elif isinstance(mix, dict):
             payload = _reject_unknown(JobMix, mix, "OpenLoopTrace.mix")
-            try:
-                mix = JobMix(**payload)
-            except ConfigError as error:
-                raise SpecError(f"OpenLoopTrace.mix: {error}") from None
+            mix = _built("OpenLoopTrace.mix", JobMix, **payload)
         elif not isinstance(mix, JobMix):
             raise SpecError(
                 f"mix must be a JobMix or a mapping of its fields, "
                 f"got {type(mix).__name__}"
             )
         object.__setattr__(self, "mix", mix)
-        # The generator re-validates the modulation/burst knobs; checking
-        # here too turns a bad spec into a SpecError at load time.
-        if not 0.0 <= self.rate_amplitude <= 1.0:
-            raise SpecError(
-                f"rate_amplitude must be in [0, 1], got {self.rate_amplitude}"
-            )
-        for label, value in (
-            ("rate_period", self.rate_period),
-            ("burst_on", self.burst_on),
-            ("burst_off", self.burst_off),
-        ):
-            if value <= 0:
-                raise SpecError(f"{label} must be positive, got {value}")
-        if self.burst_ratio < 1.0:
-            raise SpecError(
-                f"burst_ratio must be >= 1, got {self.burst_ratio}"
-            )
+        _built("OpenLoopTrace", check_open_loop_args, rate=self.rate, **self._knobs())
+        if self.target_rho is not None:  # the rate is calibrated at run time
+            _built("OpenLoopTrace", derive_open_loop_rate, self.target_rho, 1.0, 1)
+
+    def _knobs(self) -> dict[str, Any]:
+        """The fields passed through unchanged to ``open_loop_trace``."""
+        return {name: getattr(self, name) for name in _OPEN_LOOP_KNOBS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "OpenLoopTrace":
@@ -600,19 +596,10 @@ class OpenLoopTrace:
             )
         return open_loop_trace(
             rate=resolved,
-            duration=self.duration,
-            max_jobs=self.max_jobs,
             mix=self.mix,
-            process=self.process,
             seed=self.seed,
-            schedulers=self.schedulers,
-            start_time=self.start_time,
-            rate_amplitude=self.rate_amplitude,
-            rate_period=self.rate_period,
-            burst_on=self.burst_on,
-            burst_off=self.burst_off,
-            burst_ratio=self.burst_ratio,
             name_prefix=self.name_prefix,
+            **self._knobs(),
         )
 
 
@@ -674,70 +661,27 @@ class FaultSpec:
         except (ConfigError, TypeError) as error:
             raise SpecError(f"FaultSpec.links: {error}") from None
         for name in ("flap_dims", "straggler_dims"):
-            dims = getattr(self, name)
-            object.__setattr__(self, name, tuple(int(d) for d in dims))
-            if any(d < 0 for d in getattr(self, name)):
-                raise SpecError(f"FaultSpec.{name}: dimensions must be >= 0")
-        for label, value in (
-            ("flap_factor", self.flap_factor),
-            ("straggler_factor", self.straggler_factor),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise SpecError(
-                    f"FaultSpec.{label} must be in [0, 1], got {value}"
-                )
-        if self.flap_count < 0:
-            raise SpecError(
-                f"FaultSpec.flap_count must be >= 0, got {self.flap_count}"
+            object.__setattr__(
+                self, name, _dims(getattr(self, name), f"FaultSpec.{name}")
             )
-        for label, value in (
-            ("flap_mean_interval", self.flap_mean_interval),
-            ("flap_mean_duration", self.flap_mean_duration),
-        ):
-            if value <= 0:
-                raise SpecError(
-                    f"FaultSpec.{label} must be positive, got {value}"
-                )
-        if not 0.0 <= self.straggler_probability <= 1.0:
-            raise SpecError(
-                f"FaultSpec.straggler_probability must be in [0, 1], "
-                f"got {self.straggler_probability}"
-            )
-        if self.crash_rate is not None:
-            # Construct the policy once here so a bad retry/backoff knob is
-            # a SpecError at load time, not a ConfigError mid-run.
-            try:
-                self._to_policy()
-            except ConfigError as error:
-                raise SpecError(f"FaultSpec: {error}") from None
+        _built("FaultSpec", self.to_runtime)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
         payload = _reject_unknown(cls, data, "FaultSpec")
         return cls(**payload)
 
-    def _to_policy(self) -> "Any":
-        from ..sim.faults import JobFaultPolicy
-
-        assert self.crash_rate is not None
-        return JobFaultPolicy(
-            crash_rate=self.crash_rate,
-            max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
-            backoff_factor=self.backoff_factor,
-            backoff_jitter=self.backoff_jitter,
-            checkpoint_iterations=self.checkpoint_iterations,
-            restart_overhead=self.restart_overhead,
-            seed=self.seed,
-        )
-
     def to_runtime(self) -> "tuple[Any, Any]":
-        """The runnable ``(FaultSchedule | None, JobFaultPolicy | None)``."""
-        from ..sim.faults import FaultSchedule
+        """The runnable ``(FaultSchedule | None, JobFaultPolicy | None)``.
 
-        schedule = FaultSchedule(self.links)
-        if self.flap_dims:
-            schedule = schedule + FaultSchedule.flaps(
+        Both generators run even without dimensions (they then draw
+        nothing), so their knobs are checked whenever the spec is built.
+        """
+        from ..sim.faults import FaultSchedule, JobFaultPolicy
+
+        schedule = (
+            FaultSchedule(self.links)
+            + FaultSchedule.flaps(
                 self.flap_dims,
                 seed=self.seed,
                 count=self.flap_count,
@@ -745,14 +689,25 @@ class FaultSpec:
                 mean_interval=self.flap_mean_interval,
                 mean_duration=self.flap_mean_duration,
             )
-        if self.straggler_dims:
-            schedule = schedule + FaultSchedule.stragglers(
+            + FaultSchedule.stragglers(
                 self.straggler_dims,
                 seed=self.seed,
                 factor=self.straggler_factor,
                 probability=self.straggler_probability,
             )
-        policy = self._to_policy() if self.crash_rate is not None else None
+        )
+        policy = None
+        if self.crash_rate is not None:
+            policy = JobFaultPolicy(
+                crash_rate=self.crash_rate,
+                max_retries=self.max_retries,
+                backoff_base=self.backoff_base,
+                backoff_factor=self.backoff_factor,
+                backoff_jitter=self.backoff_jitter,
+                checkpoint_iterations=self.checkpoint_iterations,
+                restart_overhead=self.restart_overhead,
+                seed=self.seed,
+            )
         return (schedule if schedule else None, policy)
 
 
@@ -777,9 +732,8 @@ class CollectiveScenario(ScenarioSpec):
         _validate_collective(self.collective)
         validate_key("scheduler", self.scheduler)
         validate_key("policy", self.policy)
-        if self.chunks < 1:
-            raise SpecError(f"chunks must be >= 1, got {self.chunks}")
-        if self.max_events is not None and self.max_events < 1:
+        _built("CollectiveScenario", Splitter, self.chunks)
+        if self.max_events is not None and not 1 <= self.max_events < math.inf:
             raise SpecError(f"max_events must be >= 1, got {self.max_events}")
 
 
@@ -822,17 +776,6 @@ class TrainingScenario(ScenarioSpec):
             ideal_network=self.ideal_network,
             where="TrainingScenario",
         )
-        if self.faults is not None:
-            if self.faults.crash_rate is not None:
-                raise SpecError(
-                    "a training scenario runs one job to completion; "
-                    "faults.crash_rate only applies to cluster scenarios"
-                )
-            if not impl.supports_faults:
-                raise SpecError(
-                    f"the {impl.key!r} backend has no links to degrade; "
-                    "remove 'faults' or use a fault-capable backend"
-                )
         object.__setattr__(
             self, "workload", _validate_workload(self.workload, self.workload_args)
         )
@@ -845,10 +788,33 @@ class TrainingScenario(ScenarioSpec):
                 "dp_bucket_bytes",
                 _size_bytes(self.dp_bucket_bytes, "dp_bucket_bytes"),
             )
-        if self.iterations < 1:
-            raise SpecError(f"need >= 1 iterations, got {self.iterations}")
-        if self.chunks < 1:
-            raise SpecError(f"chunks must be >= 1, got {self.chunks}")
+        _built("TrainingScenario", self.to_config)
+        _built(
+            "TrainingScenario", _workload_object, self.workload, self.workload_args
+        )
+        if self.faults is not None:
+            if self.faults.crash_rate is not None:
+                raise SpecError(
+                    "a training scenario runs one job to completion; "
+                    "faults.crash_rate only applies to cluster scenarios"
+                )
+            if not impl.supports_faults:
+                raise SpecError(
+                    f"the {impl.key!r} backend has no links to degrade; "
+                    "remove 'faults' or use a fault-capable backend"
+                )
+            schedule, _ = self.faults.to_runtime()
+            _built("TrainingScenario", _fit_topology, self.topology, schedule)
+
+    def to_config(self) -> TrainingConfig:
+        """The runnable :class:`~repro.training.TrainingConfig` this spec names."""
+        return TrainingConfig(
+            iterations=self.iterations,
+            overlap_dp=self.overlap_dp,
+            dp_bucket_bytes=self.dp_bucket_bytes,
+            chunks_per_collective=self.chunks,
+            policy=self.policy,
+        )
 
 
 @dataclass(frozen=True)
@@ -905,7 +871,7 @@ class ClusterScenario(ScenarioSpec):
     backend_options: "dict | None" = None
 
     def __post_init__(self) -> None:
-        from collections import Counter
+        from ..cluster.jobs import check_unique_names
 
         object.__setattr__(self, "topology", _validate_topology(self.topology))
         object.__setattr__(self, "jobs", tuple(self.jobs))
@@ -929,13 +895,7 @@ class ClusterScenario(ScenarioSpec):
                 "a cluster scenario needs exactly one of 'jobs', 'trace', "
                 "or 'open_loop'"
             )
-        duplicates = sorted(
-            name
-            for name, count in Counter(job.name for job in self.jobs).items()
-            if count > 1
-        )
-        if duplicates:
-            raise SpecError(f"duplicate job names: {', '.join(duplicates)}")
+        _built("ClusterScenario", check_unique_names, (j.name for j in self.jobs))
         if (
             self.open_loop is not None
             and self.open_loop.target_rho is not None
@@ -947,53 +907,15 @@ class ClusterScenario(ScenarioSpec):
                 "open_loop.calibration_slots): offered load is defined "
                 "against a fixed number of service slots"
             )
-        if self.max_concurrent is not None and self.max_concurrent < 1:
-            raise SpecError(
-                f"max_concurrent must be >= 1, got {self.max_concurrent}"
-            )
-        if self.warmup_time < 0:
-            raise SpecError(
-                f"warmup_time must be >= 0, got {self.warmup_time}"
-            )
-        if self.measure_time is not None and self.measure_time <= 0:
-            raise SpecError(
-                f"measure_time must be positive, got {self.measure_time}"
-            )
-        if self.warmup_time > 0 and self.measure_time is None:
-            raise SpecError("warmup_time requires measure_time")
-        if self.outcome_cap is not None and self.outcome_cap < 0:
-            raise SpecError(
-                f"outcome_cap must be >= 0, got {self.outcome_cap}"
-            )
-        if self.convergence_epochs < 1:
-            raise SpecError(
-                f"convergence_epochs must be >= 1, got {self.convergence_epochs}"
-            )
         if self.backend_options is not None:
             object.__setattr__(
                 self, "backend_options", dict(self.backend_options)
             )
-        impl = _validate_backend(
+        _validate_backend(
             self.backend, self.backend_options, where="ClusterScenario"
         )
-        if not impl.supports_cluster:
-            raise SpecError(
-                f"the {impl.key!r} backend cannot run a shared multi-job "
-                "cluster; use 'analytical', 'fluid', or 'packet'"
-            )
         if self.fairness is not None:
             validate_key("fairness", self.fairness)
-            if not impl.supports_sharing:
-                from ..cluster.fairness import get_fairness
-
-                policy = get_fairness(self.fairness)
-                if policy is not None and policy.requires_sharing:
-                    raise SpecError(
-                        f"fairness={self.fairness!r} needs the network's "
-                        "weighted-sharing/preemption hooks, which the "
-                        f"{impl.key!r} backend does not provide (FIFO "
-                        "wire); use backend='analytical'"
-                    )
         if self.placement is not None:
             validate_key("placement", self.placement)
         weighted = self.fairness == "weighted"
@@ -1029,10 +951,59 @@ class ClusterScenario(ScenarioSpec):
                 "dp_bucket_bytes",
                 _size_bytes(self.dp_bucket_bytes, "dp_bucket_bytes"),
             )
-        if self.chunks < 1:
-            raise SpecError(f"chunks must be >= 1, got {self.chunks}")
-        if self.max_events is not None and self.max_events < 1:
+        if self.max_events is not None and not 1 <= self.max_events < math.inf:
             raise SpecError(f"max_events must be >= 1, got {self.max_events}")
+        config = _built("ClusterScenario", self.to_config)
+        slices = [j.dim_indices for j in self.jobs if j.dim_indices is not None]
+        if slices or config.link_faults is not None:
+            _built(
+                "ClusterScenario",
+                _fit_topology,
+                self.topology,
+                config.link_faults,
+                slices,
+            )
+
+    def to_config(self, audit: bool | None = None) -> "ClusterConfig":
+        """The runnable :class:`~repro.cluster.ClusterConfig` this spec names,
+        fault schedule and job-crash policy included.  ``audit`` is the
+        run option of the same name (see :func:`repro.api.run`)."""
+        from ..cluster import ClusterConfig, WeightedSharing
+
+        fairness: Any = self.fairness
+        if self.fairness == "weighted" and (
+            self.fairness_weights or self.fairness_weights_by_dim
+        ):
+            fairness = WeightedSharing(
+                weights=self.fairness_weights,
+                weights_by_dim=self.fairness_weights_by_dim,
+            )
+        link_faults, job_faults = (
+            self.faults.to_runtime() if self.faults is not None else (None, None)
+        )
+        return ClusterConfig(
+            training=TrainingConfig(
+                overlap_dp=self.overlap_dp,
+                dp_bucket_bytes=self.dp_bucket_bytes,
+                chunks_per_collective=self.chunks,
+                policy=self.policy,
+            ),
+            isolated_baselines=self.isolated_baselines,
+            fairness=fairness,
+            placement=self.placement,
+            record_ops=self.record_ops,
+            audit=audit,
+            max_concurrent=self.max_concurrent,
+            warmup_time=self.warmup_time,
+            measure_time=self.measure_time,
+            outcome_cap=self.outcome_cap,
+            isolated_per_iteration=self.isolated_per_iteration,
+            convergence_epochs=self.convergence_epochs,
+            link_faults=link_faults,
+            job_faults=job_faults,
+            backend=self.backend,
+            backend_options=self.backend_options,
+        )
 
     @classmethod
     def _convert(cls, payload: dict) -> dict:

@@ -33,6 +33,7 @@ See ``docs/fairness.md`` for definitions, knobs, and a worked example.
 from __future__ import annotations
 
 import abc
+import math
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
@@ -100,6 +101,13 @@ class WeightedSharing(FairnessPolicy):
         self.weights_by_dim = {
             owner: dict(dims) for owner, dims in (weights_by_dim or {}).items()
         }
+        for table in (self.weights, *self.weights_by_dim.values()):
+            for weight in table.values():
+                if not 0 < weight < math.inf:
+                    raise ConfigError(
+                        f"tenant weights must be positive and finite, "
+                        f"got {weight}"
+                    )
 
     def prepare(self, cluster: "ClusterSimulator") -> None:
         names = {spec.name for spec in cluster.jobs}
@@ -168,12 +176,15 @@ class FinishTimeFairness(FairnessPolicy):
         exponent: float = 2.0,
         min_share: float = 0.05,
     ) -> None:
-        if interval is not None and interval <= 0:
+        if interval is not None and not 0 < interval < math.inf:
             raise ConfigError(
-                f"re-weighting interval must be positive, got {interval}"
+                f"re-weighting interval must be positive and finite, "
+                f"got {interval}"
             )
-        if exponent <= 0:
-            raise ConfigError(f"exponent must be positive, got {exponent}")
+        if not 0 < exponent < math.inf:
+            raise ConfigError(
+                f"exponent must be positive and finite, got {exponent}"
+            )
         if not 0 < min_share <= 1:
             raise ConfigError(
                 f"min_share must be in (0, 1], got {min_share}"

@@ -29,17 +29,16 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from ..errors import ConfigError
+from ..core.scheduler import SCHEDULER_KINDS as JOB_SCHEDULERS
+from ..errors import ConfigError, did_you_mean
 from ..sim.faults import stream_seed
 from ..workloads import get_workload
 from ..workloads.base import Workload
 from ..workloads.synthetic import flood_ladder
-
-#: Scheduler kinds a job may request (mirrors ``SchedulerFactory``).
-JOB_SCHEDULERS = ("baseline", "themis")
 
 
 @dataclass(frozen=True)
@@ -88,12 +87,12 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("job name must be non-empty")
-        if self.arrival_time < 0:
+        if not 0 <= self.arrival_time < math.inf:
             raise ConfigError(
-                f"job {self.name!r}: arrival time must be >= 0, "
+                f"job {self.name!r}: arrival time must be >= 0 and finite, "
                 f"got {self.arrival_time}"
             )
-        if self.iterations < 1:
+        if not 1 <= self.iterations < math.inf:
             raise ConfigError(
                 f"job {self.name!r}: need >= 1 iterations, got {self.iterations}"
             )
@@ -102,9 +101,10 @@ class JobSpec:
                 f"job {self.name!r}: unknown scheduler {self.scheduler!r}; "
                 f"known: {', '.join(JOB_SCHEDULERS)}"
             )
-        if self.weight <= 0:
+        if not 0 < self.weight < math.inf:
             raise ConfigError(
-                f"job {self.name!r}: weight must be positive, got {self.weight}"
+                f"job {self.name!r}: weight must be positive and finite, "
+                f"got {self.weight}"
             )
         if self.dim_indices is not None:
             object.__setattr__(self, "dim_indices", tuple(self.dim_indices))
@@ -131,6 +131,16 @@ class JobSpec:
         return replace(self, arrival_time=arrival_time)
 
 
+def check_unique_names(names: Iterable[str]) -> None:
+    """Job names key every per-job table (placements, tenant weights,
+    comm-active accounting), so a trace may not repeat one."""
+    duplicates = sorted(
+        name for name, count in Counter(names).items() if count > 1
+    )
+    if duplicates:
+        raise ConfigError(f"duplicate job names: {', '.join(duplicates)}")
+
+
 def poisson_trace(
     workloads: Sequence[Workload | str],
     mean_interarrival: float,
@@ -149,9 +159,10 @@ def poisson_trace(
     ``("baseline",)`` gives an all-Baseline cluster, ``("themis",)`` an
     all-Themis one, and ``("baseline", "themis")`` alternates.
     """
-    if mean_interarrival <= 0:
+    if not 0 < mean_interarrival < math.inf:
         raise ConfigError(
-            f"mean interarrival must be positive, got {mean_interarrival}"
+            f"mean interarrival must be positive and finite, "
+            f"got {mean_interarrival}"
         )
     if not workloads:
         raise ConfigError("a trace needs at least one workload")
@@ -196,11 +207,13 @@ class BoundedPareto:
     upper: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ConfigError(f"bounded Pareto alpha must be > 0, got {self.alpha}")
-        if not 0 < self.lower <= self.upper:
+        if not 0 < self.alpha < math.inf:
             raise ConfigError(
-                f"bounded Pareto needs 0 < lower <= upper, "
+                f"bounded Pareto alpha must be > 0 and finite, got {self.alpha}"
+            )
+        if not 0 < self.lower <= self.upper < math.inf:
+            raise ConfigError(
+                f"bounded Pareto needs 0 < lower <= upper < inf, "
                 f"got [{self.lower}, {self.upper}]"
             )
 
@@ -281,32 +294,35 @@ class JobMix:
             ("elephant_layers", self.elephant_layers),
             ("mouse_layers", self.mouse_layers),
         ):
-            if layers < 1:
-                raise ConfigError(f"{label} must be >= 1, got {layers}")
+            if not 1 <= layers < math.inf:
+                raise ConfigError(f"{label} must be >= 1 and finite, got {layers}")
         for label, mb in (
             ("elephant_param_mb", self.elephant_param_mb),
             ("mouse_param_mb", self.mouse_param_mb),
         ):
-            if mb <= 0:
-                raise ConfigError(f"{label} must be positive, got {mb}")
-        if not 1 <= self.min_iterations <= self.max_iterations:
+            if not 0 < mb < math.inf:
+                raise ConfigError(f"{label} must be positive and finite, got {mb}")
+        if not 1 <= self.min_iterations <= self.max_iterations < math.inf:
             raise ConfigError(
-                f"need 1 <= min_iterations <= max_iterations, got "
+                f"need 1 <= min_iterations <= max_iterations < inf, got "
                 f"[{self.min_iterations}, {self.max_iterations}]"
             )
-        if self.iteration_alpha <= 0:
+        if not 0 < self.iteration_alpha < math.inf:
             raise ConfigError(
-                f"iteration_alpha must be > 0, got {self.iteration_alpha}"
+                f"iteration_alpha must be > 0 and finite, got {self.iteration_alpha}"
             )
-        if self.size_alpha is not None:
-            if self.size_alpha <= 0:
-                raise ConfigError(f"size_alpha must be > 0, got {self.size_alpha}")
-            if self.size_max_scale < 1.0:
-                raise ConfigError(
-                    f"size_max_scale must be >= 1, got {self.size_max_scale}"
-                )
-            if self.size_levels < 1:
-                raise ConfigError(f"size_levels must be >= 1, got {self.size_levels}")
+        if self.size_alpha is not None and not 0 < self.size_alpha < math.inf:
+            raise ConfigError(
+                f"size_alpha must be > 0 and finite, got {self.size_alpha}"
+            )
+        if not 1.0 <= self.size_max_scale < math.inf:
+            raise ConfigError(
+                f"size_max_scale must be >= 1 and finite, got {self.size_max_scale}"
+            )
+        if not 1 <= self.size_levels < math.inf:
+            raise ConfigError(
+                f"size_levels must be >= 1 and finite, got {self.size_levels}"
+            )
 
     # --- distributions ------------------------------------------------------
     def iteration_dist(self) -> BoundedPareto:
@@ -502,6 +518,63 @@ def _poisson_arrivals(
     return times
 
 
+def check_open_loop_args(
+    *,
+    rate: float | None,
+    duration: float | None,
+    max_jobs: int | None,
+    process: str,
+    schedulers: Sequence[str],
+    start_time: float,
+    rate_amplitude: float,
+    rate_period: float,
+    burst_on: float,
+    burst_off: float,
+    burst_ratio: float,
+) -> None:
+    """Check :func:`open_loop_trace`'s arguments without drawing a trace.
+
+    Every knob is checked whatever the ``process``, so a bad burst knob on
+    a Poisson trace is an error, not silently unused.  ``rate=None``
+    skips the rate (a target-rho trace has it calibrated at run time).
+    """
+    if rate is not None and not 0 < rate < math.inf:
+        raise ConfigError(
+            f"open-loop arrival rate must be positive and finite, got {rate}"
+        )
+    if duration is None and max_jobs is None:
+        raise ConfigError("an open-loop trace needs 'duration' and/or 'max_jobs'")
+    if duration is not None and not 0 < duration < math.inf:
+        raise ConfigError(f"duration must be positive and finite, got {duration}")
+    if max_jobs is not None and not 1 <= max_jobs < math.inf:
+        raise ConfigError(f"max_jobs must be >= 1 and finite, got {max_jobs}")
+    if not 0 <= start_time < math.inf:
+        raise ConfigError(f"start_time must be >= 0 and finite, got {start_time}")
+    if not schedulers:
+        raise ConfigError("a trace needs at least one scheduler")
+    if process not in ARRIVAL_PROCESSES:
+        raise ConfigError(
+            f"unknown arrival process {process!r}"
+            f"{did_you_mean(process, ARRIVAL_PROCESSES)}; "
+            f"known: {', '.join(ARRIVAL_PROCESSES)}"
+        )
+    if not 0.0 <= rate_amplitude <= 1.0:
+        raise ConfigError(
+            f"rate_amplitude must be in [0, 1], got {rate_amplitude}"
+        )
+    for label, value in (
+        ("rate_period", rate_period),
+        ("burst_on", burst_on),
+        ("burst_off", burst_off),
+    ):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{label} must be positive and finite, got {value}")
+    if not 1.0 <= burst_ratio < math.inf:
+        raise ConfigError(
+            f"burst_ratio must be >= 1 and finite, got {burst_ratio}"
+        )
+
+
 def open_loop_trace(
     *,
     rate: float,
@@ -539,25 +612,23 @@ def open_loop_trace(
         an independent SHA-256-derived substream (see :func:`stream_seed`).
     schedulers:
         Cycled across jobs in arrival order, as in :func:`poisson_trace`.
+
+    The arguments are checked by :func:`check_open_loop_args` first.
     """
-    if rate <= 0:
-        raise ConfigError(f"open-loop arrival rate must be positive, got {rate}")
-    if duration is None and max_jobs is None:
-        raise ConfigError("open_loop_trace needs duration and/or max_jobs")
-    if duration is not None and duration <= 0:
-        raise ConfigError(f"duration must be positive, got {duration}")
-    if max_jobs is not None and max_jobs < 1:
-        raise ConfigError(f"max_jobs must be >= 1, got {max_jobs}")
-    if start_time < 0:
-        raise ConfigError(f"start_time must be >= 0, got {start_time}")
-    if not schedulers:
-        raise ConfigError("a trace needs at least one scheduler")
     process = process.strip().lower()
-    if process not in ARRIVAL_PROCESSES:
-        raise ConfigError(
-            f"unknown arrival process {process!r}; "
-            f"known: {', '.join(ARRIVAL_PROCESSES)}"
-        )
+    check_open_loop_args(
+        rate=rate,
+        duration=duration,
+        max_jobs=max_jobs,
+        process=process,
+        schedulers=schedulers,
+        start_time=start_time,
+        rate_amplitude=rate_amplitude,
+        rate_period=rate_period,
+        burst_on=burst_on,
+        burst_off=burst_off,
+        burst_ratio=burst_ratio,
+    )
     mix = mix or JobMix()
     arr_rng = random.Random(stream_seed(seed, "arrivals"))
     mod_rng = random.Random(stream_seed(seed, "modulation"))
@@ -565,24 +636,11 @@ def open_loop_trace(
     if process == "poisson":
         times = _poisson_arrivals(arr_rng, rate, start_time, duration, max_jobs)
     elif process == "diurnal":
-        if rate_amplitude < 0 or rate_amplitude > 1:
-            raise ConfigError(
-                f"rate_amplitude must be in [0, 1], got {rate_amplitude}"
-            )
-        if rate_period <= 0:
-            raise ConfigError(f"rate_period must be positive, got {rate_period}")
         times = _diurnal_arrivals(
             arr_rng, mod_rng, rate, rate_amplitude, rate_period,
             start_time, duration, max_jobs,
         )
     else:
-        if burst_on <= 0 or burst_off <= 0:
-            raise ConfigError(
-                f"burst_on/burst_off must be positive, got "
-                f"{burst_on}/{burst_off}"
-            )
-        if burst_ratio < 1:
-            raise ConfigError(f"burst_ratio must be >= 1, got {burst_ratio}")
         times = _bursty_arrivals(
             arr_rng, mod_rng, rate, burst_on, burst_off, burst_ratio,
             start_time, duration, max_jobs,
@@ -612,10 +670,11 @@ def derive_open_loop_rate(
     """
     if not 0 < target_rho < 1:
         raise ConfigError(f"target_rho must be in (0, 1), got {target_rho}")
-    if mean_service_time <= 0:
+    if not 0 < mean_service_time < math.inf:
         raise ConfigError(
-            f"mean service time must be positive, got {mean_service_time}"
+            f"mean service time must be positive and finite, "
+            f"got {mean_service_time}"
         )
-    if slots < 1:
+    if not 1 <= slots < math.inf:
         raise ConfigError(f"slots must be >= 1, got {slots}")
     return target_rho * slots / mean_service_time

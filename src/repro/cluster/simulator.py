@@ -20,7 +20,8 @@ same platform with the same per-job configuration.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+import math
+from collections import deque
 from dataclasses import dataclass, replace
 from collections.abc import Callable, Iterator, Sequence
 
@@ -28,6 +29,7 @@ from ..core.scheduler import SchedulerFactory
 from ..core.splitter import Splitter
 from ..errors import ConfigError, DeadlockError, EventBudgetError
 from ..sim.audit import InvariantViolation
+from ..sim.backends import get_backend, resolve_backend_key
 from ..sim.engine import EventQueue
 from ..sim.faults import FaultSchedule, JobFaultPolicy, fault_substream
 from ..sim.network import CollectiveResult, NetworkSimulator
@@ -36,7 +38,7 @@ from ..topology import Topology
 from ..training.iteration import ComputeStep, TrainingConfig, TrainingLoop, WaitStep
 from ..training.results import IterationBreakdown
 from .fairness import FairnessPolicy, get_fairness
-from .jobs import JobMix, JobSpec
+from .jobs import JobMix, JobSpec, check_unique_names
 from .metrics import ClusterReport, JobOutcome, SteadyStateReport
 from .placement import PlacementPolicy, get_placement
 from .streaming import EpochAccumulator, StreamingStats
@@ -127,27 +129,50 @@ class ClusterConfig:
     backend_options: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.max_concurrent is not None and self.max_concurrent < 1:
+        if self.max_concurrent is not None and not (
+            1 <= self.max_concurrent < math.inf
+        ):
             raise ConfigError(
                 f"max_concurrent must be >= 1, got {self.max_concurrent}"
             )
-        if self.warmup_time < 0:
+        if not 0 <= self.warmup_time < math.inf:
             raise ConfigError(
-                f"warmup_time must be >= 0, got {self.warmup_time}"
+                f"warmup_time must be >= 0 and finite, got {self.warmup_time}"
             )
-        if self.measure_time is not None and self.measure_time <= 0:
+        if self.measure_time is not None and not (
+            0 < self.measure_time < math.inf
+        ):
             raise ConfigError(
-                f"measure_time must be positive, got {self.measure_time}"
+                f"measure_time must be positive and finite, "
+                f"got {self.measure_time}"
             )
         if self.warmup_time > 0 and self.measure_time is None:
             raise ConfigError("warmup_time requires measure_time")
-        if self.outcome_cap is not None and self.outcome_cap < 0:
+        if self.outcome_cap is not None and not 0 <= self.outcome_cap < math.inf:
             raise ConfigError(
                 f"outcome_cap must be >= 0, got {self.outcome_cap}"
             )
-        if self.convergence_epochs < 1:
+        if not 1 <= self.convergence_epochs < math.inf:
             raise ConfigError(
                 f"convergence_epochs must be >= 1, got {self.convergence_epochs}"
+            )
+        backend = get_backend(resolve_backend_key(self.backend))
+        if not backend.supports_cluster:
+            raise ConfigError(
+                f"the {backend.key!r} backend cannot run a shared multi-job "
+                "cluster; use 'analytical', 'fluid', or 'packet'"
+            )
+        fairness = get_fairness(self.fairness)
+        if (
+            fairness is not None
+            and fairness.requires_sharing
+            and not backend.supports_sharing
+        ):
+            raise ConfigError(
+                f"fairness policy {fairness.name!r} needs the network's "
+                "weighted-sharing/preemption hooks, which the "
+                f"{backend.key!r} backend does not provide (FIFO wire); "
+                "use backend='analytical'"
             )
 
 
@@ -457,15 +482,7 @@ class ClusterSimulator:
         a common dict so each solo baseline is simulated once)."""
         if not jobs:
             raise ConfigError("a cluster run needs at least one job")
-        duplicates = sorted(
-            name
-            for name, count in Counter(spec.name for spec in jobs).items()
-            if count > 1
-        )
-        if duplicates:
-            raise ConfigError(
-                f"duplicate job names: {', '.join(duplicates)}"
-            )
+        check_unique_names(spec.name for spec in jobs)
         self.topology = topology
         self.jobs = list(jobs)
         self.config = config or ClusterConfig()
@@ -490,27 +507,8 @@ class ClusterSimulator:
         self._isolated_cache = isolated_cache if isolated_cache is not None else {}
         self.engine = EventQueue()
         self._splitter = Splitter(self.training_config.chunks_per_collective)
-        from ..sim.backends import get_backend, resolve_backend_key
-
         self.backend_name = resolve_backend_key(self.config.backend)
-        backend_impl = get_backend(self.backend_name)
-        if not backend_impl.supports_cluster:
-            raise ConfigError(
-                f"the {self.backend_name!r} backend cannot run a shared "
-                "multi-job cluster; use 'analytical', 'fluid', or 'packet'"
-            )
-        if (
-            self.fairness is not None
-            and self.fairness.requires_sharing
-            and not backend_impl.supports_sharing
-        ):
-            raise ConfigError(
-                f"fairness policy {self.fairness.name!r} needs the "
-                "network's weighted-sharing/preemption hooks, which the "
-                f"{self.backend_name!r} backend does not provide; use "
-                "backend='analytical'"
-            )
-        self.network = backend_impl.build(
+        self.network = get_backend(self.backend_name).build(
             topology,
             scheduler=SchedulerFactory("themis", splitter=self._splitter),
             policy=self.training_config.policy,

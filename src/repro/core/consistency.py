@@ -26,14 +26,66 @@ from typing import TYPE_CHECKING
 from ..errors import ScheduleError
 from ..topology import Topology
 from .chunk import CollectivePlan
+from .scheduler import SchedulerFactory
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..collectives.types import CollectiveRequest
     from ..core.policies import IntraDimPolicy
     from ..sim.executor import FusionConfig
+    from ..sim.network import ExecutionResult
     from .latency_model import LatencyModel
 
 OpKey = tuple[int, int, int]
+
+
+class _Replay:
+    """A scheduler that returns one already-computed plan."""
+
+    def __init__(self, plan: CollectivePlan) -> None:
+        self.name = plan.scheduler_name or "replay"
+        self._plan = plan
+
+    def plan(
+        self,
+        request: "CollectiveRequest",
+        subtopo: Topology,
+        model: "LatencyModel | None" = None,
+        issue_time: float = 0.0,
+    ) -> CollectivePlan:
+        return self._plan
+
+
+class _ReplayFactory(SchedulerFactory):
+    """Scheduler factory that replays an already-computed plan.
+
+    A subclass, never the base type, so the network's plan cache (which
+    caches only plain :class:`SchedulerFactory` plans) never stores it.
+    """
+
+    def __init__(self, plan: CollectivePlan) -> None:
+        super().__init__("baseline")
+        self._plan = plan
+
+    def create(self) -> _Replay:  # type: ignore[override]
+        return _Replay(self._plan)
+
+
+def replay_alone(
+    plan: CollectivePlan,
+    topology: Topology,
+    policy: "IntraDimPolicy | str" = "SCF",
+    fusion: "FusionConfig | None" = None,
+) -> "ExecutionResult":
+    """Run ``plan``'s collective alone on a fresh network simulator."""
+    # Imported here: sim depends on core, so core must not import sim at
+    # module load time.
+    from ..sim.network import NetworkSimulator
+
+    sim = NetworkSimulator(
+        topology, scheduler=_ReplayFactory(plan), policy=policy, fusion=fusion
+    )
+    sim.submit(plan.request, at_time=0.0)
+    return sim.run()
 
 
 def presimulate_intra_dim_orders(
@@ -49,46 +101,9 @@ def presimulate_intra_dim_orders(
     same plan produce the same answer, which is what makes runtime
     enforcement safe (Sec. 4.6.2).
     """
-    # Imported here: sim depends on core, so core must not import sim at
-    # module load time.
-    from ..core.scheduler import SchedulerFactory
-    from ..sim.network import NetworkSimulator
-
     if plan is None:
         raise ScheduleError("cannot pre-simulate an empty plan")
-
-    class _ReplayFactory(SchedulerFactory):
-        """Scheduler factory that replays an already-computed plan."""
-
-        def __init__(self) -> None:  # noqa: D107 - trivial override
-            super().__init__("baseline")
-
-        def create(self):  # type: ignore[override]
-            plan_to_replay = plan
-
-            class _Replay:
-                name = plan_to_replay.scheduler_name or "replay"
-
-                def plan(
-                    self,
-                    request: "CollectiveRequest",
-                    subtopo: Topology,
-                    model: "LatencyModel | None" = None,
-                    issue_time: float = 0.0,
-                ) -> CollectivePlan:
-                    return plan_to_replay
-
-            return _Replay()
-
-    sim = NetworkSimulator(
-        topology,
-        scheduler=_ReplayFactory(),
-        policy=policy,
-        fusion=fusion,
-        enforce_consistency=False,
-    )
-    sim.submit(plan.request, at_time=0.0)
-    result = sim.run()
+    result = replay_alone(plan, topology, policy=policy, fusion=fusion)
 
     orders: dict[int, list[OpKey]] = {}
     ordered = sorted(

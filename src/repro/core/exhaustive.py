@@ -22,6 +22,7 @@ from ..collectives.types import CollectiveRequest
 from ..errors import ScheduleError
 from ..topology import Topology
 from .chunk import CollectivePlan, build_chunk_plan
+from .consistency import replay_alone
 from .latency_model import LatencyModel
 from .scheduler import CollectiveScheduler
 from .splitter import Splitter
@@ -74,8 +75,6 @@ class ExhaustiveScheduler(CollectiveScheduler):
     ) -> tuple[CollectivePlan, float]:
         # Imported lazily: core must stay importable without sim loaded.
         from ..sim.executor import FusionConfig
-        from ..sim.network import NetworkSimulator
-        from .scheduler import SchedulerFactory
 
         plan = CollectivePlan(
             request=request,
@@ -86,36 +85,9 @@ class ExhaustiveScheduler(CollectiveScheduler):
             ),
             scheduler_name=self.name,
         )
-
-        class _Replay(SchedulerFactory):
-            def __init__(self) -> None:
-                super().__init__("baseline")
-
-            def create(self):  # type: ignore[override]
-                outer = plan
-
-                class _Fixed:
-                    name = "Exhaustive"
-
-                    def plan(
-                        self,
-                        _request: CollectiveRequest,
-                        _topo: Topology,
-                        _model: "LatencyModel | None" = None,
-                        issue_time: float = 0.0,
-                    ) -> CollectivePlan:
-                        return outer
-
-                return _Fixed()
-
-        sim = NetworkSimulator(
-            topology,
-            scheduler=_Replay(),
-            policy=self.policy,
-            fusion=FusionConfig(enabled=False),
+        result = replay_alone(
+            plan, topology, policy=self.policy, fusion=FusionConfig(enabled=False)
         )
-        sim.submit(request, at_time=0.0)
-        result = sim.run()
         return plan, result.makespan
 
     # -- CollectiveScheduler interface ---------------------------------------

@@ -233,6 +233,11 @@ class ThemisScheduler(CollectiveScheduler):
         return order, stages, loads
 
 
+#: Scheduler kinds :class:`SchedulerFactory` builds (the unified registry's
+#: ``"scheduler"`` keys and the kinds a cluster job may request).
+SCHEDULER_KINDS: tuple[str, ...] = ("baseline", "themis")
+
+
 class SchedulerFactory:
     """Builds fresh scheduler instances per collective.
 
@@ -249,7 +254,7 @@ class SchedulerFactory:
         overshoot_guard: bool = False,
     ) -> None:
         kind_lower = kind.lower()
-        if kind_lower not in ("themis", "baseline"):
+        if kind_lower not in SCHEDULER_KINDS:
             raise ScheduleError(f"unknown scheduler kind {kind!r}")
         self.kind = kind_lower
         self.splitter = splitter or Splitter()

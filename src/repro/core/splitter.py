@@ -9,6 +9,7 @@ below a packet, which the paper notes hurts goodput (Sec. 6.1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -36,11 +37,11 @@ class Splitter:
     min_chunk_size: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.chunks_per_collective < 1:
+        if not 1 <= self.chunks_per_collective < math.inf:
             raise ConfigError(
                 f"chunks per collective must be >= 1, got {self.chunks_per_collective}"
             )
-        if self.min_chunk_size < 0:
+        if not 0 <= self.min_chunk_size < math.inf:
             raise ConfigError(
                 f"minimum chunk size must be >= 0, got {self.min_chunk_size}"
             )

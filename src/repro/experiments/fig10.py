@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.sweep import PAPER_SCHEDULERS, MicrobenchRecord, run_collective
+from .. import api
+from ..analysis.sweep import MicrobenchRecord
 from ..analysis.tables import format_table, pct
-from ..topology import get_topology
 from ..units import MB
+from .fig8 import SCHEDULER_AXIS, microbench_records
 
 DEFAULT_CHUNK_COUNTS: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256, 512)
 QUICK_CHUNK_COUNTS: tuple[int, ...] = (4, 64, 512)
@@ -82,13 +83,10 @@ class Fig10Result:
 def run_fig10(quick: bool = False, size: float = 100 * MB) -> Fig10Result:
     """Regenerate Fig. 10's chunk-granularity sensitivity sweep."""
     chunk_counts = QUICK_CHUNK_COUNTS if quick else DEFAULT_CHUNK_COUNTS
-    result = Fig10Result()
-    for name in TOPOLOGY_NAMES:
-        topology = get_topology(name)
-        for chunks in chunk_counts:
-            for config in PAPER_SCHEDULERS:
-                record, _ = run_collective(
-                    topology, config, size, chunks=chunks
-                )
-                result.records.append(record)
-    return result
+    axes = {
+        "topology": list(TOPOLOGY_NAMES),
+        "chunks": list(chunk_counts),
+        "scheduler+policy": list(SCHEDULER_AXIS),
+    }
+    result = api.sweep(api.CollectiveScenario(size=size), axes)
+    return Fig10Result(records=microbench_records(result))

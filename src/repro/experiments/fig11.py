@@ -1,6 +1,7 @@
 """Fig. 11 reproduction: average BW utilization vs All-Reduce size.
 
-Same sweep as Fig. 8, reported as the paper's average BW utilization.
+Fig. 8's sweep, reported as the paper's average BW utilization (the
+records of one :func:`~repro.experiments.fig8.run_fig8` grid).
 Headline: averaged over all topologies and sizes, baseline reaches 56.31%,
 Themis+FIFO 87.67%, and Themis+SCF 95.14%.
 """
@@ -9,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.sweep import PAPER_SCHEDULERS, MicrobenchRecord, sweep
+from ..analysis.sweep import MicrobenchRecord
 from ..analysis.tables import format_table, pct
-from ..topology import paper_topologies
 from ..units import MB
-from .fig8 import DEFAULT_SIZES, QUICK_SIZES
+from .fig8 import run_fig8
 
 
 @dataclass
@@ -61,6 +61,4 @@ class Fig11Result:
 
 def run_fig11(quick: bool = False, chunks: int = 64) -> Fig11Result:
     """Regenerate Fig. 11 over the six Table 2 topologies."""
-    sizes = list(QUICK_SIZES if quick else DEFAULT_SIZES)
-    records = sweep(paper_topologies(), sizes, PAPER_SCHEDULERS, chunks=chunks)
-    return Fig11Result(records=records)
+    return Fig11Result(records=run_fig8(quick=quick, chunks=chunks).records)

@@ -103,11 +103,9 @@ def fig8_sweep(
     return base, axes
 
 
-def run_fig8(quick: bool = False, chunks: int = 64) -> Fig8Result:
-    """Regenerate Fig. 8 over the six Table 2 topologies."""
-    base, axes = fig8_sweep(quick=quick, chunks=chunks)
-    result = api.sweep(base, axes)
-    records = [
+def microbench_records(result: api.SweepResult) -> list[MicrobenchRecord]:
+    """One :class:`MicrobenchRecord` per point of a collective sweep."""
+    return [
         MicrobenchRecord(
             topology_name=point.report.payload["topology"],
             scheduler=point.report.payload["scheduler_label"],
@@ -120,4 +118,9 @@ def run_fig8(quick: bool = False, chunks: int = 64) -> Fig8Result:
         )
         for point in result
     ]
-    return Fig8Result(records=records)
+
+
+def run_fig8(quick: bool = False, chunks: int = 64) -> Fig8Result:
+    """Regenerate Fig. 8 over the six Table 2 topologies."""
+    base, axes = fig8_sweep(quick=quick, chunks=chunks)
+    return Fig8Result(records=microbench_records(api.sweep(base, axes)))

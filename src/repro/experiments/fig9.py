@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.sweep import PAPER_SCHEDULERS, run_collective
+from .. import api
 from ..analysis.tables import format_table, pct, us
 from ..sim.stats import dimension_activity_rates, mean_activity_rate
 from ..topology import get_topology
 from ..units import GB, US
+from .fig8 import SCHEDULER_AXIS
 
+TOPOLOGY_NAME = "3D-SW_SW_SW_homo"
 ACTIVITY_WINDOW = 100 * US
 
 
@@ -49,15 +51,17 @@ class Fig9Result:
 
 def run_fig9(size: float = GB, chunks: int = 64) -> Fig9Result:
     """Regenerate Fig. 9's activity-rate comparison."""
-    topology = get_topology("3D-SW_SW_SW_homo")
+    ndims = get_topology(TOPOLOGY_NAME).ndims
+    base = api.CollectiveScenario(topology=TOPOLOGY_NAME, size=size, chunks=chunks)
     result = Fig9Result()
-    for config in PAPER_SCHEDULERS:
-        _, execution = run_collective(topology, config, size, chunks=chunks)
-        result.makespans[config.label] = execution.makespan
-        result.mean_rates[config.label] = [
-            mean_activity_rate(execution, dim) for dim in range(topology.ndims)
+    for point in api.sweep(base, {"scheduler+policy": list(SCHEDULER_AXIS)}):
+        label = point.report.payload["scheduler_label"]
+        execution = point.report.detail
+        result.makespans[label] = execution.makespan
+        result.mean_rates[label] = [
+            mean_activity_rate(execution, dim) for dim in range(ndims)
         ]
-        result.series[config.label] = dimension_activity_rates(
+        result.series[label] = dimension_activity_rates(
             execution, ACTIVITY_WINDOW
         )
     return result

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.tables import format_table, pct, ratio
+from ..analysis.tables import format_table, pct
 from .fig8 import run_fig8
-from .fig11 import run_fig11
+from .fig11 import Fig11Result
 from .fig12 import run_fig12
 
 #: The abstract's numbers, for paper-vs-measured tables.
@@ -75,7 +75,7 @@ class HeadlineResult:
 def run_headline(quick: bool = True) -> HeadlineResult:
     """Measure every abstract headline (quick mode trims sweep points)."""
     fig8 = run_fig8(quick=quick)
-    fig11 = run_fig11(quick=quick)
+    fig11 = Fig11Result(records=fig8.records)  # Fig. 11 reports Fig. 8's grid
     fig12 = run_fig12(quick=quick)
     result = HeadlineResult(
         ar_speedup_mean=fig8.mean_speedup("Themis+SCF"),

@@ -342,9 +342,8 @@ class InvariantAuditor:
                 context={"remaining": running.remaining},
             )
         stats = channel.stats
-        slack = _CONSERVATION_RTOL * max(1.0, abs(stats.busy_seconds))
+        slack = _CONSERVATION_RTOL * max(1.0, abs(stats.transfer_seconds))
         for name, value in (
-            ("busy_seconds", stats.busy_seconds),
             ("transfer_seconds", stats.transfer_seconds),
             ("fixed_seconds", stats.fixed_seconds),
             ("bytes_sent", stats.bytes_sent),

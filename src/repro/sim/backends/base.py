@@ -116,13 +116,15 @@ def options_from_dict(
             f"unknown {backend} backend option(s): {hints}; "
             f"known: {', '.join(known)}"
         )
-    return options_type(
-        **{
+    try:
+        values = {
             field.name: type(field.default)(data[field.name])
             for field in fields
             if field.name in data
         }
-    )
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ConfigError(f"bad {backend} backend option: {error}") from None
+    return options_type(**values)
 
 
 _BACKENDS: dict[str, NetworkBackend] = {}
@@ -170,10 +172,14 @@ def resolve_backend_key(
     """The effective backend key for a scenario/config.
 
     ``ideal_network=True`` (the pre-backend spelling) is an alias for
-    ``backend="ideal"``; an explicit conflicting ``backend`` is rejected
-    at spec validation, so here the flag simply wins when ``backend`` is
-    unset.
+    ``backend="ideal"``; combined with any other explicit ``backend`` it
+    is a conflict and raises :class:`ConfigError`.
     """
+    if ideal_network and backend not in (None, "ideal"):
+        raise ConfigError(
+            f"ideal_network=True conflicts with backend={backend!r}; "
+            "ideal_network is an alias for backend='ideal'"
+        )
     if backend is not None:
         return backend.lower()
     return "ideal" if ideal_network else DEFAULT_BACKEND

@@ -106,20 +106,21 @@ class PacketOptions:
     max_packets_per_op: int = 256
 
     def __post_init__(self) -> None:
-        if self.mtu_bytes <= 0:
+        if not 0 < self.mtu_bytes < math.inf:
             raise ConfigError(
-                f"mtu_bytes must be positive, got {self.mtu_bytes}"
+                f"mtu_bytes must be positive and finite, got {self.mtu_bytes}"
             )
-        if self.header_bytes < 0:
+        if not 0 <= self.header_bytes < math.inf:
             raise ConfigError(
-                f"header_bytes must be non-negative, got {self.header_bytes}"
+                f"header_bytes must be non-negative and finite, "
+                f"got {self.header_bytes}"
             )
         if self.routing not in ROUTING_MODES:
             raise ConfigError(
                 f"unknown routing mode {self.routing!r}; "
                 f"known: {', '.join(ROUTING_MODES)}"
             )
-        if self.max_packets_per_op < 1:
+        if not 1 <= self.max_packets_per_op < math.inf:
             raise ConfigError(
                 "max_packets_per_op must be >= 1, got "
                 f"{self.max_packets_per_op}"

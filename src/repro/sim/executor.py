@@ -177,7 +177,6 @@ class OpState:
 class ChannelStats:
     """Aggregated per-dimension statistics (feeds utilization and Fig. 9)."""
 
-    busy_seconds: float = 0.0
     transfer_seconds: float = 0.0
     fixed_seconds: float = 0.0
     bytes_sent: float = 0.0
@@ -693,7 +692,6 @@ class DimensionChannel:
         )
         self.busy = True
         self._running = running
-        self.stats.busy_seconds += remaining
         self.stats.transfer_seconds += remaining
         self.stats.fixed_seconds += running.fixed
         self.stats.bytes_sent += running.bytes_total * frac
@@ -730,7 +728,6 @@ class DimensionChannel:
         self.engine.cancel(running.complete_handle)
         self.engine.cancel(running.release_handle)
         frac = remaining / running.transfer_total
-        self.stats.busy_seconds -= remaining
         self.stats.transfer_seconds -= remaining
         self.stats.fixed_seconds -= running.fixed
         self.stats.bytes_sent -= running.bytes_total * frac
@@ -801,7 +798,6 @@ class DimensionChannel:
 
     def _start_flow(self, batch: list[OpState]) -> None:
         fixed, transfer = self._begin_batch(batch)
-        self.stats.busy_seconds += transfer
         self.stats.transfer_seconds += transfer
         self.stats.fixed_seconds += fixed
         self.stats.bytes_sent += ordered_sum(op.bytes_sent for op in batch)

@@ -34,6 +34,7 @@ restore after a full failure cannot resurrect precision noise).
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 
@@ -76,6 +77,20 @@ def fault_substream(seed: int, label: str) -> random.Random:
     return random.Random(stream_seed(seed, label))
 
 
+def _check_dims(dims: "tuple[int, ...] | list[int]") -> None:
+    for dim in dims:
+        if not 0 <= dim < math.inf:
+            raise ConfigError(f"fault dim_index must be >= 0, got {dim}")
+
+
+def _check_factor(factor: float) -> None:
+    if not 0.0 <= factor <= 1.0:
+        raise ConfigError(
+            "fault factor must be in [0, 1] (a degraded link cannot "
+            f"exceed nominal capacity), got {factor}"
+        )
+
+
 @dataclass(frozen=True)
 class LinkFault:
     """One capacity event: dimension ``dim_index`` runs at ``factor`` from
@@ -89,20 +104,15 @@ class LinkFault:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.dim_index < 0:
+        _check_dims((self.dim_index,))
+        if not 0.0 <= self.start < math.inf:
             raise ConfigError(
-                f"fault dim_index must be >= 0, got {self.dim_index}"
+                f"fault start must be >= 0 and finite, got {self.start}"
             )
-        if not self.start >= 0.0:
-            raise ConfigError(f"fault start must be >= 0, got {self.start}")
-        if not 0.0 <= self.factor <= 1.0:
+        _check_factor(self.factor)
+        if self.duration is not None and not 0.0 < self.duration < math.inf:
             raise ConfigError(
-                "fault factor must be in [0, 1] (a degraded link cannot "
-                f"exceed nominal capacity), got {self.factor}"
-            )
-        if self.duration is not None and not self.duration > 0.0:
-            raise ConfigError(
-                f"fault duration must be positive (or None), got "
+                f"fault duration must be positive and finite (or None), got "
                 f"{self.duration}"
             )
         if self.factor < MIN_CAPACITY_FACTOR and self.factor != 0.0:
@@ -185,12 +195,14 @@ class FaultSchedule:
         ``flap:dim{d}``), so the flap pattern on one dimension is
         unaffected by which other dimensions flap.
         """
-        if count < 0:
+        _check_dims(dims)
+        _check_factor(factor)
+        if not 0 <= count < math.inf:
             raise ConfigError(f"flap count must be >= 0, got {count}")
-        if mean_interval <= 0 or mean_duration <= 0:
+        if not (0 < mean_interval < math.inf and 0 < mean_duration < math.inf):
             raise ConfigError(
-                "flap mean_interval and mean_duration must be positive, got "
-                f"{mean_interval} / {mean_duration}"
+                "flap mean_interval and mean_duration must be positive and "
+                f"finite, got {mean_interval} / {mean_duration}"
             )
         events: list[LinkFault] = []
         for dim in dims:
@@ -224,6 +236,8 @@ class FaultSchedule:
         """Persistent stragglers: each dimension in ``dims`` independently
         becomes (with ``probability``, substream ``straggler:dim{d}``) a
         permanently degraded link at ``factor`` from ``start`` on."""
+        _check_dims(dims)
+        _check_factor(factor)
         if not 0.0 <= probability <= 1.0:
             raise ConfigError(
                 f"straggler probability must be in [0, 1], got {probability}"
@@ -270,37 +284,40 @@ class JobFaultPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.crash_rate > 0.0:
+        if not 0.0 < self.crash_rate < math.inf:
             raise ConfigError(
-                f"crash_rate must be positive, got {self.crash_rate}"
+                f"crash_rate must be positive and finite, got {self.crash_rate}"
             )
-        if self.max_retries < 0:
+        if not 0 <= self.max_retries < math.inf:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if not self.backoff_base > 0.0:
+        if not 0.0 < self.backoff_base < math.inf:
             raise ConfigError(
-                f"backoff_base must be positive, got {self.backoff_base}"
+                f"backoff_base must be positive and finite, "
+                f"got {self.backoff_base}"
             )
-        if not self.backoff_factor >= 1.0:
+        if not 1.0 <= self.backoff_factor < math.inf:
             raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
+                f"backoff_factor must be >= 1 and finite, "
+                f"got {self.backoff_factor}"
             )
-        if not 0.0 <= self.backoff_jitter:
+        if not 0.0 <= self.backoff_jitter < math.inf:
             raise ConfigError(
-                f"backoff_jitter must be >= 0, got {self.backoff_jitter}"
+                f"backoff_jitter must be >= 0 and finite, "
+                f"got {self.backoff_jitter}"
             )
-        if (
-            self.checkpoint_iterations is not None
-            and self.checkpoint_iterations < 1
+        if self.checkpoint_iterations is not None and not (
+            1 <= self.checkpoint_iterations < math.inf
         ):
             raise ConfigError(
                 "checkpoint_iterations must be >= 1 (or None), got "
                 f"{self.checkpoint_iterations}"
             )
-        if self.restart_overhead < 0.0:
+        if not 0.0 <= self.restart_overhead < math.inf:
             raise ConfigError(
-                f"restart_overhead must be >= 0, got {self.restart_overhead}"
+                f"restart_overhead must be >= 0 and finite, "
+                f"got {self.restart_overhead}"
             )
 
     def retry_delay(self, retry_number: int, rng: random.Random) -> float:

@@ -803,9 +803,10 @@ class NetworkSimulator(NetworkBookkeeping):
         zero once the engine is quiescent.
         """
         channels = self.channels
+        transfer = [c.stats.transfer_seconds for c in channels]
         return (
-            [c.stats.transfer_seconds for c in channels],
-            [c.stats.busy_seconds for c in channels],
+            transfer,
+            list(transfer),  # a channel's wire is busy exactly while it transfers
             [c.stats.bytes_sent for c in channels],
             [c.snapshot_activity() for c in channels],
         )

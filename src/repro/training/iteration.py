@@ -28,12 +28,14 @@ loops event-by-event on one shared engine and network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator
 
 from ..collectives.types import CollectiveRequest, CollectiveType
 from ..core.scheduler import SchedulerFactory
-from ..errors import ConfigError, SimulationError, WorkloadError
+from ..core.splitter import Splitter
+from ..errors import SimulationError, WorkloadError
 from ..sim.backends import get_backend, resolve_backend_key
 from ..sim.backends.ideal import IdealNetwork
 from ..sim.backends.packet import PacketNetwork
@@ -89,12 +91,16 @@ class TrainingConfig:
     mp_priority: int = 1
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
+        if not 1 <= self.iterations < math.inf:
             raise WorkloadError(f"need >= 1 iterations, got {self.iterations}")
-        if self.dp_bucket_bytes is not None and self.dp_bucket_bytes <= 0:
+        if self.dp_bucket_bytes is not None and not (
+            0 < self.dp_bucket_bytes < math.inf
+        ):
             raise WorkloadError(
-                f"bucket bytes must be positive, got {self.dp_bucket_bytes}"
+                f"bucket bytes must be positive and finite, "
+                f"got {self.dp_bucket_bytes}"
             )
+        Splitter(self.chunks_per_collective)  # checks the chunk count
 
 
 @dataclass(frozen=True)
@@ -375,18 +381,11 @@ class TrainingSimulator:
         self.topology = topology
         self.config = config or TrainingConfig()
         self.engine = EventQueue()
-        if ideal_network and backend not in (None, "ideal"):
-            raise ConfigError(
-                f"ideal_network=True conflicts with backend={backend!r}; "
-                "ideal_network is an alias for backend='ideal'"
-            )
         self.backend_name = resolve_backend_key(
             backend, ideal_network=ideal_network
         )
         impl = get_backend(self.backend_name)
         if isinstance(scheduler, str):
-            from ..core.splitter import Splitter
-
             scheduler = SchedulerFactory(
                 scheduler,
                 splitter=Splitter(self.config.chunks_per_collective),

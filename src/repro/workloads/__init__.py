@@ -1,5 +1,6 @@
 """DNN workload models (paper Sec. 5.2) and the workload registry."""
 
+import inspect
 from collections.abc import Callable
 
 from .base import Workload
@@ -50,7 +51,8 @@ def get_workload(name: str, **kwargs) -> Workload:
 
     ``kwargs`` are forwarded to the factory (e.g.
     ``get_workload("transformer-1t", num_layers=8)`` or
-    ``get_workload("flood", layers=1, param_mb=64)``).
+    ``get_workload("flood", layers=1, param_mb=64)``); ones the factory
+    does not take raise :class:`WorkloadError`.
     """
     from ..errors import WorkloadError
 
@@ -58,7 +60,12 @@ def get_workload(name: str, **kwargs) -> Workload:
     if key not in _FACTORIES:
         known = ", ".join(workload_names())
         raise WorkloadError(f"unknown workload {name!r}; known: {known}")
-    return _FACTORIES[key](**kwargs)
+    factory = _FACTORIES[key]
+    try:
+        inspect.signature(factory).bind(**kwargs)
+    except TypeError as error:
+        raise WorkloadError(f"workload {name!r}: {error}") from None
+    return factory(**kwargs)
 
 
 def workload_names() -> tuple[str, ...]:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.analysis import (
-    PAPER_SCHEDULERS,
     ProvisioningVerdict,
-    SchedulerConfig,
     assess,
     classify_pair,
     classify_topology,
@@ -17,11 +16,11 @@ from repro.analysis import (
     ms,
     pct,
     ratio,
-    run_collective,
-    sweep,
     us,
 )
-from repro.topology import Topology, dimension, get_topology
+from repro.api.runner import scheduler_label
+from repro.experiments.fig8 import SCHEDULER_AXIS, microbench_records
+from repro.topology import Topology, dimension, get_topology, topology_to_dict
 from repro.units import MB
 
 
@@ -107,26 +106,37 @@ class TestMaxDrivableUtilization:
 
 
 class TestSweepHarness:
+    """The microbenchmark records the Fig. 8-11 sweeps produce."""
+
     def test_scheduler_labels(self):
-        assert SchedulerConfig("baseline", "FIFO").label == "Baseline"
-        assert SchedulerConfig("themis", "scf").label == "Themis+SCF"
-        assert [c.label for c in PAPER_SCHEDULERS] == [
+        assert scheduler_label("baseline", "FIFO") == "Baseline"
+        assert scheduler_label("themis", "scf") == "Themis+SCF"
+        assert [scheduler_label(*pair) for pair in SCHEDULER_AXIS] == [
             "Baseline",
             "Themis+FIFO",
             "Themis+SCF",
         ]
 
     def test_run_collective_record(self, small_2d):
-        record, result = run_collective(
-            small_2d, SchedulerConfig("themis", "SCF"), 8 * MB, chunks=4
+        base = api.CollectiveScenario(
+            topology=topology_to_dict(small_2d), size=8 * MB, chunks=4
         )
-        assert record.comm_time == pytest.approx(result.makespan)
+        result = api.sweep(base, {"scheduler+policy": [("themis", "SCF")]})
+        [record] = microbench_records(result)
+        execution = result.points[0].report.detail
+        assert record.scheduler == "Themis+SCF"
+        assert record.comm_time == pytest.approx(execution.makespan)
         assert 0 < record.utilization <= 1
         assert record.ideal_time <= record.comm_time * (1 + 1e-9)
         assert record.speedup_potential >= 1.0 - 1e-9
 
     def test_sweep_cartesian_size(self, small_2d, asymmetric_3d):
-        records = sweep([small_2d, asymmetric_3d], [8 * MB, 16 * MB], chunks=4)
+        axes = {
+            "topology": [topology_to_dict(small_2d), topology_to_dict(asymmetric_3d)],
+            "size": [8 * MB, 16 * MB],
+            "scheduler+policy": list(SCHEDULER_AXIS),
+        }
+        records = microbench_records(api.sweep(api.CollectiveScenario(chunks=4), axes))
         assert len(records) == 2 * 2 * 3
 
     def test_geometric_mean(self):

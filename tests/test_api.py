@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import copy
 import glob
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
 from repro import api
-from repro.analysis.sweep import SchedulerConfig, run_collective
 from repro.cluster import WeightedSharing
+from repro.collectives import CollectiveRequest, CollectiveType
+from repro.core import SchedulerFactory, Splitter
+from repro.core.ideal import IdealEstimator
 from repro.errors import ConfigError, SpecError, WorkloadError
 from repro.sim import NetworkSimulator
+from repro.sim.stats import bw_utilization
 from repro.topology import Topology, dimension, get_topology, topology_to_dict
 from repro.training.iteration import TrainingConfig, simulate_training
 from repro.units import MB
@@ -104,15 +109,18 @@ def random_collective(rng: random.Random) -> api.CollectiveScenario:
 
 def random_training(rng: random.Random) -> api.TrainingScenario:
     inline = rng.random() < 0.3
+    workload = (
+        workload_to_dict(flood(rng.randint(1, 4), rng.uniform(0.5, 8)))
+        if inline
+        else rng.choice(("dlrm", "resnet-152", "gnmt", "flood"))
+    )
     return api.TrainingScenario(
-        workload=(
-            workload_to_dict(flood(rng.randint(1, 4), rng.uniform(0.5, 8)))
-            if inline
-            else rng.choice(("dlrm", "resnet-152", "gnmt", "flood"))
-        ),
+        workload=workload,
+        # only flood's factory takes these arguments
         workload_args=(
-            {} if inline or rng.random() < 0.5
-            else {"layers": rng.randint(1, 3), "param_mb": rng.uniform(1, 4)}
+            {"layers": rng.randint(1, 3), "param_mb": rng.uniform(1, 4)}
+            if workload == "flood" and rng.random() < 0.5
+            else {}
         ),
         topology=rng.choice(("2D-SW_SW", TINY)),
         scheduler=rng.choice(SCHEDULERS),
@@ -126,11 +134,15 @@ def random_training(rng: random.Random) -> api.TrainingScenario:
 
 
 def random_job(rng: random.Random, index: int) -> api.ScenarioJob:
+    workload = rng.choice(("dlrm", "flood"))
     return api.ScenarioJob(
         name=f"job{index}",
-        workload=rng.choice(("dlrm", "flood")),
+        workload=workload,
+        # only flood's factory takes this argument
         workload_args=(
-            {"layers": rng.randint(1, 3)} if rng.random() < 0.5 else {}
+            {"layers": rng.randint(1, 3)}
+            if workload == "flood" and rng.random() < 0.5
+            else {}
         ),
         arrival_time=rng.uniform(0, 1e-3),
         scheduler=rng.choice(SCHEDULERS),
@@ -476,6 +488,200 @@ class TestOpenLoopSpec:
         assert jobs and all(j.arrival_time >= 0.0 for j in jobs)
 
 
+# --- load-time rejection ----------------------------------------------------
+NAN = float("nan")
+LINK_ON_DIM_5 = {"links": [{"dim_index": 5, "start": 0.0, "factor": 0.5}]}
+
+
+class TestLoadTimeValidation:
+    """Inputs a run would reject are rejected when the spec is built."""
+
+    def test_target_rho_above_one(self):
+        with pytest.raises(SpecError, match=r"target_rho must be in \(0, 1\)"):
+            api.OpenLoopTrace(target_rho=1.5, calibration_slots=1)
+
+    def test_unknown_workload_args(self):
+        with pytest.raises(SpecError, match="bogus"):
+            api.ScenarioJob(name="a", workload="flood", workload_args={"bogus": 1})
+        with pytest.raises(SpecError, match="bogus"):
+            api.TrainingScenario(workload="flood", workload_args={"bogus": 1})
+
+    def test_nan_job_fields_and_size(self):
+        with pytest.raises(SpecError, match="arrival time"):
+            api.ScenarioJob(name="a", arrival_time=NAN)
+        with pytest.raises(SpecError, match="weight"):
+            api.ScenarioJob(name="a", weight=NAN)
+        with pytest.raises(SpecError, match="size"):
+            api.CollectiveScenario(size=NAN)
+
+    def test_dimensions_checked_against_the_topology(self):
+        jobs = (api.ScenarioJob(name="a"),)
+        with pytest.raises(SpecError, match="dimension 5"):
+            api.ClusterScenario(topology="2D-SW_SW", jobs=jobs, faults=LINK_ON_DIM_5)
+        with pytest.raises(SpecError, match="dimension 5"):
+            api.TrainingScenario(topology="2D-SW_SW", faults=LINK_ON_DIM_5)
+        with pytest.raises(SpecError, match="dimension 3"):
+            api.ClusterScenario(
+                topology="2D-SW_SW", jobs=jobs, faults={"flap_dims": [3]}
+            )
+        with pytest.raises(SpecError, match="index 7 out of range"):
+            api.ClusterScenario(
+                topology="2D-SW_SW",
+                jobs=(api.ScenarioJob(name="a", dim_indices=(7,)),),
+            )
+        # the same slice fits a 3D platform
+        api.ClusterScenario(
+            topology="3D-SW_SW_SW_homo",
+            jobs=(api.ScenarioJob(name="a", dim_indices=(2,)),),
+        )
+
+    def test_fault_knobs_checked_without_dimensions(self):
+        with pytest.raises(SpecError, match="factor"):
+            api.FaultSpec(flap_factor=2.0)
+        with pytest.raises(SpecError, match="probability"):
+            api.FaultSpec(straggler_probability=1.5)
+
+    def test_run_check_fails_cleanly(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.json"
+        spec = api.TrainingScenario(workload="flood").to_dict()
+        spec["workload_args"] = {"bogus": 1}
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(path), "--check"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bogus" in err
+        assert "Traceback" not in err
+
+
+#: One valid spec per mode and population, with every nested numeric
+#: section present (mix, faults, fairness weights, backend options).
+FUZZ_BASES = {
+    "collective": lambda: api.CollectiveScenario(
+        topology="2D-SW_SW", size=64 * MB, chunks=8, max_events=1000
+    ),
+    "training": lambda: api.TrainingScenario(
+        workload="dlrm",
+        topology="2D-SW_SW",
+        iterations=2,
+        dp_bucket_bytes=64 * MB,
+        chunks=8,
+        faults={
+            "links": [
+                {"dim_index": 0, "start": 1e-3, "factor": 0.5, "duration": 1e-3}
+            ],
+            "flap_dims": [1],
+            "straggler_dims": [0],
+        },
+    ),
+    "training-packet": lambda: api.TrainingScenario(
+        workload="dlrm",
+        topology="2D-SW_SW",
+        backend="packet",
+        backend_options={
+            "mtu_bytes": 4096.0, "header_bytes": 64.0, "max_packets_per_op": 64,
+        },
+    ),
+    "cluster-jobs": lambda: api.ClusterScenario(
+        topology="2D-SW_SW",
+        jobs=(
+            api.ScenarioJob(
+                name="a", workload="flood", iterations=2, dim_indices=(0, 1),
+                weight=2.0,
+            ),
+            api.ScenarioJob(name="b", arrival_time=1e-4),
+        ),
+        fairness="weighted",
+        fairness_weights={"a": 2.0},
+        fairness_weights_by_dim={"b": {0: 3.0}},
+        chunks=8,
+        dp_bucket_bytes=64 * MB,
+        max_events=1000,
+        max_concurrent=2,
+        warmup_time=0.01,
+        measure_time=0.05,
+        outcome_cap=10,
+        convergence_epochs=4,
+        faults={
+            "links": [{"dim_index": 1, "start": 0.0, "factor": 0.5}],
+            "flap_dims": [0],
+            "straggler_dims": [1],
+            "crash_rate": 5.0,
+            "checkpoint_iterations": 1,
+            "restart_overhead": 1e-4,
+        },
+    ),
+    "cluster-trace": lambda: api.ClusterScenario(
+        topology="2D-SW_SW",
+        trace=api.PoissonTrace(
+            workloads=("dlrm",), interarrival=1e-3, iterations=2, jobs=3
+        ),
+    ),
+    "cluster-open-loop": lambda: api.ClusterScenario(
+        topology="2D-SW_SW",
+        open_loop=api.OpenLoopTrace(
+            rate=100.0,
+            duration=0.05,
+            max_jobs=20,
+            process="bursty",
+            start_time=0.01,
+            mix={"elephant_fraction": 0.2, "size_alpha": 1.5},
+        ),
+        backend="fluid",
+        backend_options={"tolerance": 0.1},
+    ),
+    "cluster-target-rho": lambda: api.ClusterScenario(
+        topology="2D-SW_SW",
+        open_loop=api.OpenLoopTrace(target_rho=0.5, calibration_slots=2),
+        max_concurrent=2,
+    ),
+    "provisioning": lambda: api.ProvisioningScenario(tolerance=0.05),
+}
+#: Knobs any value of which is valid (seeds, priorities), and the crash
+#: knobs of a fault spec without ``crash_rate``: they describe no runtime
+#: object then, and a training spec may not set a crash rate at all.
+FUZZ_EXEMPT = {"seed", "priority", "schema"}
+CRASH_KNOBS = {
+    "max_retries", "backoff_base", "backoff_factor", "backoff_jitter",
+    "checkpoint_iterations", "restart_overhead",
+}
+
+
+def numeric_paths(data, path=()):
+    """Paths to every int/float leaf of a spec dict (bools excluded)."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        if key in FUZZ_EXEMPT or (key in CRASH_KNOBS and data["crash_rate"] is None):
+            continue
+        if isinstance(value, (dict, list)):
+            yield from numeric_paths(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+class TestNonFiniteFuzz:
+    @pytest.mark.parametrize("base", sorted(FUZZ_BASES))
+    def test_every_numeric_field_rejects_nan_inf_and_negative(self, base):
+        data = FUZZ_BASES[base]().to_dict()
+        assert api.spec_from_dict(data).to_dict() == data  # the base is valid
+        paths = list(numeric_paths(data))
+        assert paths
+        accepted = []
+        for path in paths:
+            for bad in (NAN, math.inf, -math.inf, -1):
+                mutated = copy.deepcopy(data)
+                target = mutated
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = bad
+                try:
+                    api.spec_from_dict(mutated)
+                except SpecError:
+                    continue
+                accepted.append((".".join(map(str, path)), bad))
+        assert not accepted, f"{base}: accepted {accepted}"
+
+
 # --- the runner --------------------------------------------------------------
 FAST = dict(chunks=4)
 
@@ -484,17 +690,22 @@ class TestRun:
     def test_collective_matches_legacy_path(self):
         spec = api.CollectiveScenario(size=32 * MB, chunks=8)
         report = api.run(spec)
-        legacy, _ = run_collective(
-            get_topology(spec.topology), SchedulerConfig("themis", "SCF"),
-            spec.size, chunks=8,
+        topology = get_topology(spec.topology)
+        sim = NetworkSimulator(
+            topology,
+            SchedulerFactory("themis", splitter=Splitter(8)),
+            policy="SCF",
         )
-        assert report.makespan == pytest.approx(legacy.comm_time, rel=1e-12)
+        sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, spec.size))
+        legacy = sim.run()
+        assert report.makespan == pytest.approx(legacy.makespan, rel=1e-12)
         assert report.avg_utilization == pytest.approx(
-            legacy.utilization, rel=1e-12
+            bw_utilization(legacy).average, rel=1e-12
         )
-        assert report.payload["ideal_time"] == pytest.approx(
-            legacy.ideal_time, rel=1e-12
+        ideal = IdealEstimator().collective_time(
+            CollectiveType.ALL_REDUCE, spec.size, topology
         )
+        assert report.payload["ideal_time"] == pytest.approx(ideal, rel=1e-12)
         assert report.mode == "collective" and report.events > 0
 
     def test_training_matches_legacy_path(self):

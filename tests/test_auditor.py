@@ -319,13 +319,13 @@ class TestChannelInvariants:
     def test_over_debited_stats_trip(self):
         sim = _finished_sim()
         channel = sim.channels[0]
-        channel.stats.busy_seconds = -1.0
+        channel.stats.transfer_seconds = -1.0
         running = SimpleNamespace(remaining=1.0)
         with pytest.raises(InvariantViolation) as excinfo:
             sim.auditor.on_preempt(channel, running)
         error = _violation(excinfo)
         assert error.invariant == "preemption-balance"
-        assert "busy_seconds" in str(error)
+        assert "transfer_seconds" in str(error)
 
     @pytest.mark.parametrize(
         "flows, detail",

@@ -118,9 +118,13 @@ class TestBackendRegistry:
         assert resolve_backend_key("ideal", ideal_network=True) == "ideal"
 
     def test_resolve_key_explicit_backend_wins(self):
-        # the conflicting combination is rejected at spec validation;
-        # the low-level resolver just honors an explicit key
-        assert resolve_backend_key("packet", ideal_network=True) == "packet"
+        # an explicit key wins over the default, but the ideal_network alias
+        # combined with a different explicit key is a conflict, rejected by
+        # the resolver itself (specs and TrainingSimulator share it)
+        assert resolve_backend_key("packet") == "packet"
+        assert resolve_backend_key("ideal", ideal_network=True) == "ideal"
+        with pytest.raises(ConfigError, match="ideal_network is an alias"):
+            resolve_backend_key("packet", ideal_network=True)
 
     def test_capability_flags(self):
         analytical = get_backend("analytical")

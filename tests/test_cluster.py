@@ -57,6 +57,15 @@ class TestJobSpec:
         with pytest.raises(ConfigError):
             JobSpec(name="j", workload="dlrm", scheduler="magic")
 
+    def test_non_finite_values_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ConfigError, match="arrival time"):
+            JobSpec(name="j", workload="dlrm", arrival_time=nan)
+        with pytest.raises(ConfigError, match="weight"):
+            JobSpec(name="j", workload="dlrm", weight=float("inf"))
+        with pytest.raises(ConfigError, match="interarrival"):
+            poisson_trace(["dlrm"], nan)
+
     def test_resolve_workload_by_name(self):
         spec = JobSpec(name="j", workload="dlrm")
         assert spec.resolve_workload().name == "DLRM"
@@ -251,6 +260,15 @@ class TestClusterSimulator:
                     JobSpec(name="same", workload=tiny_workload()),
                 ],
             )
+
+    def test_config_checks_backend_capabilities(self):
+        with pytest.raises(ConfigError, match="cannot run a shared"):
+            ClusterConfig(backend="ideal")
+        with pytest.raises(ConfigError, match="weighted-sharing"):
+            ClusterConfig(backend="packet", fairness="ftf")
+        with pytest.raises(ConfigError, match="warmup_time"):
+            ClusterConfig(warmup_time=float("nan"), measure_time=1.0)
+        ClusterConfig(backend="packet", fairness="fifo")
 
     def test_isolated_jct_matches_solo_run(self):
         topology = tiny_topology()

@@ -140,6 +140,14 @@ class TestFairnessRegistry:
         with pytest.raises(ConfigError, match="weight"):
             JobSpec(name="j", workload="dlrm", weight=0.0)
 
+    def test_weighted_sharing_checks_weights_at_construction(self):
+        with pytest.raises(ConfigError, match="weights"):
+            WeightedSharing(weights={"a": float("nan")})
+        with pytest.raises(ConfigError, match="weights"):
+            WeightedSharing(weights_by_dim={"a": {0: float("inf")}})
+        with pytest.raises(ConfigError):
+            FinishTimeFairness(exponent=float("inf"))
+
     def test_every_policy_describes_itself(self):
         for name in fairness_names():
             policy = get_fairness(name)

@@ -111,6 +111,26 @@ class TestLinkFault:
             schedule.restricted_to(3)
         assert schedule.restricted_to(4) is schedule
 
+    def test_generators_check_knobs_before_drawing(self):
+        # no dimensions means nothing is drawn; the knobs are still checked
+        with pytest.raises(ConfigError, match="factor"):
+            FaultSchedule.flaps((), seed=0, factor=2.0)
+        with pytest.raises(ConfigError, match="factor"):
+            FaultSchedule.stragglers((), seed=0, factor=math.nan)
+        with pytest.raises(ConfigError, match="dim_index"):
+            FaultSchedule.stragglers((-1,), seed=0, probability=0.0)
+        with pytest.raises(ConfigError, match="mean_interval"):
+            FaultSchedule.flaps((0,), seed=0, mean_interval=math.inf)
+        assert not FaultSchedule.flaps((), seed=0)
+
+    def test_non_finite_times_rejected(self):
+        with pytest.raises(ConfigError):
+            LinkFault(dim_index=0, start=math.inf, factor=0.5)
+        with pytest.raises(ConfigError):
+            LinkFault(dim_index=0, start=0.0, factor=0.5, duration=math.nan)
+        with pytest.raises(ConfigError):
+            JobFaultPolicy(crash_rate=1.0, restart_overhead=math.nan)
+
     def test_compose_factors_clamps_near_zero(self):
         assert compose_factors({}) == 1.0
         assert compose_factors({1: 0.5, 2: 0.5}) == 0.25

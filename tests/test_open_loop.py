@@ -293,7 +293,7 @@ class TestTraceDeterminism:
         mix = deterministic_mix()
         with pytest.raises(ConfigError, match="rate"):
             open_loop_trace(rate=0.0, duration=1.0, mix=mix)
-        with pytest.raises(ConfigError, match="duration and/or max_jobs"):
+        with pytest.raises(ConfigError, match="'duration' and/or 'max_jobs'"):
             open_loop_trace(rate=1.0, mix=mix)
         with pytest.raises(ConfigError, match="poisson, bursty, diurnal"):
             open_loop_trace(rate=1.0, duration=1.0, mix=mix, process="weibull")
@@ -311,6 +311,18 @@ class TestTraceDeterminism:
                 rate=1.0, duration=1.0, mix=mix, process="bursty",
                 burst_ratio=0.5,
             )
+
+    def test_every_knob_checked_whatever_the_process(self):
+        mix = deterministic_mix()
+        with pytest.raises(ConfigError, match="burst_ratio"):
+            open_loop_trace(rate=1.0, duration=1.0, mix=mix, burst_ratio=0.5)
+        with pytest.raises(ConfigError, match="rate_period"):
+            open_loop_trace(
+                rate=1.0, duration=1.0, mix=mix, process="bursty",
+                rate_period=math.nan,
+            )
+        with pytest.raises(ConfigError, match="duration"):
+            open_loop_trace(rate=1.0, duration=math.inf, mix=mix)
 
 
 class TestDeriveRate:

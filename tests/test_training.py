@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.topology import Topology, dimension, get_topology
 from repro.training import (
     IterationBreakdown,
@@ -64,6 +64,12 @@ class TestTrainingConfig:
             TrainingConfig(iterations=0)
         with pytest.raises(WorkloadError):
             TrainingConfig(dp_bucket_bytes=-1.0)
+
+    def test_chunks_and_non_finite_bucket(self):
+        with pytest.raises(ConfigError, match="chunks per collective"):
+            TrainingConfig(chunks_per_collective=0)
+        with pytest.raises(WorkloadError, match="bucket"):
+            TrainingConfig(dp_bucket_bytes=float("inf"))
 
 
 class TestBasicInvariants:

@@ -92,6 +92,11 @@ class TestWorkloadBase:
         with pytest.raises(WorkloadError):
             get_workload("BERT")
 
+    def test_get_workload_rejects_arguments_the_factory_lacks(self):
+        with pytest.raises(WorkloadError, match="layers"):
+            get_workload("dlrm", layers=2)
+        assert get_workload("flood", layers=2).name
+
 
 class TestResNet152:
     def test_canonical_parameter_count(self):
