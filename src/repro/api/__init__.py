@@ -13,9 +13,10 @@ One serializable spec, one runner, one report for every simulation mode::
     grid = api.sweep(spec, {"scheduler": ["baseline", "themis"]})
     print(grid.render())
 
-Components (topologies, workloads, schedulers, intra-dimension policies,
-fairness policies, collective algorithms) are named by key in one unified
-registry — see :func:`register` for the plugin surface.
+Components (topologies, workloads, collective types, schedulers,
+intra-dimension policies, fairness and placement policies, collective
+algorithms, network backends) are named by key in one unified registry —
+see :func:`register` for the plugin surface.
 """
 
 from ..cluster.jobs import JobMix

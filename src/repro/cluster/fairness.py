@@ -37,6 +37,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
+from ..registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .simulator import ClusterSimulator
@@ -311,27 +312,22 @@ class PriorityPreemption(FairnessPolicy):
         return f"{self.label} (from JobSpec.priority)"
 
 
-_FAIRNESS: dict[str, type[FairnessPolicy]] = {
-    "fifo": FifoSharing,
-    "weighted": WeightedSharing,
-    "ftf": FinishTimeFairness,
-    "preempt": PriorityPreemption,
-}
-
-
-def register_fairness(name: str, policy: type[FairnessPolicy]) -> None:
-    """Register a custom cluster fairness policy under ``name``.
-
-    The name becomes valid everywhere policies are selected by key:
-    ``ClusterConfig(fairness=name)``, ``ClusterScenario.fairness``, and the
-    CLI's ``--fairness`` choices (via the unified ``repro.api`` registry).
-    """
-    lowered = name.strip().lower()
-    if not lowered:
-        raise ConfigError("fairness policy name must be non-empty")
-    if lowered in _FAIRNESS:
-        raise ConfigError(f"fairness policy {name!r} is already registered")
-    _FAIRNESS[lowered] = policy
+#: Cluster fairness policies by (case-insensitive) name, sorted.  A name
+#: becomes valid everywhere policies are selected by key:
+#: ``ClusterConfig(fairness=name)``, ``ClusterScenario.fairness`` and the
+#: CLI's ``--fairness`` choices.
+FAIRNESS: Registry[FairnessPolicy] = Registry(
+    "fairness policy",
+    {
+        "fifo": FifoSharing,
+        "ftf": FinishTimeFairness,
+        "preempt": PriorityPreemption,
+        "weighted": WeightedSharing,
+    },
+    error=ConfigError,
+)
+fairness_names = FAIRNESS.names
+register_fairness = FAIRNESS.register
 
 
 def get_fairness(policy: "str | FairnessPolicy | None") -> FairnessPolicy | None:
@@ -342,15 +338,4 @@ def get_fairness(policy: "str | FairnessPolicy | None") -> FairnessPolicy | None
     """
     if policy is None or isinstance(policy, FairnessPolicy):
         return policy
-    lowered = policy.strip().lower()
-    if lowered not in _FAIRNESS:
-        known = ", ".join(sorted(_FAIRNESS))
-        raise ConfigError(
-            f"unknown fairness policy {policy!r}; known: {known}"
-        )
-    return _FAIRNESS[lowered]()
-
-
-def fairness_names() -> tuple[str, ...]:
-    """Registry keys of the available fairness policies."""
-    return tuple(sorted(_FAIRNESS))
+    return FAIRNESS.build(policy)

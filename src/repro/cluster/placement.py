@@ -43,6 +43,7 @@ import abc
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
+from ..registry import Registry
 from ..workloads.compute import ComputeModel
 from ..workloads.profile import comm_compute_profile
 
@@ -306,28 +307,22 @@ class InterleavedPlacement(PlacementPolicy):
         return f"{self.label} (dims/job={width})"
 
 
-_PLACEMENT: dict[str, type[PlacementPolicy]] = {
-    "manual": ManualPlacement,
-    "all-dims": AllDimsPlacement,
-    "load-balanced": LoadBalancedPlacement,
-    "interleaved": InterleavedPlacement,
-}
-
-
-def register_placement(name: str, policy: type[PlacementPolicy]) -> None:
-    """Register a custom placement policy under ``name``.
-
-    The name becomes valid everywhere policies are selected by key:
-    ``ClusterConfig(placement=name)``, ``ClusterScenario.placement``, and
-    the CLI's ``--placement`` choices (via the unified ``repro.api``
-    registry).
-    """
-    lowered = name.strip().lower()
-    if not lowered:
-        raise ConfigError("placement policy name must be non-empty")
-    if lowered in _PLACEMENT:
-        raise ConfigError(f"placement policy {name!r} is already registered")
-    _PLACEMENT[lowered] = policy
+#: Placement policies by (case-insensitive) name, sorted.  A name becomes
+#: valid everywhere policies are selected by key:
+#: ``ClusterConfig(placement=name)``, ``ClusterScenario.placement`` and the
+#: CLI's ``--placement`` choices.
+PLACEMENT: Registry[PlacementPolicy] = Registry(
+    "placement policy",
+    {
+        "all-dims": AllDimsPlacement,
+        "interleaved": InterleavedPlacement,
+        "load-balanced": LoadBalancedPlacement,
+        "manual": ManualPlacement,
+    },
+    error=ConfigError,
+)
+placement_names = PLACEMENT.names
+register_placement = PLACEMENT.register
 
 
 def get_placement(
@@ -341,15 +336,4 @@ def get_placement(
     """
     if policy is None or isinstance(policy, PlacementPolicy):
         return policy
-    lowered = policy.strip().lower()
-    if lowered not in _PLACEMENT:
-        known = ", ".join(sorted(_PLACEMENT))
-        raise ConfigError(
-            f"unknown placement policy {policy!r}; known: {known}"
-        )
-    return _PLACEMENT[lowered]()
-
-
-def placement_names() -> tuple[str, ...]:
-    """Registry keys of the available placement policies."""
-    return tuple(sorted(_PLACEMENT))
+    return PLACEMENT.build(policy)

@@ -10,9 +10,8 @@ in-network-offload model per Sec. 4.5).
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from ..errors import CollectiveError
+from ..registry import Registry
 from ..topology import DimensionKind, DimensionSpec, Topology
 from .base import CollectiveAlgorithm
 from .direct import DirectAlgorithm
@@ -21,13 +20,22 @@ from .offload import SwitchOffloadAlgorithm
 from .ring import RingAlgorithm
 from .tree import TreeAlgorithm
 
-_FACTORIES: dict[str, Callable[[], CollectiveAlgorithm]] = {
-    "Ring": RingAlgorithm,
-    "Direct": DirectAlgorithm,
-    "HalvingDoubling": HalvingDoublingAlgorithm,
-    "Tree": TreeAlgorithm,
-    "SwitchOffload": SwitchOffloadAlgorithm,
-}
+#: Per-dimension algorithms by (case-sensitive) name.
+ALGORITHMS: Registry[CollectiveAlgorithm] = Registry(
+    "algorithm",
+    {
+        "Ring": RingAlgorithm,
+        "Direct": DirectAlgorithm,
+        "HalvingDoubling": HalvingDoublingAlgorithm,
+        "Tree": TreeAlgorithm,
+        "SwitchOffload": SwitchOffloadAlgorithm,
+    },
+    error=CollectiveError,
+    casefold=False,
+)
+get_algorithm = ALGORITHMS.build
+algorithm_names = ALGORITHMS.names
+register_algorithm = ALGORITHMS.register
 
 #: Table 1: physical dimension kind -> contention-free collective algorithm.
 DEFAULT_KIND_ALGORITHMS: dict[DimensionKind, str] = {
@@ -35,27 +43,6 @@ DEFAULT_KIND_ALGORITHMS: dict[DimensionKind, str] = {
     DimensionKind.FULLY_CONNECTED: "Direct",
     DimensionKind.SWITCH: "HalvingDoubling",
 }
-
-
-def register_algorithm(name: str, factory: Callable[[], CollectiveAlgorithm]) -> None:
-    """Register a custom per-dimension algorithm under ``name``."""
-    if name in _FACTORIES:
-        raise CollectiveError(f"algorithm {name!r} is already registered")
-    _FACTORIES[name] = factory
-
-
-def algorithm_names() -> tuple[str, ...]:
-    """All registered algorithm names."""
-    return tuple(_FACTORIES)
-
-
-def get_algorithm(name: str) -> CollectiveAlgorithm:
-    """Instantiate a registered algorithm by name."""
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        known = ", ".join(_FACTORIES)
-        raise CollectiveError(f"unknown algorithm {name!r}; known: {known}")
-    return factory()
 
 
 def algorithm_for_dimension(dim: DimensionSpec) -> CollectiveAlgorithm:

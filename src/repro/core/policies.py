@@ -29,6 +29,7 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
+from ..registry import Registry
 from .ready_queue import ReadyQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -107,35 +108,18 @@ class LargestChunkFirstPolicy(IntraDimPolicy):
         )
 
 
-_POLICIES = {
-    "fifo": FifoPolicy,
-    "scf": SmallestChunkFirstPolicy,
-    "lcf": LargestChunkFirstPolicy,
-}
-
-
-def get_policy(name: str) -> IntraDimPolicy:
-    """Instantiate a policy by (case-insensitive) name."""
-    lowered = name.strip().lower()
-    if lowered not in _POLICIES:
-        known = ", ".join(sorted(_POLICIES))
-        raise ConfigError(f"unknown intra-dimension policy {name!r}; known: {known}")
-    return _POLICIES[lowered]()
-
-
-def policy_names() -> tuple[str, ...]:
-    return tuple(sorted(_POLICIES))
-
-
-def register_policy(name: str, policy: type[IntraDimPolicy]) -> None:
-    """Register a custom intra-dimension policy under ``name``.
-
-    The (case-insensitive) name becomes valid wherever policies are chosen
-    by key: ``NetworkSimulator(policy=...)``, scenario specs, CLI flags.
-    """
-    lowered = name.strip().lower()
-    if not lowered:
-        raise ConfigError("policy name must be non-empty")
-    if lowered in _POLICIES:
-        raise ConfigError(f"intra-dimension policy {name!r} is already registered")
-    _POLICIES[lowered] = policy
+#: Intra-dimension policies by (case-insensitive) name, sorted.  A name
+#: becomes valid wherever policies are chosen by key:
+#: ``NetworkSimulator(policy=...)``, scenario specs, CLI flags.
+POLICIES: Registry[IntraDimPolicy] = Registry(
+    "intra-dimension policy",
+    {
+        "fifo": FifoPolicy,
+        "lcf": LargestChunkFirstPolicy,
+        "scf": SmallestChunkFirstPolicy,
+    },
+    error=ConfigError,
+)
+get_policy = POLICIES.build
+policy_names = POLICIES.names
+register_policy = POLICIES.register

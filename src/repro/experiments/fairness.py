@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .. import api
 from ..analysis.tables import format_table, ms, ratio
 from ..cluster import ClusterReport, JobSpec
-from ..cluster.fairness import fairness_names
+from ..cluster.fairness import FAIRNESS
 from ..errors import ConfigError
 from ..topology import Topology
 from ..training.iteration import TrainingConfig
@@ -179,12 +179,8 @@ def fairness_sweep(
     plus one swept field.
     """
     chosen = tuple(policies or FAIRNESS_VARIANTS)
-    unknown = [p for p in chosen if p not in fairness_names()]
-    if unknown:
-        raise ConfigError(
-            f"unknown fairness policies: {', '.join(unknown)}; "
-            f"known: {', '.join(fairness_names())}"
-        )
+    for policy in chosen:
+        FAIRNESS.lookup(policy)
     trace = list(jobs) if jobs is not None else skewed_trace(
         scale=1.0 if quick else 4.0
     )

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from .. import api
 from ..analysis.tables import format_table, ms, ratio
 from ..cluster import ClusterReport, JobSpec
-from ..cluster.placement import placement_names
+from ..cluster.placement import PLACEMENT
 from ..errors import ConfigError
 from ..topology import Topology
 from ..training.iteration import TrainingConfig
@@ -203,12 +203,8 @@ def placement_sweep(
     all-Themis cluster under each placement.
     """
     chosen = tuple(policies or PLACEMENT_VARIANTS)
-    unknown = [p for p in chosen if p not in placement_names()]
-    if unknown:
-        raise ConfigError(
-            f"unknown placement policies: {', '.join(unknown)}; "
-            f"known: {', '.join(placement_names())}"
-        )
+    for policy in chosen:
+        PLACEMENT.lookup(policy)
     sched = tuple(schedulers or PLACEMENT_SCHEDULERS)
     if topology is not None:
         ndims = len(topology.dims)

@@ -12,20 +12,26 @@ they differ in how faithfully the wires are modeled:
   at full aggregate bandwidth).
 * ``packet`` — MTU packetization, FIFO egress queues, store-and-forward
   switch hops (:class:`~repro.sim.backends.packet.PacketNetwork`).
+* ``fluid`` — every wire in GPS weighted-share mode with closed-form rate
+  integration, the fast path for 512–4096-job cluster runs
+  (:class:`~repro.sim.backends.fluid.FluidNetwork`).
 
-Backends are registered here (``register_backend`` / ``get_backend`` /
-``backend_names``) and surfaced as the ``"backend"`` kind of the unified
-:mod:`repro.api.registry`, so scenario specs and the CLI name them by key
-with the same did-you-mean validation as every other component.
+Backends are registered in :data:`BACKENDS` (``register_backend`` /
+``get_backend`` / ``backend_names``), which is also the ``"backend"`` kind
+of the unified :mod:`repro.api.registry`, so scenario specs and the CLI
+name them by key with the same did-you-mean validation as every other
+component.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from ...errors import ConfigError, did_you_mean
+from ...registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...core.policies import IntraDimPolicy
@@ -47,7 +53,7 @@ class NetworkBackend(abc.ABC):
     error instead of an attribute failure mid-run.
     """
 
-    #: Registry key (``"analytical"``, ``"ideal"``, ``"packet"``).
+    #: Registry key (``"analytical"``, ``"fluid"``, ``"ideal"``, ``"packet"``).
     key: ClassVar[str] = ""
     #: One-line description for ``themis-sim registry`` and the docs.
     description: ClassVar[str] = ""
@@ -127,43 +133,28 @@ def options_from_dict(
     return options_type(**values)
 
 
-_BACKENDS: dict[str, NetworkBackend] = {}
+class _BackendRegistry(Registry[NetworkBackend]):
+    """Backends are shared: a registered class is built once, at registration."""
+
+    def register(
+        self, name: str, factory: NetworkBackend | Callable[[], NetworkBackend]
+    ) -> None:
+        backend = factory() if isinstance(factory, type) else factory
+        if not isinstance(backend, NetworkBackend):
+            raise ConfigError(
+                f"backend {name!r} must be a NetworkBackend, "
+                f"got {type(backend).__name__}"
+            )
+        super().register(name, lambda: backend)
 
 
-def register_backend(
-    key: str, backend: NetworkBackend | type[NetworkBackend]
-) -> None:
-    """Register a backend under ``key`` (case-insensitive, unique).
-
-    Accepts an instance or a zero-argument class, matching the other
-    domain registries' ``register_*`` hooks (and the unified registry's
-    ``register("backend", ...)``).
-    """
-    lowered = key.lower()
-    if lowered in _BACKENDS:
-        raise ConfigError(f"backend {key!r} is already registered")
-    instance = backend() if isinstance(backend, type) else backend
-    if not isinstance(instance, NetworkBackend):
-        raise ConfigError(
-            f"backend {key!r} must be a NetworkBackend, "
-            f"got {type(instance).__name__}"
-        )
-    _BACKENDS[lowered] = instance
-
-
-def get_backend(key: str) -> NetworkBackend:
-    """Look up a backend by key (case-insensitive)."""
-    lowered = key.lower() if isinstance(key, str) else key
-    backend = _BACKENDS.get(lowered)
-    if backend is None:
-        known = ", ".join(backend_names())
-        raise ConfigError(f"unknown backend {key!r}; known: {known}")
-    return backend
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend keys, sorted."""
-    return tuple(sorted(_BACKENDS))
+#: Network backends by (case-insensitive) key; ``get_backend`` returns the
+#: one shared instance.  ``register_backend`` takes an instance or a
+#: zero-argument class.
+BACKENDS = _BackendRegistry("backend", {}, error=ConfigError)
+get_backend = BACKENDS.build
+backend_names = BACKENDS.names
+register_backend = BACKENDS.register
 
 
 def resolve_backend_key(

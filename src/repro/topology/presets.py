@@ -11,9 +11,8 @@ drives at ~97.7% utilization — included so that Fig. 4 can be regenerated.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from ..errors import TopologyError
+from ..registry import Registry
 from .dimension import dimension
 from .topology import Topology
 
@@ -120,15 +119,24 @@ def topo_4d_ring_fc_ring_sw() -> Topology:
     )
 
 
-_PRESETS: dict[str, Callable[[], Topology]] = {
-    "current-2D": current_2d,
-    "2D-SW_SW": topo_2d_sw_sw,
-    "3D-SW_SW_SW_homo": topo_3d_sw_sw_sw_homo,
-    "3D-SW_SW_SW_hetero": topo_3d_sw_sw_sw_hetero,
-    "3D-FC_Ring_SW": topo_3d_fc_ring_sw,
-    "4D-Ring_SW_SW_SW": topo_4d_ring_sw_sw_sw,
-    "4D-Ring_FC_Ring_SW": topo_4d_ring_fc_ring_sw,
-}
+#: The presets by name, current system first, then Table 2 in paper order.
+PRESETS: Registry[Topology] = Registry(
+    "topology preset",
+    {
+        "current-2D": current_2d,
+        "2D-SW_SW": topo_2d_sw_sw,
+        "3D-SW_SW_SW_homo": topo_3d_sw_sw_sw_homo,
+        "3D-SW_SW_SW_hetero": topo_3d_sw_sw_sw_hetero,
+        "3D-FC_Ring_SW": topo_3d_fc_ring_sw,
+        "4D-Ring_SW_SW_SW": topo_4d_ring_sw_sw_sw,
+        "4D-Ring_FC_Ring_SW": topo_4d_ring_fc_ring_sw,
+    },
+    error=TopologyError,
+    casefold=False,
+)
+get_topology = PRESETS.build
+preset_names = PRESETS.names
+register_preset = PRESETS.register
 
 #: Topology names evaluated in the paper's result figures (Fig. 8, 11, 12).
 PAPER_TOPOLOGY_NAMES: tuple[str, ...] = (
@@ -139,36 +147,6 @@ PAPER_TOPOLOGY_NAMES: tuple[str, ...] = (
     "4D-Ring_SW_SW_SW",
     "4D-Ring_FC_Ring_SW",
 )
-
-
-def preset_names() -> tuple[str, ...]:
-    """All registered preset names, current-system first."""
-    return tuple(_PRESETS)
-
-
-def register_preset(name: str, factory: Callable[[], Topology]) -> None:
-    """Register a custom topology preset under ``name``.
-
-    The name becomes valid wherever topologies are chosen by key:
-    :func:`get_topology`, scenario specs, and every CLI ``--topology`` flag.
-    """
-    if not name:
-        raise TopologyError("topology preset name must be non-empty")
-    if name in _PRESETS:
-        raise TopologyError(f"topology preset {name!r} is already registered")
-    _PRESETS[name] = factory
-
-
-def get_topology(name: str) -> Topology:
-    """Instantiate a preset by its Table 2 name.
-
-    Raises :class:`TopologyError` with the list of valid names on a miss.
-    """
-    factory = _PRESETS.get(name)
-    if factory is None:
-        known = ", ".join(_PRESETS)
-        raise TopologyError(f"unknown topology preset {name!r}; known: {known}")
-    return factory()
 
 
 def paper_topologies() -> list[Topology]:

@@ -1,8 +1,7 @@
 """DNN workload models (paper Sec. 5.2) and the workload registry."""
 
-import inspect
-from collections.abc import Callable
-
+from ..errors import WorkloadError
+from ..registry import Registry
 from .base import Workload
 from .compute import A100_MEMORY_BW, A100_PEAK_FLOPS, ComputeModel
 from .dlrm import dlrm
@@ -35,59 +34,26 @@ from .transformer import MP_GROUP_SIZE, transformer_1t
 #: The paper's four evaluation workloads (Sec. 5.2), in Fig. 12 order.
 PAPER_WORKLOADS = ("ResNet-152", "GNMT", "DLRM", "Transformer-1T")
 
-_FACTORIES: dict[str, Callable[..., Workload]] = {
-    "resnet-152": resnet152,
-    "resnet152": resnet152,
-    "gnmt": gnmt,
-    "dlrm": dlrm,
-    "transformer-1t": transformer_1t,
-    "transformer1t": transformer_1t,
-    "flood": flood,
-}
-
-
-def get_workload(name: str, **kwargs) -> Workload:
-    """Instantiate a registered workload by name (case-insensitive).
-
-    ``kwargs`` are forwarded to the factory (e.g.
-    ``get_workload("transformer-1t", num_layers=8)`` or
-    ``get_workload("flood", layers=1, param_mb=64)``); ones the factory
-    does not take raise :class:`WorkloadError`.
-    """
-    from ..errors import WorkloadError
-
-    key = name.strip().lower()
-    if key not in _FACTORIES:
-        known = ", ".join(workload_names())
-        raise WorkloadError(f"unknown workload {name!r}; known: {known}")
-    factory = _FACTORIES[key]
-    try:
-        inspect.signature(factory).bind(**kwargs)
-    except TypeError as error:
-        raise WorkloadError(f"workload {name!r}: {error}") from None
-    return factory(**kwargs)
-
-
-def workload_names() -> tuple[str, ...]:
-    """All registered workload keys (aliases included), sorted."""
-    return tuple(sorted(set(_FACTORIES)))
-
-
-def register_workload(name: str, factory: Callable[..., Workload]) -> None:
-    """Register a custom workload factory under a (case-insensitive) name.
-
-    The name becomes valid wherever workloads are chosen by key: cluster
-    :class:`~repro.cluster.JobSpec`, scenario specs, and CLI ``--workload``
-    flags.
-    """
-    from ..errors import WorkloadError
-
-    key = name.strip().lower()
-    if not key:
-        raise WorkloadError("workload name must be non-empty")
-    if key in _FACTORIES:
-        raise WorkloadError(f"workload {name!r} is already registered")
-    _FACTORIES[key] = factory
+#: Workload factories by (case-insensitive) key, aliases included, sorted.
+#: ``get_workload`` forwards keyword arguments to the factory (e.g.
+#: ``get_workload("flood", layers=1, param_mb=64)``); ones the factory does
+#: not take raise :class:`WorkloadError`.
+WORKLOADS: Registry[Workload] = Registry(
+    "workload",
+    {
+        "dlrm": dlrm,
+        "flood": flood,
+        "gnmt": gnmt,
+        "resnet-152": resnet152,
+        "resnet152": resnet152,
+        "transformer-1t": transformer_1t,
+        "transformer1t": transformer_1t,
+    },
+    error=WorkloadError,
+)
+get_workload = WORKLOADS.build
+workload_names = WORKLOADS.names
+register_workload = WORKLOADS.register
 
 
 __all__ = [

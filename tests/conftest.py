@@ -2,9 +2,35 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.topology import Topology, dimension, get_topology
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="session")
+def builtin_registry() -> dict[str, list[str]]:
+    """``themis-sim registry --json`` run in a fresh interpreter.
+
+    It lists exactly the built-in keys of every kind: in-process, the
+    plugins other tests register would be listed too.
+    """
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "registry", "--json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 @pytest.fixture

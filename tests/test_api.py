@@ -7,17 +7,30 @@ import glob
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from repro import api
 from repro.cluster import WeightedSharing
-from repro.collectives import CollectiveRequest, CollectiveType
+from repro.collectives import (
+    CollectiveRequest,
+    CollectiveType,
+    RingAlgorithm,
+    register_algorithm,
+)
 from repro.core import SchedulerFactory, Splitter
 from repro.core.ideal import IdealEstimator
-from repro.errors import ConfigError, SpecError, WorkloadError
+from repro.errors import (
+    CollectiveError,
+    ConfigError,
+    ReproError,
+    SpecError,
+    WorkloadError,
+)
 from repro.sim import NetworkSimulator
+from repro.sim.backends import get_backend, register_backend
 from repro.sim.stats import bw_utilization
 from repro.topology import Topology, dimension, get_topology, topology_to_dict
 from repro.training.iteration import TrainingConfig, simulate_training
@@ -41,6 +54,7 @@ def tiny_topology() -> Topology:
 
 
 TINY = topology_to_dict(tiny_topology())
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 # --- unified registry -------------------------------------------------------
@@ -88,6 +102,95 @@ class TestRegistry:
         assert spec.workload == "test-api-tiny"
         with pytest.raises(WorkloadError, match="already registered"):
             api.register("workload", "test-api-tiny", flood)
+
+    @pytest.mark.parametrize("kind", api.registry_kinds())
+    def test_non_string_key_is_a_spec_error(self, kind):
+        for key in (5, None):
+            with pytest.raises(SpecError, match="key must be a string"):
+                api.resolve(kind, key)
+
+    def test_case_sensitive_miss_hints_the_registered_spelling(self):
+        with pytest.raises(SpecError, match="did you mean 'Ring'"):
+            api.resolve("algorithm", "ring")
+
+    def test_empty_key_rejected(self):
+        with pytest.raises(ConfigError, match="non-empty"):
+            register_backend("", get_backend("packet"))
+        with pytest.raises(CollectiveError, match="non-empty"):
+            register_algorithm("", RingAlgorithm)
+        assert "" not in api.registry_keys("backend")
+        assert "" not in api.registry_keys("algorithm")
+
+    def test_factory_error_is_not_a_key_miss(self):
+        def broken():
+            raise WorkloadError("unknown layer kind 'conv9d'")
+
+        api.register("workload", "test-api-broken", broken)
+        with pytest.raises(WorkloadError, match="unknown layer kind") as caught:
+            api.resolve("workload", "test-api-broken")
+        assert not isinstance(caught.value, SpecError)
+
+    @pytest.mark.parametrize("kind", api.registry_kinds())
+    def test_validate_key_and_resolve_accept_the_same_keys(self, kind):
+        for key in api.registry_keys(kind):
+            for probe in (key, key.upper(), f" {key} ", f"{key}-typo"):
+                assert _validates(kind, probe) == _resolves(kind, probe), probe
+
+
+def _validates(kind: str, key: str) -> bool:
+    try:
+        api.validate_key(kind, key)
+    except SpecError:
+        return False
+    return True
+
+
+def _resolves(kind: str, key: str) -> bool:
+    """Whether ``resolve`` found the key; a factory's own error counts as
+    found (plugins registered by other tests may raise on purpose)."""
+    try:
+        api.resolve(kind, key)
+    except SpecError:
+        return False
+    except ReproError:
+        return True
+    return True
+
+
+class TestRegistryDocs:
+    """The kind table in docs/api.md ("The unified registry") stays true."""
+
+    CLOSED_KINDS = (
+        "scheduler", "policy", "fairness", "placement", "algorithm", "backend",
+    )
+    COLLECTIVE_ALIASES = {"ar", "rs", "ag", "a2a"}
+
+    @staticmethod
+    def table() -> dict[str, list[str]]:
+        """Each row's kind and the backticked keys of its examples column."""
+        text = (DOCS / "api.md").read_text(encoding="utf-8")
+        section = text.split("## The unified registry", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and cells[0].startswith("`"):
+                rows[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[1])
+        return rows
+
+    def test_kind_column_is_every_kind(self):
+        assert tuple(self.table()) == api.registry_kinds()
+
+    def test_examples_are_keys(self):
+        for kind, examples in self.table().items():
+            for key in examples:
+                if kind == "collective" and key in self.COLLECTIVE_ALIASES:
+                    continue
+                api.validate_key(kind, key)
+
+    def test_closed_kinds_list_every_builtin_key(self, builtin_registry):
+        table = self.table()
+        for kind in self.CLOSED_KINDS:
+            assert set(table[kind]) == set(builtin_registry[kind]), kind
 
 
 # --- randomized round-trip property tests ------------------------------------

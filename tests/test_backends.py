@@ -524,10 +524,30 @@ class TestRegistryCommand:
         assert "analytical" in out and "packet-level" in out
         assert "topology:" not in out
 
-    def test_json_output(self, capsys):
+    def test_json_output(self, capsys, builtin_registry):
         assert main(["registry", "--kind", "backend", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data == {
+            "backend": ["analytical", "fluid", "ideal", "packet"],
+        }
+        # Every kind, keys in registration order: the built-in tables are
+        # written sorted, or in paper order for topology and algorithm.
+        assert builtin_registry == {
+            "topology": [
+                "current-2D", "2D-SW_SW", "3D-SW_SW_SW_homo",
+                "3D-SW_SW_SW_hetero", "3D-FC_Ring_SW", "4D-Ring_SW_SW_SW",
+                "4D-Ring_FC_Ring_SW",
+            ],
+            "workload": [
+                "dlrm", "flood", "gnmt", "resnet-152", "resnet152",
+                "transformer-1t", "transformer1t",
+            ],
+            "collective": ["allreduce", "reducescatter", "allgather", "alltoall"],
+            "scheduler": ["baseline", "themis"],
+            "policy": ["fifo", "lcf", "scf"],
+            "fairness": ["fifo", "ftf", "preempt", "weighted"],
+            "placement": ["all-dims", "interleaved", "load-balanced", "manual"],
+            "algorithm": ["Ring", "Direct", "HalvingDoubling", "Tree", "SwitchOffload"],
             "backend": ["analytical", "fluid", "ideal", "packet"],
         }
 
