@@ -136,10 +136,13 @@ def packetize(nbytes: float, mtu_bytes: float) -> list[float]:
     """
     if nbytes <= 0:
         return []
-    full = int(nbytes // mtu_bytes)
-    remainder = nbytes - full * mtu_bytes
-    payloads = [mtu_bytes] * full
-    if remainder > 0:
+    # divmod's remainder is exact, so it stays below one MTU, where
+    # ``nbytes - full * mtu_bytes`` can round past it.  The packet count
+    # follows the rounded quotient: a remainder too small to lift
+    # ``nbytes / mtu_bytes`` off a whole number rides in no packet.
+    full, remainder = divmod(nbytes, mtu_bytes)
+    payloads = [mtu_bytes] * int(full)
+    if len(payloads) < math.ceil(nbytes / mtu_bytes):
         payloads.append(remainder)
     return payloads
 

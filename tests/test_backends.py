@@ -178,6 +178,23 @@ class TestPacketize:
         assert all(0 < p <= mtu for p in payloads)
         assert len(payloads) == math.ceil(nbytes / mtu)
 
+    @pytest.mark.parametrize(
+        ("nbytes", "count"),
+        [
+            # nbytes - 49 * mtu rounds to just above one MTU.
+            (499999999.9999999, 50),
+            # A sub-ulp remainder past 100 full packets: the quotient
+            # rounds to 100.0, so it must not become a 101st packet.
+            (999999999.9999999, 100),
+        ],
+    )
+    def test_rounding_edges(self, nbytes, count):
+        mtu = 9999999.999999998
+        payloads = packetize(nbytes, mtu)
+        assert len(payloads) == math.ceil(nbytes / mtu) == count
+        assert all(0 < p <= mtu for p in payloads)
+        assert sum(payloads) == pytest.approx(nbytes, rel=1e-12)
+
     def test_exact_multiple_has_no_runt(self):
         assert packetize(4096.0, 1024.0) == [1024.0] * 4
 
