@@ -88,7 +88,7 @@ def test_ablation_intra_dim_policy(benchmark, save_result):
 @pytest.mark.benchmark(group="ablation-ideal")
 def test_ablation_ideal_vs_lp(benchmark, save_result):
     """On every Table 2 topology the LP fluid bound confirms the simple
-    Ideal is achievable (no under-provisioned pair), within LP tolerance."""
+    Ideal is achievable (no under-provisioned pair)."""
 
     def sweep():
         rows = []

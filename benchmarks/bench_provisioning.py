@@ -13,11 +13,10 @@ from repro.analysis import (
     ProvisioningVerdict,
     classify_pair,
     format_table,
-    max_drivable_utilization,
     pct,
 )
 from repro.collectives import CollectiveRequest, CollectiveType
-from repro.core import SchedulerFactory
+from repro.core import SchedulerFactory, achievable_utilization
 from repro.sim import NetworkSimulator, bw_utilization
 from repro.topology import Topology, dimension
 from repro.units import GB
@@ -40,7 +39,7 @@ def run_sweep():
     for ratio in RATIOS:
         topology = build(ratio)
         verdict = classify_pair(topology, 0, 1)
-        drivable = max_drivable_utilization(topology)
+        drivable = achievable_utilization(CollectiveType.ALL_REDUCE, topology)
         measured = {}
         for kind, policy in (("baseline", "FIFO"), ("themis", "SCF")):
             sim = NetworkSimulator(topology, SchedulerFactory(kind), policy=policy)

@@ -7,7 +7,6 @@ from .provisioning import (
     assess,
     classify_pair,
     classify_topology,
-    max_drivable_utilization,
 )
 from .sweep import MicrobenchRecord, geometric_mean
 from .tables import format_table, ms, pct, ratio, us
@@ -19,7 +18,6 @@ __all__ = [
     "assess",
     "classify_pair",
     "classify_topology",
-    "max_drivable_utilization",
     "MicrobenchRecord",
     "geometric_mean",
     "format_table",

@@ -11,9 +11,9 @@ For any two dimensions dimK, dimL with K < L, compare ``BW(dimK)`` against
   both dimensions; such design points "should be prohibited".
 
 :func:`classify_topology` evaluates every adjacent pair;
-:func:`max_drivable_utilization` quantifies how much of the total BW budget
-*any* scheduler could use (via the LP fluid bound), which is the actionable
-number for a network architect.
+:func:`assess` adds ``core.ideal.achievable_utilization``: how much of the
+total BW budget *any* scheduler could use (via the exact fluid bound), which
+is the actionable number for a network architect.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from ..collectives.types import CollectiveType
-from ..core.ideal import LpIdealEstimator, IdealEstimator
+from ..core.ideal import achievable_utilization
 from ..topology import Topology
 
 
@@ -86,21 +86,6 @@ def classify_topology(
     ]
 
 
-def max_drivable_utilization(
-    topology: Topology, ctype: CollectiveType = CollectiveType.ALL_REDUCE
-) -> float:
-    """Best average BW utilization any chunk scheduler can reach.
-
-    1.0 unless some dimension is under-provisioned; the shortfall is exactly
-    the Ideal-vs-fluid gap (see ``core.ideal.achievable_utilization``).
-    """
-    ideal = IdealEstimator().collective_time(ctype, 1.0, topology)
-    fluid = LpIdealEstimator().collective_time(ctype, 1.0, topology)
-    if fluid <= 0:
-        return 1.0
-    return min(1.0, ideal / fluid)
-
-
 @dataclass(frozen=True)
 class ProvisioningReport:
     """Designer-facing summary: verdicts plus the drivable-BW bound."""
@@ -145,6 +130,6 @@ def assess(
     return ProvisioningReport(
         topology_name=topology.name,
         assessments=assessments,
-        max_utilization=max_drivable_utilization(topology, ctype),
+        max_utilization=achievable_utilization(ctype, topology),
         baseline_efficient=baseline_efficient,
     )

@@ -17,10 +17,14 @@ so that a 64 MB RS and a 16 MB->64 MB AG cost the same — cf. Fig. 5):
 * A2A: ``stage_size = resident``; resident size is unchanged.
 
 This module also exposes the **invariant-bytes lemma** used by the Ideal
-estimator: the total bytes per NPU of a hierarchical RS (or AG) telescopes to
+estimator: the total bytes per NPU of a hierarchical RS telescopes to
 ``S x (1 - 1/P_total)`` regardless of the dimension order, because
 
     sum_j (prod_{i<j} 1/P_i) x (1 - 1/P_j)  =  1 - prod_j 1/P_j.
+
+An AG's size ``S`` is the pre-gather shard, which grows to ``S x P_total``;
+the AG is an RS of that gathered size run backwards, so it sends
+``S x (P_total - 1)`` under every order.
 """
 
 from __future__ import annotations
@@ -118,17 +122,21 @@ def invariant_bytes_per_npu(
     """Schedule-invariant total bytes each NPU sends for the collective.
 
     This is the quantity the paper's Ideal method divides by the total BW
-    (Table 3).  For RS/AG the telescoping sum gives ``S x (1 - 1/P_total)``;
-    All-Reduce pays it twice; hierarchical A2A pays ``S x (1 - 1/P_K)`` per
-    dimension at constant resident size.
+    (Table 3).  For RS the telescoping sum gives ``S x (1 - 1/P_total)``;
+    All-Reduce pays it twice.  An AG's ``S`` is the pre-gather shard, so it
+    sends ``S x (P_total - 1)``, ``P_total`` times an RS of the same ``S``.
+    Hierarchical A2A pays ``S x (1 - 1/P_K)`` per dimension at constant
+    resident size.
     """
     if size <= 0:
         raise CollectiveError(f"collective size must be positive, got {size}")
     total_peers = math.prod(d.size for d in topology.dims)
+    if ctype is CollectiveType.ALL_GATHER:
+        return size * (total_peers - 1)
     one_phase = size * (1.0 - 1.0 / total_peers)
     if ctype is CollectiveType.ALL_REDUCE:
         return 2.0 * one_phase
-    if ctype in (CollectiveType.REDUCE_SCATTER, CollectiveType.ALL_GATHER):
+    if ctype is CollectiveType.REDUCE_SCATTER:
         return one_phase
     if ctype is CollectiveType.ALL_TO_ALL:
         return size * sum(1.0 - 1.0 / d.size for d in topology.dims)
@@ -143,8 +151,8 @@ def stage_bytes_fraction(
     """Per-dimension *fraction of the collective size* sent under an order.
 
     Returns ``{dim_index: bytes / S}`` for a unit-size chunk following
-    ``dim_order``.  Used by the LP ideal (fluid relaxation over all D!
-    orders) and by the provisioning analysis of Sec. 6.3.
+    ``dim_order``.  The LP ideal (``core.ideal.LpIdealEstimator``) sums it
+    over dimension sets to find the fewest bytes any order puts on them.
     """
     stages = stage_plan(ctype, 1.0, dim_order, topology)
     fractions: dict[int, float] = {i: 0.0 for i in range(topology.ndims)}

@@ -8,12 +8,7 @@ from .chunk import (
 )
 from .consistency import presimulate_intra_dim_orders, verify_intra_dim_consistency
 from .exhaustive import DEFAULT_SEARCH_CAP, ExhaustiveScheduler, SearchOutcome
-from .ideal import (
-    FluidSolution,
-    IdealEstimator,
-    LpIdealEstimator,
-    achievable_utilization,
-)
+from .ideal import IdealEstimator, LpIdealEstimator, achievable_utilization
 from .latency_model import LatencyModel
 from .load_tracker import DimLoadTracker
 from .policies import (
@@ -61,7 +56,6 @@ __all__ = [
     "ReadyQueue",
     "IdealEstimator",
     "LpIdealEstimator",
-    "FluidSolution",
     "achievable_utilization",
     "presimulate_intra_dim_orders",
     "ExhaustiveScheduler",

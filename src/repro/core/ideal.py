@@ -10,19 +10,16 @@ send are schedule-invariant, so the Ideal latency is exactly::
 This is achievable only when chunk loads can actually be balanced across
 dimensions; in the *UnderProvisioned* scenario of Sec. 6.3 no schedule can
 fully drive every dimension.  :class:`LpIdealEstimator` computes the exact
-fluid lower bound by linear programming over all ``D!`` dimension orders:
-minimize the makespan ``T`` subject to every dimension's total transfer time
-not exceeding ``T``.  The gap between the two estimators is precisely the
-utilization the BW distribution leaves unreachable.
+fluid lower bound over every mix of the ``D!`` dimension orders in closed
+form: the largest ratio, over sets of dimensions, of the fewest bytes any
+order puts on the set to the set's bandwidth.  The gap between the two
+estimators is precisely the utilization the BW distribution leaves
+unreachable.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linprog
 
 from ..collectives.phases import invariant_bytes_per_npu, stage_bytes_fraction
 from ..collectives.types import CollectiveType
@@ -54,120 +51,69 @@ class IdealEstimator:
         return total_bytes / topology.total_bandwidth
 
 
-@dataclass(frozen=True)
-class FluidSolution:
-    """Result of the LP fluid relaxation.
-
-    ``makespan`` is the optimal balanced completion time; ``order_weights``
-    maps each dimension order to the fraction of the collective routed
-    through it; ``dim_times`` is each dimension's total transfer time under
-    the optimal mix.
-    """
-
-    makespan: float
-    order_weights: dict[tuple[int, ...], float]
-    dim_times: tuple[float, ...]
-
-    @property
-    def bottleneck_dims(self) -> tuple[int, ...]:
-        """Dimensions whose transfer time equals the makespan (tight dims)."""
-        tol = 1e-9 * max(self.makespan, 1e-30)
-        return tuple(
-            i for i, t in enumerate(self.dim_times) if self.makespan - t <= tol
-        )
-
-
 class LpIdealEstimator:
-    """Exact fluid bound: LP over all D! chunk dimension-orders.
+    """Exact fluid bound: the LP optimum over all D! chunk dimension-orders.
 
-    Variables are the bytes routed through each order; constraints cap each
-    dimension's transfer time at the makespan ``T``; objective minimizes
-    ``T``.  For All-Reduce the AG phase mirrors the RS order, matching
-    Algorithm 1 (and, by RS/AG cost symmetry, losing no generality).
+    The LP routes a share of the collective through each dimension order
+    and minimizes the makespan ``T`` that caps every dimension's transfer
+    time.  Its optimum has a closed form::
+
+        T = size x max over nonempty dimension sets U of least_bytes(U) / BW(U)
+
+    where ``least_bytes(U)`` is the fewest bytes (per unit size) any order
+    puts on the dimensions in ``U`` and ``BW(U)`` is their summed bandwidth.
+
+    Why it is exact (``V`` is the set of all dimensions):
+
+    * An order's RS bytes (``stage_bytes_fraction``) form the greedy vertex
+      of the base polytope of ``f(S) = 1 - prod_{k in S} 1/P_k``; ``f`` is
+      submodular (the telescoping lemma in ``collectives.phases``).  Every
+      point of that polytope is a mix of greedy vertices, i.e. of orders.
+    * All-Reduce is 2x RS (its AG mirrors the RS order); AG is ``P_total``
+      x RS with the order reversed; A2A bytes do not depend on the order.
+    * A mix of orders with makespan ``T`` exists exactly when
+      ``f(V) - f(V - U) <= T x BW(U)`` for every ``U`` (Edmonds' polymatroid
+      intersection with the box ``x_k <= T x BW_k``).
+    * ``f(V) - f(V - U)`` is the bytes ``U`` carries when it goes last.  So
+      ``U`` last is least for RS and All-Reduce, ``U`` first is least for
+      AG, and the smaller of those two orders needs no branch on the type.
+    * ``U = V`` is Table 3's Ideal (for A2A the Ideal is the worst single
+      dimension, also a candidate ``U``), so the bound is never below it.
     """
 
     name = "LP-Ideal"
-
-    def solve(
-        self, ctype: CollectiveType, size: float, topology: Topology
-    ) -> FluidSolution:
-        if size <= 0:
-            raise CollectiveError(f"collective size must be positive, got {size}")
-        ndims = topology.ndims
-        orders = list(itertools.permutations(range(ndims)))
-        bandwidths = topology.bandwidths
-
-        # Transfer time (seconds) per dimension if the *whole* collective is
-        # routed via each order; variables are then well-scaled fractions.
-        coeffs = np.zeros((ndims, len(orders)))
-        for j, order in enumerate(orders):
-            fractions = stage_bytes_fraction(ctype, order, topology)
-            for k in range(ndims):
-                coeffs[k, j] = size * fractions[k] / bandwidths[k]
-
-        # Normalize the time unit so coefficients are O(1) regardless of the
-        # collective size (HiGHS tolerances are absolute).
-        time_scale = float(coeffs.max())
-        if time_scale <= 0:  # pragma: no cover - degenerate inputs rejected above
-            raise CollectiveError("fluid LP has no positive transfer times")
-        coeffs = coeffs / time_scale
-
-        # Variables: f_0..f_{m-1} (fraction of bytes per order), t (makespan).
-        nvars = len(orders) + 1
-        objective = np.zeros(nvars)
-        objective[-1] = 1.0  # minimize t
-        # coeffs @ f - t <= 0 for every dimension.
-        a_ub = np.hstack([coeffs, -np.ones((ndims, 1))])
-        b_ub = np.zeros(ndims)
-        # sum(f) == 1.
-        a_eq = np.zeros((1, nvars))
-        a_eq[0, : len(orders)] = 1.0
-        b_eq = np.array([1.0])
-        result = linprog(
-            objective,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(0, None)] * len(orders) + [(0, None)],
-            method="highs",
-        )
-        if not result.success:  # pragma: no cover - LP is always feasible
-            raise CollectiveError(f"fluid LP failed: {result.message}")
-        weights = {
-            order: float(result.x[j]) * size
-            for j, order in enumerate(orders)
-            if result.x[j] > 1e-12
-        }
-        dim_times = tuple(
-            float(v) * time_scale for v in coeffs @ result.x[: len(orders)]
-        )
-        return FluidSolution(
-            makespan=float(result.x[-1]) * time_scale,
-            order_weights=weights,
-            dim_times=dim_times,
-        )
 
     def collective_time(
         self, ctype: CollectiveType, size: float, topology: Topology
     ) -> float:
         """The fluid-optimal makespan (bandwidth terms only)."""
-        return self.solve(ctype, size, topology).makespan
+        if size <= 0:
+            raise CollectiveError(f"collective size must be positive, got {size}")
+        dims = range(topology.ndims)
+        bandwidths = topology.bandwidths
+        worst = 0.0
+        for count in range(1, topology.ndims + 1):
+            for subset in itertools.combinations(dims, count):
+                rest = tuple(k for k in dims if k not in subset)
+                least = min(
+                    sum(fractions[k] for k in subset)
+                    for fractions in (
+                        stage_bytes_fraction(ctype, rest + subset, topology),
+                        stage_bytes_fraction(ctype, subset + rest, topology),
+                    )
+                )
+                worst = max(worst, least / sum(bandwidths[k] for k in subset))
+        return size * worst
 
 
-def achievable_utilization(
-    ctype: CollectiveType, topology: Topology, size: float | None = None
-) -> float:
+def achievable_utilization(ctype: CollectiveType, topology: Topology) -> float:
     """Best average BW utilization any scheduler could reach (Sec. 6.3).
 
     The ratio of the 100%-utilization Ideal time to the fluid-optimal
     makespan: 1.0 when the BW distribution is balanced or over-provisioned,
-    below 1.0 when some dimension is under-provisioned.  ``size`` is
-    irrelevant to the ratio (both scale linearly) but may be supplied.
+    below 1.0 when some dimension is under-provisioned.  Both times scale
+    linearly with the size, so the ratio is taken at unit size.
     """
-    probe = size if size is not None else 1.0
-    ideal = IdealEstimator().collective_time(ctype, probe, topology)
-    fluid = LpIdealEstimator().collective_time(ctype, probe, topology)
-    if fluid <= 0:
-        return 1.0
+    ideal = IdealEstimator().collective_time(ctype, 1.0, topology)
+    fluid = LpIdealEstimator().collective_time(ctype, 1.0, topology)
     return min(1.0, ideal / fluid)

@@ -12,13 +12,14 @@ from repro.analysis import (
     classify_topology,
     format_table,
     geometric_mean,
-    max_drivable_utilization,
     ms,
     pct,
     ratio,
     us,
 )
 from repro.api.runner import scheduler_label
+from repro.collectives import CollectiveType
+from repro.core import achievable_utilization
 from repro.experiments.fig8 import SCHEDULER_AXIS, microbench_records
 from repro.topology import Topology, dimension, get_topology, topology_to_dict
 from repro.units import MB
@@ -90,12 +91,13 @@ class TestClassifyTopology:
 
 class TestMaxDrivableUtilization:
     def test_over_provisioned_reaches_one(self):
-        assert max_drivable_utilization(two_dim(400.0, 200.0)) == pytest.approx(
-            1.0, abs=1e-6
+        util = achievable_utilization(
+            CollectiveType.ALL_REDUCE, two_dim(400.0, 200.0)
         )
+        assert util == pytest.approx(1.0, abs=1e-6)
 
     def test_under_provisioned_capped(self):
-        util = max_drivable_utilization(two_dim(400.0, 25.0))
+        util = achievable_utilization(CollectiveType.ALL_REDUCE, two_dim(400.0, 25.0))
         assert util < 0.9
 
     def test_assess_report_renders(self):

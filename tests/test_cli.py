@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -299,3 +306,24 @@ class TestSpecCommands:
         assert '"mode": "collective"' in out
         assert main(["provisioning", "--show-spec"]) == 0
         assert '"mode": "provisioning"' in capsys.readouterr().out
+
+
+class TestStdlibRuntime:
+    def test_entry_points_import_no_numpy_or_scipy(self):
+        """The package runs on the standard library alone: a fresh
+        interpreter importing it and its entry points loads neither."""
+        code = (
+            "import sys, repro, repro.api, repro.cli, repro.experiments, "
+            "repro.analysis\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy')))"
+        )
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
+import json
+from pathlib import Path
 
-from repro.collectives import CollectiveRequest, CollectiveType
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.collectives import CollectiveRequest, CollectiveType, stage_bytes_fraction
 from repro.core import (
     IdealEstimator,
     LpIdealEstimator,
@@ -17,8 +23,45 @@ from repro.core import (
 )
 from repro.errors import ScheduleError
 from repro.sim import FusionConfig, NetworkSimulator
-from repro.topology import Topology, dimension, get_topology
+from repro.topology import (
+    DimensionKind,
+    DimensionSpec,
+    Topology,
+    dimension,
+    get_topology,
+)
 from repro.units import MB, GB
+
+#: Unit-size makespans of the fluid LP as scipy's ``linprog`` (HiGHS) solved
+#: it, one row per topology: its ``(size, bandwidth)`` pairs in bytes/s and a
+#: makespan per collective type.  The rows are the topology presets, the
+#: Fig. 5 example, the under-provisioned pair below and 200 seeded random
+#: 1-4 dimension topologies with bandwidths spread over four decades.
+LP_VALUES = json.loads(
+    (Path(__file__).parent / "data" / "lp_ideal_values.json").read_text()
+)
+
+
+def _switch_topology(dims) -> Topology:
+    return Topology(
+        [
+            DimensionSpec(kind=DimensionKind.SWITCH, size=p, link_bw=bw)
+            for p, bw in dims
+        ]
+    )
+
+
+@st.composite
+def random_topologies(draw) -> Topology:
+    """1-4 dimensions, sizes 2-16, bandwidths over four decades."""
+    ndims = draw(st.integers(min_value=1, max_value=4))
+    return _switch_topology(
+        (
+            draw(st.integers(min_value=2, max_value=16)),
+            10.0 ** draw(st.floats(min_value=9.0, max_value=13.0)),
+        )
+        for _ in range(ndims)
+    )
 
 
 class TestIdealEstimator:
@@ -69,17 +112,45 @@ class TestLpIdeal:
         fluid = LpIdealEstimator().collective_time(CollectiveType.ALL_REDUCE, GB, topo)
         assert fluid > ideal * 1.05
 
-    def test_solution_weights_sum_to_size(self, homo_3d):
-        solution = LpIdealEstimator().solve(
-            CollectiveType.ALL_REDUCE, 100 * MB, homo_3d
-        )
-        assert sum(solution.order_weights.values()) == pytest.approx(100 * MB, rel=1e-6)
+    def test_matches_recorded_lp_optimum(self):
+        """The closed form is the LP's optimum on every recorded topology."""
+        estimator = LpIdealEstimator()
+        for entry in LP_VALUES:
+            topo = _switch_topology(entry["dims"])
+            for ctype in CollectiveType:
+                recorded = entry["makespan"][ctype.value]
+                fluid = estimator.collective_time(ctype, 1.0, topo)
+                assert fluid == pytest.approx(recorded, rel=1e-9), (
+                    entry["name"],
+                    ctype,
+                )
 
-    def test_bottleneck_dims_nonempty(self, homo_3d):
-        solution = LpIdealEstimator().solve(
-            CollectiveType.ALL_REDUCE, 100 * MB, homo_3d
+    @given(
+        topo=random_topologies(),
+        ctype=st.sampled_from(list(CollectiveType)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_order_mix_beats_closed_form(self, topo, ctype, data):
+        """Any mix of dimension orders is a feasible LP point, so its
+        makespan is never below the LP optimum."""
+        orders = list(itertools.permutations(range(topo.ndims)))
+        weights = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False),
+                min_size=len(orders),
+                max_size=len(orders),
+            ).filter(lambda w: sum(w) > 0)
         )
-        assert solution.bottleneck_dims
+        total = sum(weights)
+        mix = [0.0] * topo.ndims
+        for weight, order in zip(weights, orders):
+            fractions = stage_bytes_fraction(ctype, order, topo)
+            for k in range(topo.ndims):
+                mix[k] += weight / total * fractions[k]
+        makespan = max(b / bw for b, bw in zip(mix, topo.bandwidths))
+        bound = LpIdealEstimator().collective_time(ctype, 1.0, topo)
+        assert makespan >= bound * (1 - 1e-12)
 
     def test_fluid_never_below_ideal(self):
         est_i, est_lp = IdealEstimator(), LpIdealEstimator()
@@ -127,6 +198,15 @@ class TestAchievableUtilization:
             topo = get_topology(name)
             util = achievable_utilization(CollectiveType.ALL_REDUCE, topo)
             assert util > 0.99, name
+
+    @given(topo=random_topologies())
+    @settings(max_examples=100, deadline=None)
+    def test_all_gather_matches_reduce_scatter(self, topo):
+        """AG bytes are RS bytes of the reversed order, scaled by ``npus``:
+        both estimators scale alike, so the utilization is the same."""
+        ag = achievable_utilization(CollectiveType.ALL_GATHER, topo)
+        rs = achievable_utilization(CollectiveType.REDUCE_SCATTER, topo)
+        assert ag == pytest.approx(rs, rel=1e-12)
 
 
 class TestScheduleConsistency:

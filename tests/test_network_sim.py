@@ -117,6 +117,19 @@ class TestExecutionBasics:
         )
         assert sum(result.dim_bytes) == pytest.approx(expected)
 
+    def test_all_gather_bytes_conservation(self, asymmetric_3d):
+        """An AG's size is the pre-gather shard: the wire carries what the
+        Ideal charges, ``size x (npus - 1)``, under Themis's mixed orders."""
+        from repro.collectives import invariant_bytes_per_npu
+
+        result = run_single(
+            asymmetric_3d, chunks=8, size=4 * MB, ctype=CollectiveType.ALL_GATHER
+        )
+        expected = invariant_bytes_per_npu(
+            CollectiveType.ALL_GATHER, 4 * MB, asymmetric_3d
+        )
+        assert sum(result.dim_bytes) == pytest.approx(expected)
+
     def test_themis_bytes_exceed_invariant_when_rebalancing(self, fig5_topology):
         """Dynamic orders trade extra bytes on fat dims for balance.
 

@@ -118,11 +118,23 @@ class TestStageMathProperties:
     @given(topo=topologies(), size=sizes)
     @settings(max_examples=60, deadline=None)
     def test_ar_invariant_is_double_rs(self, topo, size):
+        """AR sends two RS; an AG of the pre-gather shard ``size`` sends
+        ``npus`` times what an RS of the same ``size`` does."""
         rs = invariant_bytes_per_npu(CollectiveType.REDUCE_SCATTER, size, topo)
         ag = invariant_bytes_per_npu(CollectiveType.ALL_GATHER, size, topo)
         ar = invariant_bytes_per_npu(CollectiveType.ALL_REDUCE, size, topo)
-        assert rs == pytest.approx(ag)
-        assert ar == pytest.approx(rs + ag)
+        assert ar == 2 * rs
+        assert ag == pytest.approx(rs * topo.npus, rel=1e-12)
+
+    @given(topo=topologies(), size=sizes, ctype=collective_types, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_bytes_match_stage_plan(self, topo, size, ctype, data):
+        """The Ideal charges every type the bytes its stages send, any order."""
+        order = data.draw(_permutations_of(topo.ndims))
+        fractions = stage_bytes_fraction(ctype, order, topo)
+        assert invariant_bytes_per_npu(ctype, size, topo) == pytest.approx(
+            size * sum(fractions.values()), rel=1e-12
+        )
 
 
 # --- splitter -----------------------------------------------------------------
