@@ -131,10 +131,7 @@ def _run_training(
             sim.network.apply_fault_schedule(schedule)
     report = sim.run()
     per_dim = None
-    if (
-        getattr(sim.network, "provides_result", False)
-        and sim.loop.collectives_issued
-    ):
+    if sim.network.provides_result and sim.loop.collectives_issued:
         network_result = sim.network.result()
         if network_result.comm_active_seconds > 0:
             per_dim = tuple(bw_utilization(network_result).per_dim)

@@ -155,7 +155,7 @@ def _validate_backend(
 ) -> Any:
     """Resolve + capability-check a scenario's network backend fields.
 
-    Returns the backend implementation (its capability flags drive the
+    Returns the backend class (its capability flags drive the
     caller's combination checks).  ``backend_options`` go through the
     backend's own validator, so a packet-option typo is a load-time
     :class:`SpecError` with the backend's did-you-mean hint.

@@ -1,27 +1,25 @@
-"""Pluggable network-fidelity backends.
+"""Pluggable network-fidelity backends, one network class each.
 
 See :mod:`repro.sim.backends.base` for the interface and
 ``docs/backends.md`` for the fidelity/speed tradeoff.  The four
-built-ins register at import time; plugins add their own via
+built-ins register at import time; plugins register their own class via
 ``register_backend`` (or ``repro.api.register("backend", ...)``).
 """
 
 from __future__ import annotations
 
-from .analytical import AnalyticalBackend
+from ..network import NetworkBackend, NetworkSimulator
 from .base import (
     DEFAULT_BACKEND,
-    NetworkBackend,
     backend_names,
     get_backend,
     register_backend,
     resolve_backend_key,
 )
-from .fluid import FluidBackend, FluidNetwork, FluidOptions
-from .ideal import IdealBackend
+from .fluid import FluidNetwork, FluidOptions
+from .ideal import IdealNetwork
 from .packet import (
     ROUTING_MODES,
-    PacketBackend,
     PacketNetwork,
     PacketOptions,
     lane_for_packet,
@@ -29,21 +27,18 @@ from .packet import (
     service_packets,
 )
 
-register_backend(AnalyticalBackend.key, AnalyticalBackend())
-register_backend(FluidBackend.key, FluidBackend())
-register_backend(IdealBackend.key, IdealBackend())
-register_backend(PacketBackend.key, PacketBackend())
+register_backend(NetworkSimulator.key, NetworkSimulator)
+register_backend(FluidNetwork.key, FluidNetwork)
+register_backend(IdealNetwork.key, IdealNetwork)
+register_backend(PacketNetwork.key, PacketNetwork)
 
 __all__ = [
     "DEFAULT_BACKEND",
     "ROUTING_MODES",
-    "AnalyticalBackend",
-    "FluidBackend",
     "FluidNetwork",
     "FluidOptions",
-    "IdealBackend",
+    "IdealNetwork",
     "NetworkBackend",
-    "PacketBackend",
     "PacketNetwork",
     "PacketOptions",
     "backend_names",

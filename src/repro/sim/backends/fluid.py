@@ -54,13 +54,12 @@ See ``docs/backends.md`` for the model, options, and tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import TYPE_CHECKING
 
 from ...collectives.phases import Stage
 from ...errors import ConfigError
 from ..executor import OpState
 from ..network import NetworkSimulator, PlanCosts, build_chunk_ops
-from .base import NetworkBackend, options_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...collectives.types import CollectiveRequest
@@ -95,7 +94,17 @@ class FluidOptions:
 
 
 class FluidNetwork(NetworkSimulator):
-    """Flow-level network simulator: see the module docstring for the model."""
+    """Flow-level network simulator: see the module docstring for the model.
+
+    It has the analytical backend's capabilities.
+    """
+
+    key = "fluid"
+    description = (
+        "flow-level fast path: closed-form shared channels, rate-change "
+        "events only (512-4096-job runs)"
+    )
+    options_type = FluidOptions
 
     def __init__(
         self,
@@ -204,44 +213,3 @@ class FluidNetwork(NetworkSimulator):
                 firsts, totals.values()
             )
         )
-
-
-class FluidBackend(NetworkBackend):
-    """Flow-level fast path over the analytical channels (see fluid.py)."""
-
-    key: ClassVar[str] = "fluid"
-    description: ClassVar[str] = (
-        "flow-level fast path: closed-form shared channels, rate-change "
-        "events only (512-4096-job runs)"
-    )
-    accepts_scheduler: ClassVar[bool] = True
-    provides_result: ClassVar[bool] = True
-    supports_faults: ClassVar[bool] = True
-    supports_sharing: ClassVar[bool] = True
-    supports_cluster: ClassVar[bool] = True
-
-    def build(
-        self,
-        topology: "Topology",
-        *,
-        scheduler: "SchedulerFactory | None" = None,
-        policy: "str | IntraDimPolicy" = "SCF",
-        fusion: "FusionConfig | None" = None,
-        engine: "EventQueue | None" = None,
-        record_ops: bool = True,
-        audit: bool | None = None,
-        options: dict[str, Any] | None = None,
-    ) -> FluidNetwork:
-        return FluidNetwork(
-            topology,
-            scheduler=scheduler,
-            policy=policy,
-            fusion=fusion,
-            engine=engine,
-            record_ops=record_ops,
-            audit=audit,
-            options=options_from_dict(FluidOptions, options, self.key),
-        )
-
-    def validate_options(self, options: dict[str, Any] | None) -> None:
-        options_from_dict(FluidOptions, options, self.key)

@@ -1,23 +1,27 @@
-"""The Table 3 "Ideal" network and its registered backend.
+"""The Table 3 "Ideal" network, registered as the ``"ideal"`` backend.
 
 :class:`IdealNetwork` is a fluid server that moves each collective's
 schedule-invariant byte volume at the full aggregate bandwidth of the
 dimensions it spans.  ``backend: "ideal"`` is the registry spelling of the
 older ``ideal_network: true`` training flag (the flag remains an alias).
 The ideal model has no scheduler, no per-tenant accounting, and no fault
-surface — the capability flags below let the spec layer reject those
+surface — its capability flags, all off, let the spec layer reject those
 combinations up front.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import TYPE_CHECKING, Any
 
 from ...core.ideal import IdealEstimator
 from ..engine import EventQueue
-from ..network import CollectivePlanner, CollectiveResult, _check_not_past
-from .base import NetworkBackend
+from ..network import (
+    CollectivePlanner,
+    CollectiveResult,
+    NetworkBackend,
+    _check_not_past,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...collectives.types import CollectiveRequest
@@ -27,18 +31,37 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..executor import FusionConfig
 
 
-class IdealNetwork:
+class IdealNetwork(NetworkBackend):
     """Fluid 100%-utilization network (Table 3 "Ideal").
 
     Each collective completes after ``invariant_bytes / total_BW`` of
     *service* time; concurrent collectives queue FIFO on the fluid server
     (they share the same wires, so a lower bound must still serialize their
-    byte volumes).  Used for the Ideal bars of Fig. 12.
+    byte volumes).  Used for the Ideal bars of Fig. 12.  The server is
+    schedule-free and exposes no execution trace.
     """
 
-    #: The ideal server is schedule-free and exposes no execution trace.
-    accepts_scheduler = False
-    provides_result = False
+    key = "ideal"
+    description = (
+        "fluid 100%-utilization lower bound (Table 3 Ideal); "
+        "schedule-independent, no faults/fairness"
+    )
+
+    @classmethod
+    def build(
+        cls,
+        topology: "Topology",
+        *,
+        scheduler: "SchedulerFactory | None" = None,
+        policy: "str | IntraDimPolicy" = "SCF",
+        fusion: "FusionConfig | None" = None,
+        engine: EventQueue | None = None,
+        record_ops: bool = True,
+        audit: bool | None = None,
+        options: dict[str, Any] | None = None,
+    ) -> IdealNetwork:
+        cls.validate_options(options)
+        return cls(topology, engine=engine)
 
     def __init__(self, topology: "Topology", engine: EventQueue | None = None) -> None:
         self.topology = topology
@@ -81,35 +104,3 @@ class IdealNetwork:
     def run(self) -> list[CollectiveResult]:
         self.engine.run()
         return list(self._results)
-
-
-class IdealBackend(NetworkBackend):
-    """Fluid 100%-utilization lower bound (schedule-invariant bytes)."""
-
-    key: ClassVar[str] = "ideal"
-    description: ClassVar[str] = (
-        "fluid 100%-utilization lower bound (Table 3 Ideal); "
-        "schedule-independent, no faults/fairness"
-    )
-    accepts_scheduler: ClassVar[bool] = False
-    provides_result: ClassVar[bool] = False
-    supports_faults: ClassVar[bool] = False
-    supports_sharing: ClassVar[bool] = False
-    supports_cluster: ClassVar[bool] = False
-
-    def build(
-        self,
-        topology: "Topology",
-        *,
-        scheduler: "SchedulerFactory | None" = None,
-        policy: "str | IntraDimPolicy" = "SCF",
-        fusion: "FusionConfig | None" = None,
-        engine: "EventQueue | None" = None,
-        record_ops: bool = True,
-        audit: bool | None = None,
-        options: dict[str, Any] | None = None,
-    ) -> IdealNetwork:
-        # scheduler/policy/fusion do not exist at this fidelity; they are
-        # accepted (and ignored) so every backend builds through one call.
-        self.validate_options(options)
-        return IdealNetwork(topology, engine=engine)

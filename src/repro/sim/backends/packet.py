@@ -54,7 +54,7 @@ import hashlib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import TYPE_CHECKING, Any
 
 from ...collectives.types import CollectiveRequest
 from ...core.latency_model import LatencyModel
@@ -74,7 +74,6 @@ from ..network import (
     build_chunk_ops,
 )
 from ..timeline import Interval
-from .base import NetworkBackend, options_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...core.policies import IntraDimPolicy
@@ -145,6 +144,21 @@ def packetize(nbytes: float, mtu_bytes: float) -> list[float]:
     if len(payloads) < math.ceil(nbytes / mtu_bytes):
         payloads.append(remainder)
     return payloads
+
+
+def capped_mtu(nbytes: float, mtu_bytes: float, max_packets: int) -> float:
+    """The MTU at which ``nbytes`` packetizes into at most ``max_packets``.
+
+    ``mtu_bytes`` when it already does; otherwise ``nbytes / max_packets``,
+    stepped up one ulp at a time while the rounded division still leaves
+    :func:`packetize` one packet over the cap.
+    """
+    if math.ceil(nbytes / mtu_bytes) <= max_packets:
+        return mtu_bytes
+    mtu = nbytes / max_packets
+    while math.ceil(nbytes / mtu) > max_packets:
+        mtu = math.nextafter(mtu, math.inf)
+    return mtu
 
 
 def lane_for_packet(
@@ -317,10 +331,38 @@ class PacketNetwork(NetworkBookkeeping):
     module docstring for the model.
     """
 
-    #: ``submit`` accepts a per-request ``scheduler=`` factory.
-    accepts_scheduler: ClassVar[bool] = True
-    #: ``result()`` returns an :class:`ExecutionResult`.
-    provides_result: ClassVar[bool] = True
+    key = "packet"
+    description = (
+        "packet-level model: MTU packetization, FIFO egress queues, "
+        "store-and-forward switch hops, deterministic/ECMP routing"
+    )
+    accepts_scheduler = True
+    provides_result = True
+    supports_faults = True
+    supports_cluster = True
+    options_type = PacketOptions
+
+    @classmethod
+    def build(
+        cls,
+        topology: Topology,
+        *,
+        scheduler: SchedulerFactory | None = None,
+        policy: "str | IntraDimPolicy" = "SCF",
+        fusion: "FusionConfig | None" = None,
+        engine: EventQueue | None = None,
+        record_ops: bool = True,
+        audit: bool | None = None,
+        options: dict[str, Any] | None = None,
+    ) -> PacketNetwork:
+        return cls(
+            topology,
+            scheduler=scheduler,
+            engine=engine,
+            record_ops=record_ops,
+            audit=audit,
+            options=cls.validate_options(options),
+        )
 
     def __init__(
         self,
@@ -442,10 +484,8 @@ class PacketNetwork(NetworkBookkeeping):
         if rounds < 1 or op.bytes_sent <= 0:
             return _FlowState(op, 0, self.options.mtu_bytes)
         # Event-cost bound: coarsen the MTU rather than drop bytes.
-        mtu = self.options.mtu_bytes
-        packets = math.ceil(op.bytes_sent / mtu)
-        if packets > self.options.max_packets_per_op:
-            mtu = op.bytes_sent / self.options.max_packets_per_op
+        options = self.options
+        mtu = capped_mtu(op.bytes_sent, options.mtu_bytes, options.max_packets_per_op)
         return _FlowState(op, rounds, mtu)
 
     def _start_flow(self, flow: _FlowState) -> None:
@@ -534,45 +574,3 @@ class PacketNetwork(NetworkBookkeeping):
             [g.bytes_sent for g in groups],
             [g.activity for g in groups],
         )
-
-
-class PacketBackend(NetworkBackend):
-    """Registry wrapper building :class:`PacketNetwork`."""
-
-    key: ClassVar[str] = "packet"
-    description: ClassVar[str] = (
-        "packet-level model: MTU packetization, FIFO egress queues, "
-        "store-and-forward switch hops, deterministic/ECMP routing"
-    )
-    accepts_scheduler: ClassVar[bool] = True
-    provides_result: ClassVar[bool] = True
-    supports_faults: ClassVar[bool] = True
-    supports_sharing: ClassVar[bool] = False
-    supports_cluster: ClassVar[bool] = True
-
-    def build(
-        self,
-        topology: Topology,
-        *,
-        scheduler: "SchedulerFactory | None" = None,
-        policy: "str | IntraDimPolicy" = "SCF",
-        fusion: "FusionConfig | None" = None,
-        engine: "EventQueue | None" = None,
-        record_ops: bool = True,
-        audit: bool | None = None,
-        options: dict[str, Any] | None = None,
-    ) -> PacketNetwork:
-        # policy / fusion are analytical-channel knobs with no packet-level
-        # counterpart; accepted and ignored so all backends build through
-        # one uniform call.
-        return PacketNetwork(
-            topology,
-            scheduler=scheduler,
-            engine=engine,
-            record_ops=record_ops,
-            audit=audit,
-            options=options_from_dict(PacketOptions, options, self.key),
-        )
-
-    def validate_options(self, options: dict[str, Any] | None) -> None:
-        options_from_dict(PacketOptions, options, self.key)

@@ -15,14 +15,18 @@ the sub-topology and plan caches, and :func:`build_chunk_ops` materializes
 those costs as one executable op per (chunk, stage) without querying the
 latency model.  :class:`NetworkBookkeeping` holds what the channel and
 packet networks keep besides their wires: submissions, op records,
-comm-active intervals and the fault schedule.
+comm-active intervals and the fault schedule.  :class:`NetworkBackend`,
+the base of every network, makes each network class its own registered
+backend (see :mod:`repro.sim.backends`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import Any, ClassVar
 
 from ..collectives.phases import Stage
 from ..collectives.registry import algorithms_for_topology
@@ -31,7 +35,7 @@ from ..core.chunk import CollectivePlan
 from ..core.latency_model import LatencyModel
 from ..core.policies import IntraDimPolicy, get_policy
 from ..core.scheduler import SchedulerFactory
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError, SimulationError, did_you_mean
 from ..topology import Topology
 from .audit import InvariantAuditor, resolve_audit
 from .engine import EventQueue
@@ -308,7 +312,109 @@ def build_chunk_ops(
     ]
 
 
-class NetworkBookkeeping:
+class NetworkBackend:
+    """A network-fidelity model: each network class is its own backend.
+
+    Its class attributes name it in the ``backend`` registry and say what
+    it supports, so a spec that needs more is rejected before any run.
+    """
+
+    #: Registry key (``"analytical"``, ``"fluid"``, ``"ideal"``, ``"packet"``).
+    key: ClassVar[str] = ""
+    #: One-line description for ``themis-sim registry`` and the docs.
+    description: ClassVar[str] = ""
+    #: Whether ``submit`` accepts a per-request ``scheduler=`` factory.
+    accepts_scheduler: ClassVar[bool] = False
+    #: Whether the network exposes ``result() -> ExecutionResult``.
+    provides_result: ClassVar[bool] = False
+    #: Whether :class:`~repro.sim.faults.FaultSchedule` can be applied.
+    supports_faults: ClassVar[bool] = False
+    #: Whether weighted per-tenant sharing / priority preemption exist
+    #: (``set_tenant_weights`` / ``enable_preemption``).
+    supports_sharing: ClassVar[bool] = False
+    #: Whether the multi-job cluster simulator can run on this backend
+    #: (needs per-owner accounting and per-request schedulers).
+    supports_cluster: ClassVar[bool] = False
+    #: The dataclass of the backend's ``backend_options``; ``None``: none.
+    options_type: ClassVar[type[Any] | None] = None
+
+    @classmethod
+    def build(
+        cls,
+        topology: Topology,
+        *,
+        scheduler: SchedulerFactory | None = None,
+        policy: str | IntraDimPolicy = "SCF",
+        fusion: FusionConfig | None = None,
+        engine: EventQueue | None = None,
+        record_ops: bool = True,
+        audit: bool | None = None,
+        options: dict[str, Any] | None = None,
+    ) -> Any:
+        """This backend's network for ``topology``.
+
+        Every argument goes on to the constructor, ``options`` parsed by
+        :meth:`validate_options`; a network whose constructor takes fewer
+        arguments overrides this and ignores the knobs it has no use for.
+        """
+        parsed = cls.validate_options(options)
+        extra = {} if parsed is None else {"options": parsed}
+        # The arguments are for a subclass's constructor; this class has none.
+        construct: Callable[..., NetworkBackend] = cls
+        return construct(
+            topology,
+            scheduler=scheduler,
+            policy=policy,
+            fusion=fusion,
+            engine=engine,
+            record_ops=record_ops,
+            audit=audit,
+            **extra,
+        )
+
+    @classmethod
+    def validate_options(cls, options: dict[str, Any] | None) -> Any:
+        """The :attr:`options_type` instance a ``backend_options`` document
+        describes; specs call this too, so a bad document fails early.
+
+        Unknown keys get a did-you-mean hint.  The document is JSON, so
+        values are type-checked, not coerced: a bool option takes a bool,
+        an int option an int, a float option any number, a str option a str.
+        """
+        if cls.options_type is None:
+            if options:
+                raise ConfigError(
+                    f"backend {cls.key!r} accepts no options, got: "
+                    f"{', '.join(sorted(options))}"
+                )
+            return None
+        data = options or {}
+        fields = dataclasses.fields(cls.options_type)
+        kinds = {entry.name: type(entry.default) for entry in fields}
+        known = tuple(kinds)
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            hints = ", ".join(f"{key!r}{did_you_mean(key, known)}" for key in unknown)
+            raise ConfigError(
+                f"unknown {cls.key} backend option(s): {hints}; "
+                f"known: {', '.join(known)}"
+            )
+        for key, value in data.items():
+            kind = kinds[key]
+            # bool subclasses int, so only a bool option may take a bool.
+            typed = isinstance(value, (int, float) if kind is float else kind)
+            if not typed or isinstance(value, bool) != (kind is bool):
+                raise ConfigError(
+                    f"{cls.key} backend option {key!r} must be "
+                    f"{kind.__name__}, got {value!r}"
+                )
+        try:
+            return cls.options_type(**{k: kinds[k](v) for k, v in data.items()})
+        except OverflowError as error:  # an int too large for a float
+            raise ConfigError(f"{cls.key} backend option: {error}") from None
+
+
+class NetworkBookkeeping(NetworkBackend):
     """What the channel and packet networks keep besides their wires.
 
     It holds the planner, the submitted collectives, the op records, the
@@ -519,6 +625,8 @@ class NetworkBookkeeping:
 class NetworkSimulator(NetworkBookkeeping):
     """Event-driven network that executes scheduled collectives.
 
+    It is the default ``"analytical"`` backend, the paper's Sec. 4.4 model.
+
     Parameters
     ----------
     topology:
@@ -553,11 +661,16 @@ class NetworkSimulator(NetworkBookkeeping):
     pre-simulation.
     """
 
-    #: Capability flags read by backend-agnostic callers (the training
-    #: loop checks ``accepts_scheduler`` before passing a per-request
-    #: factory; reporting checks ``provides_result`` before snapshotting).
+    key = "analytical"
+    description = (
+        "paper bandwidth model: per-dimension fluid channels, "
+        "alpha-beta op latency (default)"
+    )
     accepts_scheduler = True
     provides_result = True
+    supports_faults = True
+    supports_sharing = True
+    supports_cluster = True
 
     def __init__(
         self,

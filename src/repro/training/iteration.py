@@ -244,9 +244,7 @@ class TrainingLoop:
         kwargs: dict = {"at_time": self.engine.now}
         if self.on_collective_complete is not None:
             kwargs["on_complete"] = self.on_collective_complete
-        if self.scheduler_factory is not None and getattr(
-            self.network, "accepts_scheduler", False
-        ):
+        if self.scheduler_factory is not None and self.network.accepts_scheduler:
             kwargs["scheduler"] = self.scheduler_factory
         return self.network.submit(request, **kwargs)
 
@@ -462,10 +460,7 @@ class TrainingSimulator:
             report.iterations.append(self._run_iteration())
         self.engine.run()  # drain any same-instant residue
         report.collective_count = self.loop.collectives_issued
-        if (
-            getattr(self.network, "provides_result", False)
-            and self.loop.collectives_issued
-        ):
+        if self.network.provides_result and self.loop.collectives_issued:
             result = self.network.result()
             report.avg_bw_utilization = bw_utilization(result).average
         return report

@@ -5,7 +5,7 @@ Covered:
 * the ``backend`` registry kind: lookup, case-insensitivity, did-you-mean
   rejection, spec-level validation of backends and their options;
 * packetization invariants (hypothesis): byte conservation across MTU
-  choices, MTU bounds, packet counts;
+  choices, MTU bounds, packet counts, the per-op packet cap;
 * egress booking invariants (hypothesis): determinism of
   ``service_packets`` under identical inputs, strict per-hop arrival
   monotonicity (store-and-forward), FIFO ordering on a single lane;
@@ -16,7 +16,9 @@ Covered:
   the field unset;
 * capability gating: fairness policies that need weighted sharing are
   rejected on the packet backend, the ideal backend refuses clusters and
-  faults;
+  faults; every backend's flags match what its network does;
+* ``backend_options`` values are type-checked, not coerced;
+* the custom-backend example in ``docs/backends.md`` runs as a plugin;
 * packet faults: degradation slows the wire, outages park and resume;
 * the ``themis-sim registry`` subcommand and ``--backend`` CLI flags;
 * the fidelity experiment: Themis's win survives packet fidelity.
@@ -26,17 +28,22 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import api
 from repro.cli import main
+from repro.cluster import ClusterConfig, ClusterSimulator, JobSpec
 from repro.collectives import CollectiveRequest, CollectiveType
 from repro.core import SchedulerFactory, Splitter
 from repro.errors import ConfigError, SpecError
-from repro.sim import IdealNetwork, LinkFault, NetworkSimulator
+from repro.sim import FaultSchedule, IdealNetwork, LinkFault, NetworkSimulator
 from repro.sim.backends import (
     DEFAULT_BACKEND,
     ROUTING_MODES,
@@ -50,8 +57,13 @@ from repro.sim.backends import (
     resolve_backend_key,
     service_packets,
 )
+from repro.sim.backends.packet import capped_mtu
 from repro.topology import Topology, dimension, get_topology
 from repro.units import MB
+from repro.workloads import Layer, Workload
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 # --- helpers ----------------------------------------------------------------
 
@@ -123,6 +135,7 @@ class TestBackendRegistry:
         # the resolver itself (specs and TrainingSimulator share it)
         assert resolve_backend_key("packet") == "packet"
         assert resolve_backend_key("ideal", ideal_network=True) == "ideal"
+        assert resolve_backend_key("Ideal", ideal_network=True) == "ideal"
         with pytest.raises(ConfigError, match="ideal_network is an alias"):
             resolve_backend_key("packet", ideal_network=True)
 
@@ -202,6 +215,24 @@ class TestPacketize:
         assert packetize(0.0, 1024.0) == []
         assert packetize(-5.0, 1024.0) == []
 
+    @given(
+        nbytes=st.floats(min_value=64 * MB, max_value=16 * 1024 * MB),
+        cap=st.integers(min_value=1, max_value=300),
+    )
+    # bytes / 100 rounds down: its packet count would be 101, the last
+    # packet carrying 8.2e-8 bytes.
+    @example(nbytes=945222160.4907061, cap=100)
+    @settings(max_examples=200, deadline=None)
+    def test_capped_op_stays_within_cap(self, nbytes, cap):
+        mtu = capped_mtu(nbytes, 65536.0, cap)
+        payloads = packetize(nbytes, mtu)
+        assert len(payloads) <= cap
+        assert all(0 < p <= mtu for p in payloads)
+        assert sum(payloads) == pytest.approx(nbytes, rel=1e-9)
+
+    def test_uncapped_op_keeps_its_mtu(self):
+        assert capped_mtu(65536.0 * 256, 65536.0, 256) == 65536.0
+
 
 class TestPacketOptions:
     def test_defaults(self):
@@ -226,6 +257,40 @@ class TestPacketOptions:
     def test_rejects_tiny_packet_cap(self):
         with pytest.raises(ConfigError):
             PacketOptions(max_packets_per_op=0)
+
+
+class TestOptionTypes:
+    """A ``backend_options`` value must have its option's type."""
+
+    @pytest.mark.parametrize(
+        ("backend", "options", "kind"),
+        [
+            ("fluid", {"hybrid": "false"}, "bool"),
+            ("packet", {"mtu_bytes": True}, "float"),
+            ("packet", {"max_packets_per_op": 2.7}, "int"),
+            ("packet", {"routing": 1}, "str"),
+        ],
+    )
+    def test_wrong_type_rejected(self, backend, options, kind):
+        (name,) = options
+        with pytest.raises(ConfigError, match=f"{backend} .*'{name}' must be {kind}"):
+            get_backend(backend).validate_options(options)
+        with pytest.raises(SpecError, match=name):
+            api.TrainingScenario(
+                workload="dlrm",
+                topology="2D-SW_SW",
+                backend=backend,
+                backend_options=options,
+            )
+
+    def test_int_is_a_float(self):
+        options = get_backend("packet").validate_options({"mtu_bytes": 8192})
+        assert options.mtu_bytes == 8192.0
+        assert isinstance(options.mtu_bytes, float)
+
+    def test_int_too_large_for_a_float(self):
+        with pytest.raises(ConfigError, match="too large"):
+            get_backend("packet").validate_options({"mtu_bytes": 10**400})
 
 
 # --- egress booking ---------------------------------------------------------
@@ -598,6 +663,104 @@ class TestBackendFlags:
                      "--fairness", "weighted"])
         assert code == 1
         assert "analytical backend" in capsys.readouterr().err
+
+
+# --- capability contract ----------------------------------------------------
+
+
+def _works(call) -> bool:
+    """Whether ``call()`` ran; a missing method, a rejected argument or a
+    ``ConfigError`` count as refused."""
+    try:
+        call()
+    except (AttributeError, TypeError, ConfigError):
+        return False
+    return True
+
+
+class TestCapabilityContract:
+    """Every registered backend's flags match what its network does."""
+
+    @pytest.mark.parametrize("key", backend_names())
+    def test_flags_match_behaviour(self, key, small_2d):
+        backend = get_backend(key)
+        assert backend.key == key
+        assert backend.description
+        scheduler = SchedulerFactory("themis", splitter=Splitter(4))
+
+        def build():
+            network = backend.build(small_2d, scheduler=scheduler)
+            assert isinstance(network, backend)
+            return network
+
+        def request():
+            return CollectiveRequest(CollectiveType.ALL_REDUCE, 4 * MB)
+
+        network = build()
+        submitted = _works(lambda: network.submit(request(), scheduler=scheduler))
+        assert submitted == backend.accepts_scheduler
+        network.submit(request())
+        network.run()
+        assert _works(lambda: network.result()) == backend.provides_result
+
+        network = build()
+        faults = FaultSchedule((LinkFault(0, 0.0, 0.5),))
+        faulted = _works(lambda: network.apply_fault_schedule(faults))
+        assert faulted == backend.supports_faults
+
+        network = build()
+        weighted = _works(lambda: network.set_tenant_weights({"a": 2.0}))
+        assert weighted == backend.supports_sharing
+        preempted = _works(lambda: network.enable_preemption())
+        assert preempted == backend.supports_sharing
+
+        job = JobSpec(
+            name="solo",
+            workload=Workload(
+                name="tiny",
+                layers=[Layer("l0", fwd_flops=1e9, bwd_flops=2e9, param_bytes=4 * MB)],
+                batch_per_npu=1,
+            ),
+        )
+
+        def cluster():
+            config = ClusterConfig(isolated_baselines=False, backend=key)
+            ClusterSimulator(small_2d, [job], config).run()
+
+        assert _works(cluster) == backend.supports_cluster
+
+
+class TestCustomBackendDoc:
+    """The "Registering a custom backend" example in docs/backends.md."""
+
+    def test_example_plugin_runs(self, builtin_registry):
+        text = (DOCS / "backends.md").read_text(encoding="utf-8")
+        section = text.split("## Registering a custom backend", 1)[1]
+        example = section.split("```python\n", 1)[1].split("```", 1)[0]
+        builtin_keys = builtin_registry["backend"]
+        # A fresh interpreter, so the plugin stays out of this process's
+        # registry; it then runs one small scenario under the new key.
+        check = f"""
+from repro import api
+from repro.sim.backends import NetworkBackend, backend_names, get_backend
+(plugin,) = [k for k in backend_names() if k not in {builtin_keys!r}]
+assert issubclass(get_backend(plugin), NetworkBackend)
+assert get_backend(plugin).key == plugin
+report = api.run(api.TrainingScenario(
+    workload="dlrm", topology="2D-SW_SW", iterations=1, backend=plugin,
+))
+assert report.payload["backend"] == plugin and report.makespan > 0
+print("plugin ran:", plugin)
+"""
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", example + check],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "plugin ran:" in proc.stdout
 
 
 # --- fidelity experiment ----------------------------------------------------
