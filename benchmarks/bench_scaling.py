@@ -27,10 +27,13 @@ later PR compares against.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
+from typing import TypeVar
 
 if True:  # allow running without PYTHONPATH=src
     _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -114,6 +117,18 @@ def make_jobs(n_jobs: int, iterations: int) -> list[JobSpec]:
     return jobs
 
 
+_T = TypeVar("_T")
+
+
+def _timed(call: Callable[[], _T]) -> tuple[_T, float]:
+    """``call()`` and its wall seconds.  A full collection runs first, so a
+    cell never pays for collecting the previous cell's garbage."""
+    gc.collect()
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
 def run_cell(
     n_jobs: int,
     policy: str,
@@ -137,9 +152,7 @@ def run_cell(
     # pollute the wall-time of its first cell.
     for spec in jobs:
         sim.isolated_time(spec)
-    start = time.perf_counter()
-    report = sim.run()
-    wall = time.perf_counter() - start
+    report, wall = _timed(sim.run)
     engine = sim.engine
     jcts = [job.jct for job in report.jobs]
     return {
@@ -188,9 +201,7 @@ def run_open_loop(arrivals: int = DEFAULT_OPEN_LOOP_ARRIVALS) -> dict:
         isolated_baselines=False,
         chunks=1,
     )
-    start = time.perf_counter()
-    report = api.run(spec)
-    wall = time.perf_counter() - start
+    report, wall = _timed(lambda: api.run(spec))
     payload = report.payload
     row = {
         "arrivals": arrivals,
@@ -238,9 +249,7 @@ def _fluid_open_loop_cell(arrivals: int, backend: str) -> dict:
         chunks=FLUID_CHUNKS,
         backend=backend,
     )
-    start = time.perf_counter()
-    report = api.run(spec)
-    wall = time.perf_counter() - start
+    report, wall = _timed(lambda: api.run(spec))
     payload = report.payload
     engine = payload["engine"]
     assert payload["total_jobs"] == arrivals
@@ -340,9 +349,7 @@ def run_degraded(n_jobs: int = 16) -> dict:
     )
     jobs = make_jobs(n_jobs, iterations=2)
     sim = ClusterSimulator(bench_topology(), jobs, config)
-    start = time.perf_counter()
-    report = sim.run()
-    wall = time.perf_counter() - start
+    report, wall = _timed(sim.run)
     engine = sim.engine
     row = {
         "jobs": n_jobs,
@@ -386,9 +393,7 @@ def run_backend_fidelity(n_jobs: int = 8) -> dict:
         )
         jobs = make_jobs(n_jobs, iterations=2)
         sim = ClusterSimulator(bench_topology(), jobs, config)
-        start = time.perf_counter()
-        report = sim.run()
-        wall = time.perf_counter() - start
+        report, wall = _timed(sim.run)
         engine = sim.engine
         rows[backend] = {
             "jobs": n_jobs,

@@ -10,7 +10,9 @@ ops by policy instead, so every hot-path decision is O(log n):
   is arrival order, SCF/LCF's their size order, so each policy's heap *is*
   its natural structure);
 * one per-owner bucket heap for the weighted-sharing wire's per-tenant
-  admission, with a heap of the inactive owners' bucket heads on top;
+  admission, with a heap of the inactive owners' bucket heads on top.
+  The buckets are built from the live ops on the first owner query, so a
+  serial wire, which never asks one, never builds them;
 * a parking map for ops blocked by an enforced per-collective order
   (Sec. 4.6.2) — a blocked op is unparked the moment it becomes its
   order's head, so eligibility never requires a scan.
@@ -23,6 +25,7 @@ policy's linear ``IntraDimPolicy.select`` picks from the same set.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
@@ -89,7 +92,8 @@ class ReadyQueue:
     def __init__(self, key_fn: Callable[["OpState"], tuple]) -> None:
         self._key = key_fn
         self._heap = _LazyHeap()
-        self._owner_heaps: dict[str, _LazyHeap] = {}
+        #: Per-owner buckets; ``None`` until the first owner query.
+        self._owner_heaps: defaultdict[str, _LazyHeap] | None = None
         self._parked: dict[OpKey, "OpState"] = {}
         self._live = 0
         self._priority_counts: dict[int, int] = {}
@@ -120,10 +124,8 @@ class ReadyQueue:
         op.queued = True
         key = self._key(op)
         self._heap.push(key, op)
-        owner_heap = self._owner_heaps.get(op.owner)
-        if owner_heap is None:
-            owner_heap = self._owner_heaps[op.owner] = _LazyHeap()
-        owner_heap.push(key, op)
+        if self._owner_heaps is not None:
+            self._owner_heaps[op.owner].push(key, op)
         if self._track_heads and op.owner not in self._active_owners:
             heapq.heappush(self._heads, (key, op))
         self._live += 1
@@ -153,9 +155,10 @@ class ReadyQueue:
         else:
             del counts[op.priority]
         self._heap.note_dead()
-        owner_heap = self._owner_heaps.get(op.owner)
-        if owner_heap is not None:
-            owner_heap.note_dead()
+        if self._owner_heaps is not None:
+            owner_heap = self._owner_heaps.get(op.owner)
+            if owner_heap is not None:
+                owner_heap.note_dead()
         if self._track_heads and op.owner not in self._active_owners:
             # The taken op may have been its owner's head: keep the owner's
             # *current* head present in the heads heap.
@@ -175,7 +178,7 @@ class ReadyQueue:
             # every owner's current head (ops admitted before any flow
             # started predate tracking).
             self._track_heads = True
-            for existing in list(self._owner_heaps):
+            for existing in list(self._owners()):
                 head = self._peek_owner(existing)
                 if head is not None:
                     heapq.heappush(self._heads, (self._key(head), head))
@@ -246,7 +249,7 @@ class ReadyQueue:
                         return candidate
             best: "OpState | None" = None
             best_key: tuple | None = None
-            for candidate_owner in list(self._owner_heaps):
+            for candidate_owner in list(self._owners()):
                 if candidate_owner in exclude_owners:
                     continue
                 candidate = self._peek_owner(candidate_owner)
@@ -259,13 +262,23 @@ class ReadyQueue:
         return self._heap.peek()
 
     def _peek_owner(self, owner: str) -> "OpState | None":
-        owner_heap = self._owner_heaps.get(owner)
+        owner_heaps = self._owners()
+        owner_heap = owner_heaps.get(owner)
         if owner_heap is None:
             return None
         op = owner_heap.peek()
         if op is None:
-            del self._owner_heaps[owner]
+            del owner_heaps[owner]
         return op
+
+    def _owners(self) -> defaultdict[str, _LazyHeap]:
+        """The per-owner buckets, built from the live ops on first use."""
+        if self._owner_heaps is None:
+            self._owner_heaps = defaultdict(_LazyHeap)
+            for op in self:
+                if op.queued:  # a parked op joins its bucket when promoted
+                    self._owner_heaps[op.owner].push(self._key(op), op)
+        return self._owner_heaps
 
     def max_priority(self) -> int | None:
         """Highest priority among eligible ops (``None`` when none)."""
@@ -281,10 +294,10 @@ class ReadyQueue:
         return self._live + len(self._parked)
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self._live > 0 or bool(self._parked)
 
     def __iter__(self) -> Iterator["OpState"]:
-        """Iterate live ops in unspecified order (diagnostics/tests)."""
+        """Iterate live ops, each once, in unspecified order."""
         # Dedup on the stable op identity, not id(): stale heap entries for
         # the same op must collapse, and address-based keys would make the
         # iteration (and anything ordered by it) vary run to run.

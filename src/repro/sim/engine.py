@@ -23,7 +23,11 @@ Hot-path provisions (see ``docs/performance.md``):
   absolute epsilon below one ulp would spuriously reject events computed
   with ordinary float round-off once ``now`` is large (long steady-state
   cluster runs).  Times inside the tolerance are clamped to ``now`` so the
-  clock never runs backwards.
+  clock never runs backwards.  A NaN time is rejected too.
+* A handle drops its callback once it fires or is cancelled, so a caller
+  that keeps its handles (a running batch holds its release and completion
+  events) forms no reference cycle through the callback's closure, and
+  reference counting frees it as soon as its events are done.
 """
 
 from __future__ import annotations
@@ -73,7 +77,10 @@ def ordered_sum(values: Iterable[float]) -> float:
 
 
 class EventHandle:
-    """A scheduled event; may be cancelled until the moment it fires."""
+    """A scheduled event; may be cancelled until the moment it fires.
+
+    ``callback`` is ``None`` once the event has fired or been cancelled.
+    """
 
     __slots__ = ("time", "callback", "cancelled", "fired", "_queue")
 
@@ -81,7 +88,7 @@ class EventHandle:
         self, time: float, callback: Callable[[], None], queue: "EventQueue"
     ) -> None:
         self.time = time
-        self.callback = callback
+        self.callback: Callable[[], None] | None = callback
         self.cancelled = False
         self.fired = False
         self._queue = queue
@@ -152,15 +159,18 @@ class EventQueue:
 
         Scheduling in the past is an error: it would silently reorder
         history and mask bugs in the callers.  Times within float round-off
-        of ``now`` (see :meth:`past_tolerance`) are clamped to ``now``.
+        of ``now`` (see :meth:`past_tolerance`) are clamped to ``now``.  A
+        NaN time is an error as well: it compares false both ways, so it
+        would fire out of order and set ``now`` to NaN.
         """
         if self.auditor is not None:
             self.auditor.on_event_scheduled(self, time)
-        if time < self.now - self.past_tolerance():
-            raise SimulationError(
-                f"cannot schedule event at {time} before current time {self.now}"
-            )
-        if time < self.now:
+        if not time >= self.now:  # also true for NaN
+            if not time >= self.now - self.past_tolerance():
+                raise SimulationError(
+                    f"cannot schedule event at {time} before current time "
+                    f"{self.now}"
+                )
             time = self.now
         handle = EventHandle(time, callback, self)
         heapq.heappush(self._heap, (time, next(self._seq), handle))
@@ -171,7 +181,7 @@ class EventQueue:
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` after a non-negative ``delay``."""
-        if delay < 0:
+        if not delay >= 0:  # also true for NaN
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.schedule(self.now + delay, callback)
 
@@ -180,6 +190,7 @@ class EventQueue:
         if handle is None or handle.cancelled or handle.fired:
             return False
         handle.cancelled = True
+        handle.callback = None
         self._dead += 1
         self.cancelled_events += 1
         if (
@@ -205,17 +216,22 @@ class EventQueue:
 
     def step(self) -> bool:
         """Fire the next live event; returns ``False`` when none remain."""
-        self._prune()
-        if not self._heap:
-            return False
-        time, _seq, handle = heapq.heappop(self._heap)
-        if self.auditor is not None:
-            self.auditor.on_event_fire(self, time, handle)
-        self.now = time
-        self._events_processed += 1
-        handle.fired = True
-        handle.callback()
-        return True
+        heap = self._heap
+        while heap:
+            time, _seq, handle = heapq.heappop(heap)
+            if handle.cancelled:
+                self._dead -= 1
+                continue
+            if self.auditor is not None:
+                self.auditor.on_event_fire(self, time, handle)
+            self.now = time
+            self._events_processed += 1
+            handle.fired = True
+            callback, handle.callback = handle.callback, None
+            assert callback is not None
+            callback()
+            return True
+        return False
 
     def run(self, max_events: int | None = None) -> None:
         """Run until no events remain (or ``max_events`` fired).

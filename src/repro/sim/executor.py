@@ -205,12 +205,23 @@ class _RunningBatch:
         "complete_handle",
     )
 
-    def __init__(self, batch: list[OpState], fixed: float, transfer: float) -> None:
+    def __init__(
+        self,
+        batch: list[OpState],
+        fixed: float,
+        transfer: float,
+        bytes_total: float | None = None,
+        priority: int | None = None,
+    ) -> None:
+        if bytes_total is None:
+            bytes_total = ordered_sum(op.bytes_sent for op in batch)
+        if priority is None:
+            priority = max(op.priority for op in batch)
         self.batch = batch
         self.fixed = fixed
         self.transfer_total = transfer
-        self.bytes_total = ordered_sum(op.bytes_sent for op in batch)
-        self.priority = max(op.priority for op in batch)
+        self.bytes_total = bytes_total
+        self.priority = priority
         self.remaining = transfer
         self.segment_start = 0.0
         self.release_handle: EventHandle | None = None
@@ -230,12 +241,12 @@ class _FlowState:
     clock: _GpsClock  # set by _GpsClock.push
 
     def __init__(
-        self, batch: list[OpState], fixed: float, weight: float, seq: int
+        self, batch: list[OpState], fixed: float, priority: int, weight: float, seq: int
     ) -> None:
         self.batch = batch
         self.owner = batch[0].owner
         self.fixed = fixed
-        self.priority = max(op.priority for op in batch)
+        self.priority = priority
         self.weight = weight
         self.seq = seq
         self.tag = 0.0
@@ -527,10 +538,11 @@ class DimensionChannel:
         )
 
     def _update_activity(self) -> None:
-        now = self.engine.now
-        if self.has_work and self._active_since is None:
-            self._active_since = now
-        elif not self.has_work and self._active_since is not None:
+        if self.has_work:
+            if self._active_since is None:
+                self._active_since = self.engine.now
+        elif self._active_since is not None:
+            now = self.engine.now
             if now > self._active_since:
                 self.stats.activity_intervals.append(
                     Interval(self._active_since, now)
@@ -598,13 +610,13 @@ class DimensionChannel:
         if self.busy:
             return
         best = self.policy.select_from(self.queue)
-        paused = self._best_paused()
-        if paused is not None and (
-            best is None or paused.priority >= self.queue.max_priority()
-        ):
-            self._paused.remove(paused)
-            self._start_segment(paused)
-            return
+        if self._paused:
+            paused = self._best_paused()
+            assert paused is not None
+            if best is None or paused.priority >= self.queue.max_priority():
+                self._paused.remove(paused)
+                self._start_segment(paused)
+                return
         if best is None:
             return
         self._execute(self._pick_batch(best))
@@ -653,17 +665,30 @@ class DimensionChannel:
         """
         self._start_segment(_RunningBatch(batch, *self._begin_batch(batch)))
 
-    def _begin_batch(self, batch: list[OpState]) -> tuple[float, float]:
-        """Stamp and count a starting batch; returns its fixed latency and
-        transfer time."""
-        fixed = max(op.fixed_time for op in batch)
+    def _begin_batch(self, batch: list[OpState]) -> tuple[float, float, float, int]:
+        """Stamp and count a starting batch in one pass.
+
+        Returns its fixed latency (the ops' maximum), transfer time and
+        bytes (summed left to right from integer ``0``, as
+        :func:`ordered_sum` does) and priority (the ops' maximum).
+        """
+        now = self.engine.now
+        fixed, priority = batch[0].fixed_time, batch[0].priority
+        transfer: float = 0
+        nbytes: float = 0
         for op in batch:
-            op.start_time = self.engine.now
+            op.start_time = now
+            if op.fixed_time > fixed:
+                fixed = op.fixed_time
+            if op.priority > priority:
+                priority = op.priority
+            transfer += op.transfer_time
+            nbytes += op.bytes_sent
         self.stats.op_count += len(batch)
         self.stats.batch_count += 1
         if self.auditor is not None:
             self.auditor.on_batch_start(self, batch)
-        return fixed, ordered_sum(op.transfer_time for op in batch)
+        return fixed, transfer, nbytes, priority
 
     def _start_segment(self, running: _RunningBatch) -> None:
         """(Re)occupy the wire for the batch's remaining transfer work.
@@ -776,8 +801,9 @@ class DimensionChannel:
         if self.auditor is not None:
             self.auditor.on_batch_complete(self, running.batch)
         self.on_batch_done(self, running.batch)
-        self._update_activity()
-        self.try_start()
+        if not self.busy:  # a busy wire is active and starts nothing
+            self._update_activity()
+            self.try_start()
 
     # --- weighted-sharing wire (cluster fairness) ---------------------------
     def _try_start_shared(self) -> bool:
@@ -797,13 +823,15 @@ class DimensionChannel:
         return started
 
     def _start_flow(self, batch: list[OpState]) -> None:
-        fixed, transfer = self._begin_batch(batch)
+        fixed, transfer, nbytes, priority = self._begin_batch(batch)
         self.stats.transfer_seconds += transfer
         self.stats.fixed_seconds += fixed
-        self.stats.bytes_sent += ordered_sum(op.bytes_sent for op in batch)
+        self.stats.bytes_sent += nbytes
         self._advance_clock()
         owner = batch[0].owner
-        flow = _FlowState(batch, fixed, self._weight(owner), next(self._flow_seq))
+        flow = _FlowState(
+            batch, fixed, priority, self._weight(owner), next(self._flow_seq)
+        )
         key = flow.priority if self.priority_sharing else 0
         clock = self._clocks.get(key)
         if clock is None:

@@ -280,17 +280,22 @@ class CollectivePlanner:
             if any(factor != 1.0 for factor in local):
                 plan_model = ScaledLatencyModel(model, local)
         plan = scheduler.plan(request, subtopo, plan_model, issue_time=now)
+        # Chunks repeat a handful of distinct stages: cost each one once.
+        stage_costs: dict[Stage, OpCost] = {}
+        for chunk in plan.chunks:
+            for stage in chunk.stages:
+                if stage not in stage_costs:
+                    stage_costs[stage] = (
+                        stage,
+                        subtopo.parent_index(stage.dim_index),
+                        model.bytes_per_npu(
+                            stage.op, stage.stage_size, stage.dim_index
+                        ),
+                        model.chunk_load(stage.op, stage.stage_size, stage.dim_index),
+                        model.fixed_latency(stage.op, stage.dim_index),
+                    )
         costs = tuple(
-            tuple(
-                (
-                    stage,
-                    subtopo.parent_index(stage.dim_index),
-                    model.bytes_per_npu(stage.op, stage.stage_size, stage.dim_index),
-                    model.chunk_load(stage.op, stage.stage_size, stage.dim_index),
-                    model.fixed_latency(stage.op, stage.dim_index),
-                )
-                for stage in chunk.stages
-            )
+            tuple(stage_costs[stage] for stage in chunk.stages)
             for chunk in plan.chunks
         )
         if key is not None:
@@ -652,8 +657,8 @@ class NetworkSimulator(NetworkBookkeeping):
         When True (default), every completed chunk op leaves an
         :class:`OpRecord` in ``result().records`` — right for single-job
         analysis (timelines, Fig. 5/9 reproductions).  Cluster sweeps with
-        hundreds of jobs turn it off: the per-op list grows without bound
-        and none of the cluster metrics read it.
+        hundreds of jobs and training runs turn it off: the per-op list
+        grows without bound and none of their metrics read it.
 
     Plans and their op costs come from a :class:`CollectivePlanner`,
     cached by request signature; enforced intra-dimension orders are cached

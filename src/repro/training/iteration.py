@@ -395,6 +395,7 @@ class TrainingSimulator:
                 policy=self.config.policy,
                 fusion=self.config.fusion,
                 engine=self.engine,
+                record_ops=False,  # nothing in a training report reads them
                 audit=audit,
                 options=backend_options,
             )

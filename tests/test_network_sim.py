@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
@@ -406,6 +407,34 @@ class TestSharedEngine:
         result = sim.result()
         assert marks == [0.0]
         assert result.makespan > 0
+
+
+class TestReferenceCycles:
+    def test_finished_batches_leave_no_cyclic_garbage(self, asymmetric_3d):
+        """Handles drop their callbacks once done, so no running batch stays
+        in a cycle with its events for the cyclic GC to find."""
+        from repro.sim.engine import EventHandle
+        from repro.sim.executor import _RunningBatch
+
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            result = run_single(asymmetric_3d, chunks=8, fusion=FusionConfig())
+            gc.collect()
+            leaked = [
+                obj
+                for obj in gc.garbage
+                if isinstance(obj, (EventHandle, _RunningBatch))
+            ]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert result.makespan > 0
+        assert leaked == []
 
 
 class TestIdealNetwork:

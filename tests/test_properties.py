@@ -11,6 +11,8 @@ Covered properties:
   bounded below by the fluid/critical-path bounds and above by the fully
   serialized sum;
 * splitter: exact partition for arbitrary sizes and counts;
+* ready queue: every selection, before and after its per-owner index is
+  built, is the policy's linear ``select`` over the live eligible ops;
 * open-loop traces: sorted in-horizon arrivals, seed stability,
   bounded-Pareto draws inside their support, ``at_arrival`` round-trips.
 """
@@ -28,19 +30,24 @@ from repro.cluster import BoundedPareto, JobMix, JobSpec, open_loop_trace, strea
 from repro.collectives import (
     CollectiveRequest,
     CollectiveType,
+    PhaseOp,
     invariant_bytes_per_npu,
     stage_bytes_fraction,
     stage_plan,
 )
+from repro.collectives.phases import Stage
 from repro.core import (
     BaselineScheduler,
     DimLoadTracker,
     LatencyModel,
+    ReadyQueue,
     SchedulerFactory,
     Splitter,
     ThemisScheduler,
 )
+from repro.core.policies import get_policy
 from repro.sim import FusionConfig, NetworkSimulator
+from repro.sim.executor import OpState
 from repro.topology import Topology, dimension
 from repro.units import MB
 
@@ -313,6 +320,84 @@ class TestSimulationProperties:
                 peers = topo.dims[stage.dim_index].size
                 expected += stage.stage_size * (peers - 1) / peers
         assert sum(result.dim_bytes) == pytest.approx(expected)
+
+
+# --- ready queue --------------------------------------------------------------------
+
+_OWNERS = ("a", "b", "c")
+_ACTIONS = ("push", "park", "discard", "promote", "activate", "deactivate")
+
+#: ``(action, owner, priority, stage size, pick)``; ``pick`` chooses the op
+#: an action applies to and a new op's ready time.
+queue_actions = st.lists(
+    st.tuples(
+        st.sampled_from(_ACTIONS),
+        st.sampled_from(_OWNERS),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([1.0, 2.0, 4.0]),
+        st.integers(min_value=0, max_value=1000),
+    ),
+    max_size=60,
+)
+
+
+class TestReadyQueueProperties:
+    @given(
+        policy_name=st.sampled_from(["FIFO", "SCF", "LCF"]),
+        actions=queue_actions,
+        first_query=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_selections_match_linear_select(self, policy_name, actions, first_query):
+        """The per-owner index is built on the first owner query (at step
+        ``first_query``); before and after it, each selection is the minimum
+        ``sort_key`` over the live eligible ops."""
+        policy = get_policy(policy_name)
+        queue = ReadyQueue(policy.sort_key)
+        live: list[OpState] = []
+        parked: list[OpState] = []
+        active: set[str] = set()
+
+        def best(ops: list[OpState]) -> OpState | None:
+            return policy.select(ops) if ops else None
+
+        for step, (action, owner, priority, size, pick) in enumerate(actions):
+            querying = step >= first_query
+            if action in ("push", "park"):
+                stage = Stage(dim_index=0, op=PhaseOp.RS, stage_size=size)
+                op = OpState(step, 0, 0, stage, 0, 1.0, 1.0, 0.0, priority, owner)
+                op.ready_time = float(pick % 3)
+                queue.push(op, eligible=action == "push")
+                (live if action == "push" else parked).append(op)
+            elif action == "discard" and live + parked:
+                op = (live + parked)[pick % (len(live) + len(parked))]
+                queue.discard(op)
+                (live if op in live else parked).remove(op)
+            elif action == "promote" and parked:
+                op = parked.pop(pick % len(parked))
+                assert queue.promote(op.key)
+                live.append(op)
+            elif action in ("activate", "deactivate") and querying:
+                queue.set_owner_active(owner, action == "activate")
+                if action == "activate":
+                    active.add(owner)
+                else:
+                    active.discard(owner)
+
+            assert len(queue) == len(live) + len(parked)
+            assert bool(queue) == bool(live or parked)
+            assert queue.max_priority() == max(
+                (op.priority for op in live), default=None
+            )
+            assert queue.select() is best(live)
+            if querying:
+                for name in _OWNERS:
+                    assert queue.select(owner=name) is best(
+                        [op for op in live if op.owner == name]
+                    )
+                assert queue.select(exclude_owners=active) is best(
+                    [op for op in live if op.owner not in active]
+                )
 
 
 # --- open-loop traces ---------------------------------------------------------------

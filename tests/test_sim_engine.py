@@ -147,8 +147,33 @@ class TestPastTimeTolerance:
         engine.run()
         assert times == [5.0]
 
+    def test_nan_time_is_rejected(self):
+        """NaN compares false both ways, so accepted it would fire between
+        1.0 and 2.0 and set ``now`` to NaN for one event."""
+        engine = EventQueue()
+        engine.schedule(2.0, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            engine.schedule_after(float("nan"), lambda: None)
+        engine.schedule(1.0, lambda: None)
+        times = []
+        while engine.step():
+            times.append(engine.now)
+        assert times == [1.0, 2.0]
+
 
 class TestCancellation:
+    def test_done_handle_drops_its_callback(self):
+        engine = EventQueue()
+        fired = engine.schedule(1.0, lambda: None)
+        cancelled = engine.schedule(2.0, lambda: None)
+        cancelled.cancel()
+        assert cancelled.callback is None
+        assert fired.callback is not None
+        engine.run()
+        assert fired.callback is None and fired.fired
+
     def test_cancelled_event_does_not_fire(self):
         engine = EventQueue()
         fired = []

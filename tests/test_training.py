@@ -123,6 +123,14 @@ class TestBasicInvariants:
         assert report.avg_bw_utilization is not None
         assert 0 < report.avg_bw_utilization <= 1
 
+    def test_keeps_no_op_records(self):
+        """No training output reads per-op records, so none are kept."""
+        sim = TrainingSimulator(tiny_workload(), tiny_topology(), scheduler="themis")
+        sim.run()
+        result = sim.network.result()
+        assert result.collectives
+        assert result.records == []
+
     def test_ideal_has_no_utilization(self):
         report = simulate_training(
             tiny_workload(), tiny_topology(), ideal_network=True
