@@ -130,9 +130,11 @@ class ThemisScheduler(CollectiveScheduler):
     ``overshoot_guard`` is an extension beyond the paper: near just-enough
     provisioning, a greedy reroute charges a dimension a chunk that earlier
     stages have not shrunk, which can overshoot the very gap it is closing
-    (see EXPERIMENTS.md).  With the guard on, a rerouted order is adopted
-    only if its projected max dimension load does not exceed the baseline
-    order's; otherwise the chunk falls back to the baseline order.
+    (``tests/test_claims.py::test_sec63_provisioning_regimes`` measures the
+    corner).  With the guard on, a rerouted order is adopted only if its
+    projected max dimension load does not exceed the baseline order's;
+    otherwise the chunk falls back to the baseline order
+    (``tests/test_extensions.py::TestOvershootGuard``).
     """
 
     name = "Themis"

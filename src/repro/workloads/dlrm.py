@@ -13,10 +13,11 @@ awaited just before the feature-interaction/top-MLP; the backward exchange
 runs concurrently with the bottom-MLP backward pass and is awaited before
 the local embedding update.
 
-We do not have the exact proprietary configuration of [54], so the default
-is an industrial-scale stand-in (64 tables x 1M rows x 256-dim embeddings,
-4096-wide top MLP, per-NPU batch 512) — see DESIGN.md for the substitution
-rationale.  All dimensions are keyword-tunable.
+The exact configuration of [54] is proprietary and the paper does not
+restate it, so the default is an industrial-scale stand-in (64 tables x 1M
+rows x 256-dim embeddings, 4096-wide top MLP, the paper's per-NPU batch
+512).  Only the per-NPU batch comes from the paper; the other sizes are
+ours, and every dimension is keyword-tunable.
 """
 
 from __future__ import annotations

@@ -204,8 +204,9 @@ class TestSchedulerProperties:
     def test_themis_max_load_near_or_below_baseline(self, topo, size):
         """Themis's tracked max-load stays within a small overshoot of the
         baseline's — the greedy reroute granularity can cost a few percent
-        near just-enough provisioning (see EXPERIMENTS.md) but never blows
-        up — and improves materially whenever the baseline is clearly
+        near just-enough provisioning (see
+        ``tests/test_claims.py::test_sec63_provisioning_regimes``) but never
+        blows up — and improves materially whenever the baseline is clearly
         imbalanced."""
         request = CollectiveRequest(CollectiveType.ALL_REDUCE, size)
         model = LatencyModel(topo)
@@ -226,8 +227,9 @@ class TestSchedulerProperties:
         # The greedy's worst case over the baseline is bounded by a couple
         # of misrouted chunks' full-size round trips on the weakest
         # dimension (the reroute charges a dimension a chunk that has not
-        # been shrunk by earlier stages).  See EXPERIMENTS.md for the
-        # just-enough-provisioning discussion.
+        # been shrunk by earlier stages).  The just-enough corner is measured
+        # in tests/test_claims.py::test_sec63_provisioning_regimes and the
+        # guard against it in tests/test_extensions.py::TestOvershootGuard.
         chunk = size / 16
         overshoot_bound = max(
             2.0 * chunk * (1.0 - 1.0 / dim.size) / dim.bandwidth
