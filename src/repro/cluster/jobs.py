@@ -35,6 +35,7 @@ from collections.abc import Iterable, Sequence
 
 from ..core.scheduler import SCHEDULER_KINDS as JOB_SCHEDULERS
 from ..errors import ConfigError, did_you_mean
+from ..numeric import is_count
 from ..sim.faults import stream_seed
 from ..workloads import get_workload
 from ..workloads.base import Workload
@@ -92,9 +93,10 @@ class JobSpec:
                 f"job {self.name!r}: arrival time must be >= 0 and finite, "
                 f"got {self.arrival_time}"
             )
-        if not 1 <= self.iterations < math.inf:
+        if not is_count(self.iterations):
             raise ConfigError(
-                f"job {self.name!r}: need >= 1 iterations, got {self.iterations}"
+                f"job {self.name!r}: iterations must be an integer >= 1, "
+                f"got {self.iterations!r}"
             )
         if self.scheduler.lower() not in JOB_SCHEDULERS:
             raise ConfigError(

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.tables import format_table, ms, pct, ratio
+from ..numeric import ordered_sum
 from ..sim.stats import UtilizationReport
 from ..training.results import IterationBreakdown
 from ..units import fmt_time
@@ -334,12 +335,12 @@ class ClusterReport:
     @property
     def total_retries(self) -> int:
         """Crash-triggered restarts summed over all jobs (0 without faults)."""
-        return sum(job.retries for job in self.jobs)
+        return ordered_sum(job.retries for job in self.jobs)
 
     @property
     def lost_work_seconds(self) -> float:
         """Simulated seconds of progress discarded to crashes, cluster-wide."""
-        return sum(job.lost_work for job in self.jobs)
+        return ordered_sum(job.lost_work for job in self.jobs)
 
     @property
     def completion_rate(self) -> float | None:
@@ -375,15 +376,18 @@ class ClusterReport:
             return 0.0
         return max(max(ends) - start, 0.0)
 
+    def _jcts(self) -> list[float]:
+        return [job.jct for job in self.finished_jobs if job.jct is not None]
+
     @property
     def mean_jct(self) -> float | None:
         """Mean JCT over finished jobs (``None`` if nothing finished)."""
-        values = [job.jct for job in self.finished_jobs]
-        return sum(values) / len(values) if values else None
+        values = self._jcts()
+        return ordered_sum(values) / len(values) if values else None
 
     @property
     def max_jct(self) -> float | None:
-        values = [job.jct for job in self.finished_jobs]
+        values = self._jcts()
         return max(values) if values else None
 
     def _slowdowns(self) -> list[float]:
@@ -392,7 +396,7 @@ class ClusterReport:
     @property
     def mean_slowdown(self) -> float | None:
         values = self._slowdowns()
-        return sum(values) / len(values) if values else None
+        return ordered_sum(values) / len(values) if values else None
 
     @property
     def max_slowdown(self) -> float | None:
@@ -421,7 +425,7 @@ class ClusterReport:
         """
         if not self.dim_load:
             return None
-        mean = sum(self.dim_load) / len(self.dim_load)
+        mean = ordered_sum(self.dim_load) / len(self.dim_load)
         if mean <= 0:
             return None
         return max(self.dim_load) / mean
@@ -436,10 +440,10 @@ class ClusterReport:
         values = self._slowdowns()
         if not values:
             return None
-        square_sum = sum(v * v for v in values)
+        square_sum = ordered_sum(v * v for v in values)
         if square_sum <= 0:
             return None
-        total = sum(values)
+        total = ordered_sum(values)
         return (total * total) / (len(values) * square_sum)
 
     #: Per-job table rows shown by ``describe`` before eliding (open-loop

@@ -28,6 +28,7 @@ from collections.abc import Callable, Iterator, Sequence
 from ..core.scheduler import SchedulerFactory
 from ..core.splitter import Splitter
 from ..errors import ConfigError, DeadlockError, EventBudgetError
+from ..numeric import ordered_sum
 from ..sim.audit import InvariantViolation
 from ..sim.backends import get_backend, resolve_backend_key
 from ..sim.engine import EventQueue
@@ -830,7 +831,7 @@ class ClusterSimulator:
             )
         if self.network.auditor is not None:
             self._audit_outcomes()
-        submitted = self._released_collectives + sum(
+        submitted = self._released_collectives + ordered_sum(
             d.loop.collectives_issued
             for d in self._drivers
             # truncated/windowed runs may cut a job pre-arrival; released

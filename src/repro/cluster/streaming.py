@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 
 from ..errors import ConfigError
+from ..numeric import ordered_sum
 
 #: Default reservoir size: percentile error ~1/sqrt(4096) is far below the
 #: tolerances any statistical check in this repo uses.
@@ -157,8 +158,8 @@ class EpochAccumulator:
         if len(values) < 4:
             return None
         half = len(values) // 2
-        first = sum(values[:half]) / half
-        second = sum(values[half:]) / (len(values) - half)
+        first = ordered_sum(values[:half]) / half
+        second = ordered_sum(values[half:]) / (len(values) - half)
         scale = max(abs(first), abs(second))
         if scale <= 0:
             return True

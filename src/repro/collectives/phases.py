@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from ..errors import CollectiveError, ScheduleError
+from ..numeric import ordered_sum
 from ..topology import Topology
 from .types import CollectiveType, PhaseOp
 
@@ -139,7 +140,7 @@ def invariant_bytes_per_npu(
     if ctype is CollectiveType.REDUCE_SCATTER:
         return one_phase
     if ctype is CollectiveType.ALL_TO_ALL:
-        return size * sum(1.0 - 1.0 / d.size for d in topology.dims)
+        return size * ordered_sum(1.0 - 1.0 / d.size for d in topology.dims)
     raise CollectiveError(f"unsupported collective type {ctype!r}")
 
 

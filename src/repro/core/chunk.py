@@ -16,6 +16,7 @@ from collections.abc import Sequence
 from ..collectives.phases import Stage, stage_plan
 from ..collectives.types import CollectiveRequest, CollectiveType
 from ..errors import ScheduleError
+from ..numeric import ordered_sum
 from ..topology import Topology
 
 
@@ -63,7 +64,7 @@ class CollectivePlan:
 
     @property
     def total_ops(self) -> int:
-        return sum(c.nstages for c in self.chunks)
+        return ordered_sum(c.nstages for c in self.chunks)
 
     def dim_orders(self) -> list[tuple[int, ...]]:
         """Dimension orders of all chunks, in chunk order (Algorithm 1 output)."""
@@ -97,7 +98,7 @@ def validate_collective_plan(plan: CollectivePlan) -> None:
     if not plan.chunks:
         raise ScheduleError("collective plan has no chunks")
     expected_total = plan.request.size
-    actual_total = sum(c.size for c in plan.chunks)
+    actual_total = ordered_sum(c.size for c in plan.chunks)
     if abs(actual_total - expected_total) > 1e-6 * max(expected_total, 1.0):
         raise ScheduleError(
             f"chunk sizes sum to {actual_total}, expected {expected_total}"

@@ -24,6 +24,7 @@ import itertools
 from ..collectives.phases import invariant_bytes_per_npu, stage_bytes_fraction
 from ..collectives.types import CollectiveType
 from ..errors import CollectiveError
+from ..numeric import ordered_sum
 from ..topology import Topology
 
 
@@ -96,13 +97,13 @@ class LpIdealEstimator:
             for subset in itertools.combinations(dims, count):
                 rest = tuple(k for k in dims if k not in subset)
                 least = min(
-                    sum(fractions[k] for k in subset)
+                    ordered_sum(fractions[k] for k in subset)
                     for fractions in (
                         stage_bytes_fraction(ctype, rest + subset, topology),
                         stage_bytes_fraction(ctype, subset + rest, topology),
                     )
                 )
-                worst = max(worst, least / sum(bandwidths[k] for k in subset))
+                worst = max(worst, least / ordered_sum(bandwidths[k] for k in subset))
         return size * worst
 
 

@@ -25,6 +25,7 @@ from ..collectives.phases import Stage, phase_ops
 from ..collectives.registry import algorithms_for_topology
 from ..collectives.types import CollectiveType, PhaseOp
 from ..errors import CollectiveError
+from ..numeric import ordered_sum
 from ..topology import Topology
 
 
@@ -104,7 +105,7 @@ class LatencyModel:
             CollectiveType.ALL_GATHER: (PhaseOp.AG,),
             CollectiveType.ALL_TO_ALL: (PhaseOp.A2A,),
         }[ctype]
-        return sum(self.fixed_latency(op, dim_index) for op in ops)
+        return ordered_sum(self.fixed_latency(op, dim_index) for op in ops)
 
     def stage_loads(self, stages: list[Stage] | tuple[Stage, ...]) -> list[float]:
         """Per-dimension load (bandwidth term) added by a chunk's stages.

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..numeric import is_count
 
 #: Paper default (Sec. 5.3): "we set the number of chunks per collective to
 #: be 64 in all our experiments for both the baseline and Themis."
@@ -37,9 +38,10 @@ class Splitter:
     min_chunk_size: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.chunks_per_collective < math.inf:
+        if not is_count(self.chunks_per_collective):
             raise ConfigError(
-                f"chunks per collective must be >= 1, got {self.chunks_per_collective}"
+                "chunks per collective must be an integer >= 1, "
+                f"got {self.chunks_per_collective!r}"
             )
         if not 0 <= self.min_chunk_size < math.inf:
             raise ConfigError(

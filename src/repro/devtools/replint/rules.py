@@ -25,6 +25,9 @@ RPL007   No mutable default arguments — the shared default leaks state
 RPL008   No comparison against a float literal below 1e-12 in magnitude
          — an absolute epsilon that small is below the round-off of the
          quantities it guards; make the tolerance relative.
+RPL009   No builtin ``sum()`` in simulator code — its float rounding
+         changed in Python 3.12, so a total could differ in its last bit
+         between interpreters; use ``repro.numeric.ordered_sum``.
 =======  ==============================================================
 """
 
@@ -122,6 +125,17 @@ RULES: dict[str, Rule] = {
                 "round-off of a simulated time or byte total; compare against "
                 "a tolerance scaled by the quantity (rtol * total, or "
                 "repro.sim.times_close)"
+            ),
+            sim_only=True,
+        ),
+        Rule(
+            code="RPL009",
+            name="builtin-sum",
+            summary="builtin sum() in simulator code",
+            hint=(
+                "builtin sum() compensates float round-off since Python 3.12, "
+                "so a total can differ between interpreters; use "
+                "repro.numeric.ordered_sum, which adds left to right"
             ),
             sim_only=True,
         ),
@@ -365,7 +379,9 @@ class _Checker(ast.NodeVisitor):
             )
 
     def _check_name_call(self, node: ast.Call, func: ast.Name) -> None:
-        if func.id == "Random" and not node.args and not node.keywords:
+        if func.id == "sum":
+            self._emit(node, "RPL009", "builtin sum() rounds by Python version")
+        elif func.id == "Random" and not node.args and not node.keywords:
             self._emit(
                 node, "RPL002", "Random() constructed without a seed"
             )

@@ -35,7 +35,7 @@ from .fig9 import Fig9Result, run_fig9
 from .fig10 import Fig10Result, run_fig10
 from .fig11 import Fig11Result, run_fig11
 from .fig12 import Fig12Result, run_fig12
-from .headline import PAPER_HEADLINES, HeadlineResult, run_headline
+from .headline import PAPER_HEADLINES, HeadlineResult, headline_from, run_headline
 from .placement import (
     PLACEMENT_VARIANTS,
     PlacementComparisonResult,
@@ -59,6 +59,7 @@ __all__ = [
     "run_fig11",
     "run_fig12",
     "run_headline",
+    "headline_from",
     "run_cluster_contention",
     "ClusterContentionResult",
     "run_fairness_comparison",

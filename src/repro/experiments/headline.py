@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.tables import format_table, pct
-from .fig8 import run_fig8
+from .fig8 import Fig8Result, run_fig8
 from .fig11 import Fig11Result
-from .fig12 import run_fig12
+from .fig12 import Fig12Result, run_fig12
 
 #: The abstract's numbers, for paper-vs-measured tables.
 PAPER_HEADLINES = {
@@ -74,9 +74,12 @@ class HeadlineResult:
 
 def run_headline(quick: bool = True) -> HeadlineResult:
     """Measure every abstract headline (quick mode trims sweep points)."""
-    fig8 = run_fig8(quick=quick)
+    return headline_from(run_fig8(quick=quick), run_fig12(quick=quick))
+
+
+def headline_from(fig8: Fig8Result, fig12: Fig12Result) -> HeadlineResult:
+    """The abstract's numbers from a Fig. 8 and a Fig. 12 result."""
     fig11 = Fig11Result(records=fig8.records)  # Fig. 11 reports Fig. 8's grid
-    fig12 = run_fig12(quick=quick)
     result = HeadlineResult(
         ar_speedup_mean=fig8.mean_speedup("Themis+SCF"),
         ar_speedup_max=fig8.max_speedup("Themis+SCF"),

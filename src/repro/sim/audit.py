@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
+from ..numeric import ordered_sum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import EventHandle, EventQueue
@@ -276,8 +277,10 @@ class InvariantAuditor:
     ) -> None:
         """Completion: conservation, then debit/credit balance at idle."""
         ledger = self._ledger(channel)
-        ledger.completed_bytes += sum(op.bytes_sent for op in batch)
-        ledger.completed_transfer_seconds += sum(op.transfer_time for op in batch)
+        ledger.completed_bytes += ordered_sum(op.bytes_sent for op in batch)
+        ledger.completed_transfer_seconds += ordered_sum(
+            op.transfer_time for op in batch
+        )
         ledger.completed_fixed_seconds += max(op.fixed_time for op in batch)
         ledger.completed_batches += 1
         self._check_conservation(channel, ledger, "completion")

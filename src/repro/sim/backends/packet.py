@@ -60,9 +60,10 @@ from ...collectives.types import CollectiveRequest
 from ...core.latency_model import LatencyModel
 from ...core.scheduler import SchedulerFactory
 from ...errors import ConfigError
+from ...numeric import ordered_sum
 from ...topology import Topology
 from ...topology.dimension import DimensionKind, DimensionSpec
-from ..engine import EventQueue, ordered_sum
+from ..engine import EventQueue
 from ..executor import OpState
 from ..network import (
     CollectiveResult,

@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from ..errors import EventBudgetError, SimulationError
+from ..numeric import ordered_sum as ordered_sum  # re-exported
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .audit import InvariantAuditor
@@ -58,22 +59,6 @@ def times_close(a: float, b: float, rtol: float = _PAST_RTOL) -> bool:
     here).
     """
     return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
-
-
-def ordered_sum(values: Iterable[float]) -> float:
-    """Left-to-right sum, rounded after every addition.
-
-    Simulated times, byte counts and share weights are totalled with this
-    instead of the builtin ``sum``, which compensates float round-off since
-    Python 3.12: a total of three or more terms could then differ in its
-    last bit between interpreters, and so would every timeline built on it.
-    Starting from the integer ``0`` reproduces the builtin's result on
-    Python 3.10 and 3.11 exactly, empty input included.
-    """
-    total: float = 0
-    for value in values:
-        total += value
-    return total
 
 
 class EventHandle:
@@ -232,6 +217,22 @@ class EventQueue:
             callback()
             return True
         return False
+
+    def pop_next(self) -> Callable[[], None] | None:
+        """Take the next live event off the queue without firing it.
+
+        ``now`` advances to the event's time and its callback is returned
+        for the caller to run itself; the engine does not count the event
+        as fired.  Returns ``None`` when no event is pending.
+        """
+        self._prune()
+        if not self._heap:
+            return None
+        time, _seq, handle = heapq.heappop(self._heap)
+        self.now = time
+        handle.fired = True
+        callback, handle.callback = handle.callback, None
+        return callback
 
     def run(self, max_events: int | None = None) -> None:
         """Run until no events remain (or ``max_events`` fired).

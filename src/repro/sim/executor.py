@@ -61,8 +61,9 @@ from ..collectives.phases import Stage
 from ..core.policies import IntraDimPolicy
 from ..core.ready_queue import ReadyQueue
 from ..errors import ConfigError, SimulationError
+from ..numeric import ordered_sum
 from ..topology import DimensionSpec
-from .engine import EventHandle, EventQueue, ordered_sum
+from .engine import EventHandle, EventQueue
 from .faults import MIN_CAPACITY_FACTOR
 from .timeline import Interval, OpRecord
 
@@ -190,7 +191,8 @@ class _RunningBatch:
 
     ``remaining`` is the transfer time still owed; preemption decrements it
     by the elapsed segment and cancels the segment's pending release and
-    completion events.
+    completion events.  ``recipe_index`` is the batch's position in a
+    :class:`WireRecorder`'s batch list while one is recording.
     """
 
     __slots__ = (
@@ -203,6 +205,7 @@ class _RunningBatch:
         "segment_start",
         "release_handle",
         "complete_handle",
+        "recipe_index",
     )
 
     def __init__(
@@ -210,13 +213,9 @@ class _RunningBatch:
         batch: list[OpState],
         fixed: float,
         transfer: float,
-        bytes_total: float | None = None,
-        priority: int | None = None,
+        bytes_total: float,
+        priority: int,
     ) -> None:
-        if bytes_total is None:
-            bytes_total = ordered_sum(op.bytes_sent for op in batch)
-        if priority is None:
-            priority = max(op.priority for op in batch)
         self.batch = batch
         self.fixed = fixed
         self.transfer_total = transfer
@@ -226,6 +225,69 @@ class _RunningBatch:
         self.segment_start = 0.0
         self.release_handle: EventHandle | None = None
         self.complete_handle: EventHandle | None = None
+        self.recipe_index = -1
+
+
+class WireRecorder:
+    """The serial wire's arithmetic while one collective runs alone.
+
+    :class:`~repro.sim.network.NetworkSimulator` attaches one to every
+    channel while it simulates a collective that it may later replay from
+    the recording (see :class:`~repro.sim.network.SoloRecipe`).  Event 0
+    is the collective's start; every later event is one batch's wire
+    release or completion, in firing order.
+    """
+
+    __slots__ = (
+        "engine",
+        "fired_before",
+        "intervals_before",
+        "times",
+        "events",
+        "batches",
+        "credits",
+        "outstanding",
+    )
+
+    def __init__(self, engine: EventQueue, channels: list[DimensionChannel]) -> None:
+        self.engine = engine
+        #: The engine's fired-event count, and each channel's number of
+        #: activity intervals, when the recording started.
+        self.fired_before = engine.events_processed
+        self.intervals_before = [
+            len(channel.stats.activity_intervals) for channel in channels
+        ]
+        #: Each event's time as it fired.
+        self.times = [engine.now]
+        #: Per event after the start: ``(origin, fixed, wall)``, so that it
+        #: fired at ``times[origin] + fixed + wall``.  ``origin`` is the
+        #: event its batch started in.  A release is recorded with a fixed
+        #: latency of ``0.0``: ``t + 0.0`` is ``t`` exactly for every ``t``
+        #: but ``-0.0``, which a clock starting at ``0.0`` never reads.
+        self.events: list[tuple[int, float, float]] = []
+        #: Per batch, in start order: ``(origin, fixed, wall)``.
+        self.batches: list[tuple[int, float, float]] = []
+        #: Per channel, per batch in start order: the statistics it
+        #: credited, ``(transfer seconds, fixed seconds, bytes, ops)``.
+        self.credits: list[list[tuple[float, float, float, int]]] = [
+            [] for _ in channels
+        ]
+        #: Per channel: each change to its outstanding bytes, in order.
+        self.outstanding: list[list[float]] = [[] for _ in channels]
+
+    def batch_started(
+        self, dim_index: int, running: _RunningBatch, nbytes: float, wall: float
+    ) -> None:
+        running.recipe_index = len(self.batches)
+        self.batches.append((len(self.times) - 1, running.fixed, wall))
+        self.credits[dim_index].append(
+            (running.remaining, running.fixed, nbytes, len(running.batch))
+        )
+
+    def fired(self, running: _RunningBatch, completion: bool) -> None:
+        origin, fixed, wall = self.batches[running.recipe_index]
+        self.events.append((origin, fixed if completion else 0.0, wall))
+        self.times.append(self.engine.now)
 
 
 class _FlowState:
@@ -390,6 +452,9 @@ class DimensionChannel:
         #: Optional runtime invariant auditor (see :mod:`repro.sim.audit`).
         #: Observer-only; attached by ``NetworkSimulator(audit=True)``.
         self.auditor: "InvariantAuditor | None" = None
+        #: Records the serial wire's arithmetic while a collective that the
+        #: network may replay runs alone (see :class:`WireRecorder`).
+        self.recorder: WireRecorder | None = None
 
     # --- fairness configuration -------------------------------------------
     def set_share_weights(
@@ -514,13 +579,18 @@ class DimensionChannel:
 
     def _track_enqueued(self, op: OpState) -> None:
         self._outstanding_bytes += op.bytes_sent
+        if self.recorder is not None:
+            self.recorder.outstanding[self.dim_index].append(op.bytes_sent)
         self._outstanding_owner_ops[op.owner] = (
             self._outstanding_owner_ops.get(op.owner, 0) + 1
         )
 
     def _track_completed(self, batch: list[OpState]) -> None:
+        recorder = self.recorder
         for op in batch:
             self._outstanding_bytes -= op.bytes_sent
+            if recorder is not None:
+                recorder.outstanding[self.dim_index].append(-op.bytes_sent)
             count = self._outstanding_owner_ops.get(op.owner, 0) - 1
             if count > 0:
                 self._outstanding_owner_ops[op.owner] = count
@@ -717,10 +787,13 @@ class DimensionChannel:
         )
         self.busy = True
         self._running = running
+        nbytes = running.bytes_total * frac
         self.stats.transfer_seconds += remaining
         self.stats.fixed_seconds += running.fixed
-        self.stats.bytes_sent += running.bytes_total * frac
+        self.stats.bytes_sent += nbytes
         wall = remaining / self.capacity_factor
+        if self.recorder is not None:
+            self.recorder.batch_started(self.dim_index, running, nbytes, wall)
         end = now + running.fixed + wall
         for op in running.batch:
             op.end_time = end
@@ -786,6 +859,8 @@ class DimensionChannel:
         return best
 
     def _release_wire(self, running: _RunningBatch) -> None:
+        if self.recorder is not None:
+            self.recorder.fired(running, completion=False)
         if not self.busy:  # pragma: no cover - defensive
             raise SimulationError(
                 f"dim{self.dim_index} released its wire while not busy"
@@ -797,6 +872,8 @@ class DimensionChannel:
         self.try_start()
 
     def _complete(self, running: _RunningBatch) -> None:
+        if self.recorder is not None:
+            self.recorder.fired(running, completion=True)
         self._track_completed(running.batch)
         if self.auditor is not None:
             self.auditor.on_batch_complete(self, running.batch)
@@ -804,6 +881,28 @@ class DimensionChannel:
         if not self.busy:  # a busy wire is active and starts nothing
             self._update_activity()
             self.try_start()
+
+    def credit_replay(
+        self,
+        credits: list[tuple[float, float, float, int]],
+        outstanding: list[float],
+        intervals: list[Interval],
+    ) -> None:
+        """Apply a replayed collective to this channel (see
+        :class:`~repro.sim.network.SoloRecipe`): each batch's statistics
+        and each change to the outstanding bytes, added in the order the
+        wire made them so every float total rounds as it did, and the
+        activity intervals."""
+        stats = self.stats
+        for transfer, fixed, nbytes, ops in credits:
+            stats.transfer_seconds += transfer
+            stats.fixed_seconds += fixed
+            stats.bytes_sent += nbytes
+            stats.op_count += ops
+        stats.batch_count += len(credits)
+        for change in outstanding:
+            self._outstanding_bytes += change
+        stats.activity_intervals.extend(intervals)
 
     # --- weighted-sharing wire (cluster fairness) ---------------------------
     def _try_start_shared(self) -> bool:
@@ -847,7 +946,7 @@ class DimensionChannel:
         """A higher priority class arrived: ``clock``'s class stops
         draining, and each of its flows that drained for a positive time
         since the class last ran counts one preemption."""
-        self.preemption_count += sum(
+        self.preemption_count += ordered_sum(
             1
             for flow in self._flows.values()
             if flow.clock is clock and flow.batch[0].start_time < clock.drained_at

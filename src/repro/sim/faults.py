@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from ..collectives.types import PhaseOp
 from ..core.latency_model import LatencyModel
 from ..errors import ConfigError
+from ..numeric import is_count
 
 __all__ = [
     "MIN_CAPACITY_FACTOR",
@@ -307,12 +308,12 @@ class JobFaultPolicy:
                 f"backoff_jitter must be >= 0 and finite, "
                 f"got {self.backoff_jitter}"
             )
-        if self.checkpoint_iterations is not None and not (
-            1 <= self.checkpoint_iterations < math.inf
+        if self.checkpoint_iterations is not None and not is_count(
+            self.checkpoint_iterations
         ):
             raise ConfigError(
-                "checkpoint_iterations must be >= 1 (or None), got "
-                f"{self.checkpoint_iterations}"
+                "checkpoint_iterations must be an integer >= 1 (or None), got "
+                f"{self.checkpoint_iterations!r}"
             )
         if not 0.0 <= self.restart_overhead < math.inf:
             raise ConfigError(

@@ -7,7 +7,9 @@ the per-dimension channels, and the event engine.  It supports:
   workloads overlap data-parallel All-Reduces with model-parallel traffic),
 * collectives restricted to a subset of dimensions (``request.dim_indices``),
 * optional enforcement of pre-simulated intra-dimension orders (Sec. 4.6.2),
-* completion callbacks, used by the training-loop simulator.
+* completion callbacks, used by the training-loop simulator,
+* replaying a collective that runs alone from a recipe of an earlier solo
+  run of its plan (:meth:`NetworkSimulator.start_solo`, :class:`SoloRecipe`).
 
 Planning is shared with the packet backend: :class:`CollectivePlanner`
 turns each request into a :class:`CollectivePlan` and its op costs behind
@@ -33,13 +35,20 @@ from ..collectives.registry import algorithms_for_topology
 from ..collectives.types import CollectiveRequest
 from ..core.chunk import CollectivePlan
 from ..core.latency_model import LatencyModel
-from ..core.policies import IntraDimPolicy, get_policy
+from ..core.policies import (
+    FifoPolicy,
+    IntraDimPolicy,
+    LargestChunkFirstPolicy,
+    SmallestChunkFirstPolicy,
+    get_policy,
+)
 from ..core.scheduler import SchedulerFactory
 from ..errors import ConfigError, SimulationError, did_you_mean
+from ..numeric import ordered_sum
 from ..topology import Topology
 from .audit import InvariantAuditor, resolve_audit
 from .engine import EventQueue
-from .executor import DimensionChannel, FusionConfig, OpState
+from .executor import DimensionChannel, FusionConfig, OpState, WireRecorder
 from .faults import (
     MIN_CAPACITY_FACTOR,
     FaultSchedule,
@@ -98,7 +107,7 @@ class ExecutionResult:
     @property
     def pending_collectives(self) -> int:
         """How many submitted collectives had not completed at snapshot time."""
-        return sum(1 for c in self.collectives if not c.done)
+        return ordered_sum(1 for c in self.collectives if not c.done)
 
     @property
     def start_time(self) -> float:
@@ -169,7 +178,7 @@ class _CollectiveState:
     ) -> None:
         self.result = result
         self.chunk_ops = chunk_ops
-        self.remaining_ops = sum(len(ops) for ops in chunk_ops)
+        self.remaining_ops = ordered_sum(len(ops) for ops in chunk_ops)
         self.on_complete = on_complete
 
 
@@ -182,6 +191,9 @@ PlanCosts = tuple[tuple[OpCost, ...], ...]
 #: A wire's per-dimension transfer seconds, busy seconds, bytes sent and
 #: activity intervals.
 WireStats = tuple[list[float], list[float], list[float], list[list[Interval]]]
+#: Intra-dimension policies whose sort keys read a time only to compare
+#: it, so a certified replay (see :class:`SoloRecipe`) makes their choices.
+_REPLAYABLE_POLICIES = (FifoPolicy, SmallestChunkFirstPolicy, LargestChunkFirstPolicy)
 
 
 class CollectivePlanner:
@@ -301,6 +313,97 @@ class CollectivePlanner:
         if key is not None:
             self._plans[key] = (plan, costs)
         return plan, key, costs
+
+
+class SoloRecipe:
+    """One collective's run alone on idle serial wires, replayable from
+    any start time (see :meth:`NetworkSimulator.start_solo`).
+
+    It is built from a :class:`~repro.sim.executor.WireRecorder`.  Event 0
+    is the collective's start.  Every later event, in firing order, is one
+    batch's wire release or completion.  Each is timed from the event its
+    batch started in, as :meth:`DimensionChannel._start_segment` times it:
+    ``(t + fixed) + wall`` for a completion and ``t + wall`` for a
+    release.  :meth:`times_from` recomputes every event time from a new
+    start with those same float operations.  :meth:`credit` adds the
+    rest, which does not depend on time: each channel's statistics and
+    outstanding-byte changes, in the recorded order, and its activity
+    intervals, held as (opening event, closing event) pairs.
+
+    **Why a certified replay is the simulation.**  The recomputed times
+    are certified when they never decrease in firing order and are equal
+    exactly where the recorded times were equal.  Then any two events
+    compare the same way as in the recording.  The engine orders events
+    by ``(time, seq)``, and ``seq`` follows scheduling order.  So, by
+    induction over the events, the engine fires the same callbacks in the
+    same order, each schedules the same events in the same order, and
+    every comparison a callback makes comes out as recorded.  The run
+    reads a time only to compare it with another event time: the heap
+    order, the built-in policies' ``ready_time`` keys, ``now >
+    active_since`` when an activity interval closes, and the comm-active
+    bookkeeping.  The only float values derived from times are the event
+    times themselves, which are recomputed with the recorded operations.
+    Everything else the wire adds is time-independent and is replayed in
+    the recorded order, so every total rounds as it did.  The replay's
+    end state is therefore the event loop's, bit for bit.  It differs only
+    in the events the engine did not fire.
+    """
+
+    __slots__ = ("events", "credits", "outstanding", "intervals", "completion")
+
+    def __init__(
+        self,
+        recorder: WireRecorder,
+        channels: list[DimensionChannel],
+        completion_time: float,
+    ) -> None:
+        times = recorder.times
+        #: Per event after the start: ``(origin, fixed, wall, tied)``;
+        #: ``tied``: it fired at the same time as the event before it.
+        self.events = [
+            (origin, fixed, wall, times[index + 1] == times[index])
+            for index, (origin, fixed, wall) in enumerate(recorder.events)
+        ]
+        self.credits = recorder.credits
+        self.outstanding = recorder.outstanding
+        # Every event at one recorded time gets the same certified time,
+        # so a time maps to the first event at it.
+        first: dict[float, int] = {}
+        for index, time in enumerate(times):
+            first.setdefault(time, index)
+        self.intervals = [
+            [
+                (first[interval.start], first[interval.end])
+                for interval in channel.stats.activity_intervals[before:]
+            ]
+            for channel, before in zip(channels, recorder.intervals_before)
+        ]
+        self.completion = first[completion_time]
+
+    def times_from(self, start: float) -> list[float] | None:
+        """Every event time from ``start``, or ``None`` when the times
+        fail the certificate (see the class docstring)."""
+        times = [start]
+        previous = start
+        for origin, fixed, wall, tied in self.events:
+            time = times[origin] + fixed + wall
+            if tied:
+                # The certificate is exact: a recorded tie stays a tie.
+                if time != previous:  # replint: ignore[RPL005]
+                    return None
+            elif time <= previous:
+                return None
+            times.append(time)
+            previous = time
+        return times
+
+    def credit(self, channels: list[DimensionChannel], times: list[float]) -> None:
+        """Apply the run's effect on every channel, timed by ``times``."""
+        for channel, credits, outstanding, intervals in zip(
+            channels, self.credits, self.outstanding, self.intervals
+        ):
+            timed = [Interval(times[start], times[end]) for start, end in intervals]
+            channel.credit_replay(credits, outstanding, timed)
 
 
 def build_chunk_ops(
@@ -716,6 +819,13 @@ class NetworkSimulator(NetworkBookkeeping):
         #: enforced orders with the request id stripped, re-stamped per
         #: submission (op keys embed the submitting request's id).
         self._order_cache: dict[tuple, dict[int, list[tuple[int, int]]]] = {}
+        #: ``plan key -> SoloRecipe``: the plan's last run alone, which
+        #: :meth:`start_solo` replays.
+        self._recipes: dict[tuple, SoloRecipe] = {}
+        #: The collective :meth:`start_solo` is starting.
+        self._solo: CollectiveResult | None = None
+        #: The collective being recorded: its plan key, result and recorder.
+        self._recording: tuple[tuple, CollectiveResult, WireRecorder] | None = None
 
     # --- fairness (multi-tenant wire disciplines) ---------------------------
     def set_tenant_weights(
@@ -768,7 +878,7 @@ class NetworkSimulator(NetworkBookkeeping):
     @property
     def preemption_count(self) -> int:
         """Total batch preemptions across all dimensions."""
-        return sum(channel.preemption_count for channel in self.channels)
+        return ordered_sum(channel.preemption_count for channel in self.channels)
 
     # --- fault injection ----------------------------------------------------
     def _apply_capacity(self, dim_index: int, factor: float) -> None:
@@ -818,6 +928,12 @@ class NetworkSimulator(NetworkBookkeeping):
             self.engine.now,
         )
         result.plan = plan
+        if self._solo is result:
+            self._solo = None
+            if on_complete is None and plan_key is not None:
+                if self._replay(result, plan_key):
+                    return
+                self._record(result, plan_key)
 
         chunk_ops = self._build_chunk_ops(request, costs, plan_key)
 
@@ -885,6 +1001,95 @@ class NetworkSimulator(NetworkBookkeeping):
                     for chunk_id, stage_index in pairs
                 ],
             )
+
+    # --- replaying a collective that runs alone ------------------------------
+    def start_solo(self, result: CollectiveResult) -> bool:
+        """Start ``result``'s collective if it runs alone, replaying it
+        from its plan's :class:`SoloRecipe` when the recipe's times pass
+        the certificate at this start.  Otherwise the collective is
+        simulated as usual, and that run becomes its plan's recipe.
+
+        The caller must then fire events until the collective completes,
+        then every event at its completion instant, and then call
+        :meth:`end_solo`.  ``TrainingSimulator`` does so when it waits on
+        a collective.  The engine fires no event for a replay: it finds
+        the collective complete and ``now`` at its completion.
+
+        Returns ``False``, having changed nothing, unless the collective
+        runs alone.  That is: it is the last one submitted to this network
+        and has not started; its start event is the engine's only pending
+        event; no collective is in flight; every channel is an idle serial
+        wire at full capacity, without share weights or preemption; there
+        is no auditor, no op recording and no enforced order; and the
+        policy is a built-in one.  A collective with a completion callback
+        or an uncacheable plan is then simulated without a recording.
+        """
+        if not self._runs_alone(result):
+            return False
+        start = self.engine.pop_next()
+        assert start is not None
+        self._solo = result
+        start()
+        return True
+
+    def end_solo(self) -> None:
+        """Finish what :meth:`start_solo` began: a recorded run that
+        replays its own times becomes its plan's recipe."""
+        if self._recording is None:
+            return
+        plan_key, result, recorder = self._recording
+        self._recording = None
+        for channel in self.channels:
+            channel.recorder = None
+        fired = self.engine.events_processed - recorder.fired_before
+        if self.engine.pending or fired != len(recorder.events):
+            return  # something besides the collective's wire ran or is due
+        recipe = SoloRecipe(recorder, self.channels, result.completion_time)
+        if recipe.times_from(recorder.times[0]) == recorder.times:
+            self._recipes[plan_key] = recipe
+
+    def _runs_alone(self, result: CollectiveResult) -> bool:
+        return (
+            bool(self._results)
+            and self._results[-1] is result
+            and result.plan is None
+            and self.engine.pending == 1
+            and not self._states
+            and self.auditor is None
+            and not self.record_ops
+            and not self.enforce_consistency
+            and type(self.policy) in _REPLAYABLE_POLICIES
+            and all(
+                not channel.has_work
+                and channel.capacity_factor == 1.0
+                and channel.share_weights is None
+                and not channel.preemption_enabled
+                for channel in self.channels
+            )
+        )
+
+    def _replay(self, result: CollectiveResult, plan_key: tuple) -> bool:
+        """Replay the collective starting now, if its plan has a recipe
+        whose times pass the certificate from now."""
+        recipe = self._recipes.get(plan_key)
+        if recipe is None:
+            return False
+        times = recipe.times_from(self.engine.now)
+        if times is None:
+            return False
+        state = _CollectiveState(result, [], None)
+        self._register_collective(state)
+        recipe.credit(self.channels, times)
+        self.engine.now = times[recipe.completion]
+        self._finish_collective(state)
+        return True
+
+    def _record(self, result: CollectiveResult, plan_key: tuple) -> None:
+        """Record the collective starting now as it is simulated."""
+        recorder = WireRecorder(self.engine, self.channels)
+        for channel in self.channels:
+            channel.recorder = recorder
+        self._recording = (plan_key, result, recorder)
 
     # --- progression ----------------------------------------------------------
     def _on_batch_done(self, channel: DimensionChannel, batch: list[OpState]) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..numeric import ordered_sum
 from ..topology import Topology
 from .network import ExecutionResult
 from .timeline import Interval
@@ -54,7 +55,7 @@ def bw_utilization(
         for i in range(topology.ndims)
     )
     weights = [topology.bw_share(i) for i in range(topology.ndims)]
-    average = sum(w * u for w, u in zip(weights, per_dim))
+    average = ordered_sum(w * u for w, u in zip(weights, per_dim))
     return UtilizationReport(window_seconds=active, per_dim=per_dim, average=average)
 
 
@@ -106,5 +107,5 @@ def mean_activity_rate(result: ExecutionResult, dim_index: int) -> float:
     span = result.makespan
     if span <= 0:
         return 0.0
-    covered = sum(iv.length for iv in result.dim_activity[dim_index])
+    covered = ordered_sum(iv.length for iv in result.dim_activity[dim_index])
     return covered / span

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..collectives.types import PhaseOp
+from ..numeric import ordered_sum
 from ..units import fmt_size, fmt_time
-from .engine import ordered_sum
 
 
 @dataclass(frozen=True)

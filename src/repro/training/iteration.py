@@ -36,6 +36,7 @@ from ..collectives.types import CollectiveRequest, CollectiveType
 from ..core.scheduler import SchedulerFactory
 from ..core.splitter import Splitter
 from ..errors import SimulationError, WorkloadError
+from ..numeric import is_count
 from ..sim.backends import get_backend, resolve_backend_key
 from ..sim.backends.ideal import IdealNetwork
 from ..sim.backends.packet import PacketNetwork
@@ -91,8 +92,10 @@ class TrainingConfig:
     mp_priority: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.iterations < math.inf:
-            raise WorkloadError(f"need >= 1 iterations, got {self.iterations}")
+        if not is_count(self.iterations):
+            raise WorkloadError(
+                f"iterations must be an integer >= 1, got {self.iterations!r}"
+            )
         if self.dp_bucket_bytes is not None and not (
             0 < self.dp_bucket_bytes < math.inf
         ):
@@ -425,8 +428,16 @@ class TrainingSimulator:
         self.engine.run_until(self.engine.now + duration)
 
     def _wait(self, handle: CollectiveResult) -> float:
-        """Block until a collective completes; returns the stall time."""
+        """Block until a collective completes; returns the stall time.
+
+        A collective that runs alone on the analytical network may be
+        replayed instead of simulated (see
+        :meth:`NetworkSimulator.start_solo`).
+        """
         start = self.engine.now
+        network = self.network
+        if isinstance(network, NetworkSimulator):
+            network.start_solo(handle)
         while not handle.done:
             if not self.engine.step():
                 raise SimulationError(
@@ -437,6 +448,8 @@ class TrainingSimulator:
         # The engine may legitimately sit exactly at the completion instant.
         end = max(start, handle.completion_time)
         self.engine.run_until(end)
+        if isinstance(network, NetworkSimulator):
+            network.end_solo()
         return end - start
 
     # --- iteration driver ------------------------------------------------------

@@ -657,6 +657,65 @@ class TestLoadTimeValidation:
         assert "Traceback" not in err
 
 
+#: Values a count field must reject although ``1 <= x < inf`` holds.
+NOT_COUNTS = [8.5, 2.0, True]
+
+
+class TestCountFields:
+    """Counts (chunks, iterations, checkpoint interval) are whole ints:
+    a fraction or a bool is rejected by the field's owner, not mid-run."""
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_splitter_chunks(self, value):
+        with pytest.raises(ConfigError, match="chunks per collective"):
+            Splitter(value)
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_training_iterations(self, value):
+        with pytest.raises(WorkloadError, match="iterations"):
+            TrainingConfig(iterations=value)
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_training_chunks(self, value):
+        with pytest.raises(ConfigError, match="chunks per collective"):
+            TrainingConfig(chunks_per_collective=value)
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_job_iterations(self, value):
+        from repro.cluster import JobSpec
+
+        with pytest.raises(ConfigError, match="iterations"):
+            JobSpec(name="a", workload="dlrm", iterations=value)
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_checkpoint_iterations(self, value):
+        from repro.sim.faults import JobFaultPolicy
+
+        with pytest.raises(ConfigError, match="checkpoint_iterations"):
+            JobFaultPolicy(crash_rate=1.0, checkpoint_iterations=value)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"mode": "collective", "chunks": 8.5},
+            {"mode": "training", "chunks": 8.5},
+            {"mode": "training", "iterations": 2.5},
+            {"mode": "training", "iterations": True},
+            {"mode": "cluster", "jobs": [{"name": "a", "iterations": 1.5}]},
+            {
+                "mode": "cluster",
+                "jobs": [{"name": "a"}],
+                "faults": {"crash_rate": 1.0, "checkpoint_iterations": 1.5},
+            },
+        ],
+    )
+    def test_json_spec_fails_at_load(self, spec, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SpecError, match="must be an integer >= 1"):
+            api.load_spec(path)
+
+
 #: One valid spec per mode and population, with every nested numeric
 #: section present (mix, faults, fairness weights, backend options).
 FUZZ_BASES = {

@@ -23,7 +23,6 @@ from typing import Any
 
 import pytest
 
-import repro.experiments.headline as headline_module
 from repro.analysis import ProvisioningVerdict, assess, classify_pair
 from repro.collectives import (
     CollectiveRequest,
@@ -38,6 +37,7 @@ from repro.experiments import (
     FAIRNESS_VARIANTS,
     PAPER_HEADLINES,
     Fig11Result,
+    headline_from,
     run_cluster_contention,
     run_fairness_comparison,
     run_fig4,
@@ -46,7 +46,6 @@ from repro.experiments import (
     run_fig9,
     run_fig10,
     run_fig12,
-    run_headline,
 )
 from repro.experiments.fig4 import FIG4_TOPOLOGIES
 from repro.sim import NetworkSimulator, bw_utilization
@@ -80,11 +79,8 @@ def fig12():
 
 @pytest.fixture(scope="module")
 def headline(fig12):
-    # run_headline(quick=True) simulates this same quick Fig. 12 grid: hand
-    # it the run above rather than simulate the grid twice.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(headline_module, "run_fig12", lambda quick: fig12)
-        return run_headline(quick=True)
+    # run_headline(quick=True) on the quick Fig. 12 grid simulated above.
+    return headline_from(run_fig8(quick=True), fig12)
 
 
 @pytest.fixture(scope="module")

@@ -362,7 +362,9 @@ class TestPausedResumeOrder:
             fixed_time=0.0,
             priority=priority,
         )
-        return _RunningBatch([op], fixed=0.0, transfer=1.0)
+        return _RunningBatch(
+            [op], fixed=0.0, transfer=1.0, bytes_total=1.0, priority=priority
+        )
 
     def test_tie_resumes_most_recently_preempted(self):
         """Docstring contract: on equal priority the batch preempted last

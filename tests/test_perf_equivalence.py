@@ -17,9 +17,13 @@ served from the plan cache to that recomputation.  The seven cells that
 run on the shared (weighted-share) wire were re-recorded when its finish
 events moved to a per-channel GPS virtual clock, which reassociates the
 wire's float arithmetic; :class:`TestSharedWireAgreement` holds them to
-the values recorded before that change.  Float ``repr`` is
-exact, and the simulator totals its float terms left to right
-(:func:`repro.sim.engine.ordered_sum`) rather than with the builtin
+the values recorded before that change.  The ``training/...`` cells were
+recorded before a training collective that runs alone could be replayed
+from a recipe (:class:`~repro.sim.network.SoloRecipe`), so they pin the
+replay to the event loop; under ``THEMIS_AUDIT=1`` every collective runs
+through the event loop and must give the same digests.  Float ``repr``
+is exact, and the simulator totals its float terms left to right
+(:func:`repro.numeric.ordered_sum`) rather than with the builtin
 ``sum``, whose rounding changed in Python 3.12, so one set of digests
 holds on every supported version.  A cell that changes fails with its
 name and fresh digest.
@@ -27,6 +31,7 @@ name and fresh digest.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -34,16 +39,28 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterSimulator, JobSpec
 from repro.collectives import CollectiveRequest, CollectiveType
 from repro.core import LatencyModel, SchedulerFactory, Splitter
+from repro.experiments.fig12 import fig12_training_config
 from repro.sim import EventQueue, FusionConfig, LinkFault, NetworkSimulator
 from repro.sim.backends import get_backend
-from repro.topology import Topology, dimension
-from repro.training import TrainingConfig
+from repro.sim.executor import WireRecorder
+from repro.sim.network import SoloRecipe
+from repro.topology import Topology, dimension, get_topology
+from repro.training import TrainingConfig, TrainingSimulator
 from repro.units import KB, MB
-from repro.workloads import Layer, Workload
+from repro.workloads import (
+    CommAttachment,
+    Layer,
+    Workload,
+    dlrm,
+    gnmt,
+    transformer_1t,
+)
 
 POLICIES = ("fifo", "scf", "lcf")
 
@@ -428,6 +445,247 @@ class TestAuditEquivalence:
         assert audited.makespan == unaudited.makespan
         assert audited.preemption_count == unaudited.preemption_count
         assert audited.comm_active_seconds == unaudited.comm_active_seconds
+
+
+def _training_value(sim: TrainingSimulator) -> tuple:
+    """A training run's exact output: every iteration's breakdown and the
+    total time, each channel's statistics (activity intervals included)
+    and outstanding bytes, every collective's issue and completion time,
+    and the comm-active intervals."""
+    report = sim.run()
+    result = sim.network.result()
+    return (
+        tuple(dataclasses.astuple(iteration) for iteration in report.iterations),
+        report.total_time,
+        tuple(
+            (dataclasses.astuple(channel.stats), channel.outstanding_bytes)
+            for channel in sim.network.channels
+        ),
+        tuple((c.issue_time, c.completion_time) for c in result.collectives),
+        tuple(result.comm_active_intervals),
+    )
+
+
+#: Fig. 12 quick cells as ``workload/topology/scheduler``.  Transformer-1T
+#: (8 layers) runs each blocking activation All-Reduce alone on an idle
+#: network; DLRM overlaps its embedding All-to-Alls with compute.
+TRAINING_CELLS = [
+    "transformer/2D-SW_SW/baseline",
+    "transformer/2D-SW_SW/themis",
+    "transformer/4D-Ring_SW_SW_SW/baseline",
+    "transformer/4D-Ring_SW_SW_SW/themis",
+    "dlrm/3D-SW_SW_SW_hetero/themis",
+]
+TRAINING_WORKLOADS = {
+    "transformer": lambda: transformer_1t(num_layers=8),
+    "dlrm": dlrm,
+}
+
+
+class TestTrainingTimelines:
+    """Fig. 12 quick training cells under the default ``audit=None``, so a
+    plain run and a ``THEMIS_AUDIT=1`` run are held to the same digest."""
+
+    @pytest.mark.parametrize("cell", TRAINING_CELLS)
+    def test_training_cell_matches_golden(self, cell):
+        workload, topology, scheduler = cell.split("/")
+        sim = TrainingSimulator(
+            TRAINING_WORKLOADS[workload](),
+            get_topology(topology),
+            scheduler=scheduler,
+            config=fig12_training_config(quick=True),
+        )
+        _check(f"training/{cell}", _training_value(sim))
+
+    def test_utilization_repr_pinned(self):
+        """``bw_utilization`` totals left to right: the builtin ``sum``
+        gave ``...166`` here on Python 3.12 and 3.13."""
+        sim = TrainingSimulator(
+            gnmt(),
+            get_topology("4D-Ring_SW_SW_SW"),
+            config=fig12_training_config(quick=True),
+        )
+        assert repr(sim.run().avg_bw_utilization) == "0.9783816236595168"
+
+
+def _recipe(*events: tuple[float, float]) -> SoloRecipe:
+    """A recipe whose batches all start with the collective, at 0.0; each
+    event ``(fixed, wall)`` fires at ``(0.0 + fixed) + wall``."""
+    recorder = WireRecorder(EventQueue(), [])
+    for fixed, wall in events:
+        recorder.events.append((0, fixed, wall))
+        recorder.times.append((0.0 + fixed) + wall)
+    return SoloRecipe(recorder, [], recorder.times[-1])
+
+
+#: A release and a completion tied at 0.3000...04 from a start at 0.0.
+TIED = _recipe((0.0, 0.1 + 0.2), (0.1, 0.2))
+#: A release at 0.3 strictly before a completion at 0.3000...04.
+ORDERED = _recipe((0.0, 0.3), (0.1, 0.2))
+#: Two releases one ulp apart.
+ULP_APART = _recipe((0.0, 1e-3), (0.0, math.nextafter(1e-3, 1.0)))
+
+
+class TestCertificate:
+    """A recipe replays only from a start where its recomputed event times
+    keep the recorded order and ties exactly."""
+
+    def test_broken_tie_rejected(self):
+        assert 2.0 + (0.1 + 0.2) < (2.0 + 0.1) + 0.2
+        assert TIED.times_from(2.0) is None
+
+    def test_new_tie_rejected(self):
+        assert 1.0 + 1e-3 == 1.0 + math.nextafter(1e-3, 1.0)
+        assert ULP_APART.times_from(1.0) is None
+
+    def test_flipped_order_rejected(self):
+        assert 10.0 + 0.3 > (10.0 + 0.1) + 0.2
+        assert ORDERED.times_from(10.0) is None
+
+    def test_order_keeping_shift_accepted(self):
+        assert TIED.times_from(1.0) == [1.0, 1.3, 1.3]
+        assert ORDERED.times_from(2.0) == [2.0, 2.3, (2.0 + 0.1) + 0.2]
+        start = 2.0**-30  # the sums keep 1e-3's ulp, so they stay one apart
+        ulp = math.nextafter(start + 1e-3, 1.0)
+        assert ULP_APART.times_from(start) == [start, start + 1e-3, ulp]
+
+
+_KIND = st.sampled_from(["none", "blocking", "async"])
+_COMM = st.tuples(
+    st.sampled_from(list(CollectiveType)),
+    st.sampled_from([64 * KB, 1 * MB, 4 * MB]),
+)
+
+
+def _attachment(kind: str, label: str, comm: tuple) -> CommAttachment | None:
+    if kind == "none":
+        return None
+    ctype, size = comm
+    return CommAttachment(ctype, size, blocking=kind == "blocking", label=label)
+
+
+@st.composite
+def _training_runs(draw):
+    """A small workload whose layers issue blocking and async collectives
+    (each async one awaited by the next layer its pass reaches), with a
+    training config and a scheduler."""
+    count = draw(st.integers(1, 4))
+    # The first layer's forward pass always communicates.
+    fwd = [draw(st.sampled_from(["blocking", "async"]))]
+    fwd += [draw(_KIND) for _ in range(count - 1)]
+    # The first layer's backward pass comes last: nothing could await it.
+    bwd = [draw(st.sampled_from(["none", "blocking"]))]
+    bwd += [draw(_KIND) for _ in range(count - 1)]
+    layers = []
+    for index in range(count):
+        fwd_wait = f"f{index - 1}" if index and fwd[index - 1] == "async" else ""
+        bwd_wait = ""
+        if index + 1 < count and bwd[index + 1] == "async":
+            bwd_wait = f"b{index + 1}"
+        elif index + 1 == count and fwd[index] == "async":
+            bwd_wait = f"f{index}"  # backward starts at the last layer
+        layers.append(
+            Layer(
+                name=f"l{index}",
+                fwd_flops=draw(st.sampled_from([0.0, 1e8, 1e10])),
+                bwd_flops=draw(st.sampled_from([0.0, 2e8, 2e10])),
+                param_bytes=draw(st.sampled_from([0.0, 0.5 * MB, 8 * MB])),
+                fwd_comm=_attachment(fwd[index], f"f{index}", draw(_COMM)),
+                bwd_comm=_attachment(bwd[index], f"b{index}", draw(_COMM)),
+                fwd_wait_label=fwd_wait,
+                bwd_wait_label=bwd_wait,
+            )
+        )
+    workload = Workload(
+        name="w",
+        layers=layers,
+        batch_per_npu=1,
+        mp_group_size=draw(st.sampled_from([None, 4, 16])),
+    )
+    config = TrainingConfig(
+        iterations=draw(st.integers(1, 2)),
+        chunks_per_collective=draw(st.sampled_from([2, 4, 8])),
+        policy=draw(st.sampled_from(["FIFO", "SCF", "LCF"])),
+        overlap_dp=draw(st.booleans()),
+        dp_bucket_bytes=draw(st.sampled_from([None, 1 * MB])),
+    )
+    return workload, config, draw(st.sampled_from(["baseline", "themis"]))
+
+
+class TestSoloReplay:
+    """A training collective that runs alone is replayed from its plan's
+    recipe; ``audit=True`` runs every collective through the event loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_training_runs())
+    def test_replay_matches_event_path(self, run):
+        workload, config, scheduler = run
+
+        def value(audit: bool) -> tuple:
+            sim = TrainingSimulator(
+                workload,
+                three_dim_topology(),
+                scheduler=scheduler,
+                config=config,
+                audit=audit,
+            )
+            return _training_value(sim)
+
+        assert value(False) == value(True)
+
+    def test_identical_blocking_all_reduces_replay(self, monkeypatch):
+        """N identical blocking All-Reduces, each alone on 2D-SW_SW under
+        Baseline: the first is simulated and recorded, the rest replay."""
+        replays = []
+        replay = NetworkSimulator._replay
+
+        def counted(self, result, plan_key):
+            replayed = replay(self, result, plan_key)
+            replays.append(replayed)
+            return replayed
+
+        monkeypatch.setattr(NetworkSimulator, "_replay", counted)
+        count = 12
+        attachment = CommAttachment(CollectiveType.ALL_REDUCE, 32 * MB)
+        workload = Workload(
+            name="blocking",
+            layers=[
+                Layer(name=f"l{i}", fwd_flops=1e9, bwd_flops=0.0, fwd_comm=attachment)
+                for i in range(count)
+            ],
+            batch_per_npu=1,
+        )
+        sim = TrainingSimulator(
+            workload, get_topology("2D-SW_SW"), scheduler="baseline", audit=False
+        )
+        sim.run()
+        assert replays == [False] + [True] * (count - 1)
+
+    @pytest.mark.parametrize(
+        "setup", ["alone", "record_ops", "preemption", "shared_wire", "second_pending"]
+    )
+    def test_start_solo_needs_the_collective_alone(self, setup):
+        sim = NetworkSimulator(three_dim_topology(), record_ops=False, audit=False)
+        result = sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, MB))
+        if setup == "record_ops":
+            sim.record_ops = True
+        elif setup == "preemption":
+            sim.enable_preemption()
+        elif setup == "shared_wire":
+            sim.set_tenant_weights({})
+        elif setup == "second_pending":
+            sim.submit(CollectiveRequest(CollectiveType.ALL_GATHER, MB))
+        assert sim.start_solo(result) == (setup == "alone")
+        sim.run()
+        sim.end_solo()
+        assert result.done
+
+    def test_auditor_forces_the_event_path(self):
+        sim = TrainingSimulator(
+            transformer_1t(num_layers=2), get_topology("2D-SW_SW"), audit=True
+        )
+        sim.run()
+        assert not sim.network._recipes
 
 
 class TestSharedEngineEquivalence:

@@ -228,6 +228,35 @@ class TestRPL008TinyEpsilon:
         assert codes("ok = x > 1e-18\n", path="src/repro/analysis/tables.py") == []
 
 
+class TestRPL009BuiltinSum:
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "total = sum(sizes)\n",
+            "total = sum(op.bytes_sent for op in batch)\n",
+            "count = sum(1 for c in collectives if c.done)\n",
+            "total = base + sum([a, b, c], 0.0)\n",
+        ],
+    )
+    def test_fires_on_builtin_sum(self, snippet):
+        assert codes(snippet) == ["RPL009"]
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "total = ordered_sum(sizes)\n",
+            "total = math.fsum(sizes)\n",
+            "total = stats.sum(sizes)\n",
+            "checksum = sum\n",
+        ],
+    )
+    def test_silent_on_ordered_totals(self, snippet):
+        assert codes(snippet) == []
+
+    def test_sim_scoped(self):
+        assert codes("t = sum(xs)\n", path="src/repro/analysis/tables.py") == []
+
+
 class TestScope:
     def test_sim_paths(self):
         assert is_sim_path("src/repro/sim/engine.py")
