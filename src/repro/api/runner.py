@@ -177,7 +177,9 @@ def _run_cluster(
 
     topology = resolve_topology(spec.topology)
     config = spec.to_config(audit=audit)
-    isolated_cache = None
+    # The rate calibration and the run share one cache, so each solo
+    # baseline is simulated once.
+    isolated_cache: dict[tuple, float] = {}
     if context is not None:
         # Isolated JCTs are policy-independent but do depend on the
         # platform and shared-network knobs, so the cross-run cache is

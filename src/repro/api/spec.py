@@ -308,12 +308,7 @@ class ScenarioSpec:
                 f"(expected mode {cls.mode!r})"
             )
         payload = _reject_unknown(cls, data, cls.__name__)
-        return cls(**cls._convert(payload))
-
-    @classmethod
-    def _convert(cls, payload: dict) -> dict:
-        """Hook: coerce JSON-plain values back into field types."""
-        return payload
+        return cls(**payload)
 
     def with_overrides(self, overrides: dict[str, Any]) -> "ScenarioSpec":
         """Copy with dotted-path overrides applied and re-validated.
@@ -874,17 +869,24 @@ class ClusterScenario(ScenarioSpec):
         from ..cluster.jobs import check_unique_names
 
         object.__setattr__(self, "topology", _validate_topology(self.topology))
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        if isinstance(self.open_loop, dict):  # convenience: accept dicts
-            object.__setattr__(
-                self, "open_loop", OpenLoopTrace.from_dict(self.open_loop)
-            )
-        if isinstance(self.trace, dict):
-            object.__setattr__(
-                self, "trace", PoissonTrace.from_dict(self.trace)
-            )
-        if isinstance(self.faults, dict):
-            object.__setattr__(self, "faults", FaultSpec.from_dict(self.faults))
+        object.__setattr__(
+            self,
+            "jobs",
+            tuple(
+                job if isinstance(job, ScenarioJob) else ScenarioJob.from_dict(job)
+                for job in self.jobs or ()
+            ),
+        )
+        # Nested pieces may be given as their JSON dicts.
+        nested: tuple[tuple[str, Any], ...] = (
+            ("trace", PoissonTrace),
+            ("open_loop", OpenLoopTrace),
+            ("faults", FaultSpec),
+        )
+        for name, kind in nested:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kind):
+                object.__setattr__(self, name, kind.from_dict(value))
         populations = (
             bool(self.jobs)
             + (self.trace is not None)
@@ -1004,24 +1006,6 @@ class ClusterScenario(ScenarioSpec):
             backend=self.backend,
             backend_options=self.backend_options,
         )
-
-    @classmethod
-    def _convert(cls, payload: dict) -> dict:
-        jobs = payload.get("jobs") or ()
-        payload["jobs"] = tuple(
-            job if isinstance(job, ScenarioJob) else ScenarioJob.from_dict(job)
-            for job in jobs
-        )
-        trace = payload.get("trace")
-        if trace is not None and not isinstance(trace, PoissonTrace):
-            payload["trace"] = PoissonTrace.from_dict(trace)
-        open_loop = payload.get("open_loop")
-        if open_loop is not None and not isinstance(open_loop, OpenLoopTrace):
-            payload["open_loop"] = OpenLoopTrace.from_dict(open_loop)
-        faults = payload.get("faults")
-        if faults is not None and not isinstance(faults, FaultSpec):
-            payload["faults"] = FaultSpec.from_dict(faults)
-        return payload
 
     def to_jobs(self, open_loop_rate: "float | None" = None) -> list:
         """The runnable :class:`~repro.cluster.JobSpec` list.

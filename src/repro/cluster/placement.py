@@ -97,17 +97,6 @@ class PlacementPolicy(abc.ABC):
             width = 1
         return max(1, min(width, ndims))
 
-    @staticmethod
-    def _assigned_counts(cluster: "ClusterSimulator") -> list[int]:
-        """Unfinished jobs currently assigned to each dimension.
-
-        The simulator maintains this incrementally at each admission and
-        departure (O(dims) per event); the old per-arrival scan over every
-        driver made placement quadratic in trace length, which open-loop
-        traces of 10k+ jobs cannot afford.
-        """
-        return list(cluster.dim_assigned_counts)
-
 
 class ManualPlacement(PlacementPolicy):
     """Hand placement (the default): honor ``JobSpec.dim_indices`` as-is.
@@ -189,7 +178,7 @@ class LoadBalancedPlacement(PlacementPolicy):
     ) -> "tuple[int, ...] | None":
         ndims = len(cluster.topology.dims)
         width = self._width(spec, ndims, self.dims_per_job)
-        counts = self._assigned_counts(cluster)
+        counts = cluster.dim_assigned_counts
         ranked = sorted(
             range(ndims),
             key=lambda d: (
@@ -279,7 +268,7 @@ class InterleavedPlacement(PlacementPolicy):
         ndims = len(cluster.topology.dims)
         width = self._width(spec, ndims, self.dims_per_job)
         resident = self._resident_duty(cluster)
-        counts = self._assigned_counts(cluster)
+        counts = cluster.dim_assigned_counts
         # The profile is bandwidth-independent: compute it once, then read
         # the duty cycle off each dimension's bandwidth.
         profile = comm_compute_profile(spec.resolve_workload(), self.compute)

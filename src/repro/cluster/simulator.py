@@ -38,6 +38,7 @@ from ..sim.stats import bw_utilization
 from ..topology import Topology
 from ..training.iteration import ComputeStep, TrainingConfig, TrainingLoop, WaitStep
 from ..training.results import IterationBreakdown
+from ..workloads.base import Workload
 from .fairness import FairnessPolicy, get_fairness
 from .jobs import JobMix, JobSpec, check_unique_names
 from .metrics import ClusterReport, JobOutcome, SteadyStateReport
@@ -212,8 +213,6 @@ class _JobDriver:
         self.arrived = False
         self.admit_time: float | None = None
         self.finish_time: float | None = None
-        #: ``loop.collectives_issued`` snapshotted at :meth:`release`.
-        self.released_collectives = 0
         self._steps: Iterator[ComputeStep | WaitStep] | None = None
         self._breakdown = IterationBreakdown()
         self._waiting: WaitStep | None = None
@@ -321,11 +320,9 @@ class _JobDriver:
 
         Called by the cluster at departure once the job is past the
         outcome cap: the counters that feed streaming metrics
-        (``iterations_done``, ``released_collectives``, the recorded
-        times) survive; the per-iteration detail does not.
+        (``iterations_done``, the recorded times) survive; the
+        per-iteration detail does not.
         """
-        if self.loop is not None:
-            self.released_collectives = self.loop.collectives_issued
         self.loop = None
         self._steps = None
         self.iterations = []
@@ -532,7 +529,6 @@ class ClusterSimulator:
             for spec in self.jobs
         ]
         self._admission_queue: deque[_JobDriver] = deque()
-        self._live_count = 0
         self._last_live_change = 0.0
         self._live_window_integral = 0.0
         self._finished_count = 0
@@ -552,26 +548,23 @@ class ClusterSimulator:
         return self._drivers
 
     # --- admission control / departures -------------------------------------
-    def _note_live(self, delta: int) -> None:
-        """Advance the window-clamped live-jobs time integral, then apply
-        ``delta`` to the live count."""
+    def _note_live(self) -> None:
+        """Advance the window-clamped live-jobs time integral to now; call
+        it before ``live_jobs`` changes."""
         now = self.engine.now
         if self._collector is not None and now > self._last_live_change:
             lo = max(self._last_live_change, self._collector.window_start)
             hi = min(now, self._collector.window_end)
             if hi > lo:
-                self._live_window_integral += self._live_count * (hi - lo)
+                self._live_window_integral += len(self.live_jobs) * (hi - lo)
         self._last_live_change = now
-        self._live_count += delta
-        if self._live_count > self.peak_live_jobs:
-            self.peak_live_jobs = self._live_count
 
     def _on_arrival(self, driver: _JobDriver) -> None:
         """Arrival event: admit immediately, or queue for a free slot."""
         if self._collector is not None:
             self._collector.note_arrival(self.engine.now)
         cap = self.config.max_concurrent
-        if cap is None or self._live_count < cap:
+        if cap is None or len(self.live_jobs) < cap:
             self._admit(driver)
         else:
             self._admission_queue.append(driver)
@@ -579,15 +572,15 @@ class ClusterSimulator:
     def _on_finish(self, driver: _JobDriver) -> None:
         """Departure: recycle the job's slot, stream its outcome, admit next."""
         spec = driver.spec
+        self._note_live()
         dims = self.live_jobs.pop(spec.name)
         occupied = dims if dims is not None else range(len(self.topology.dims))
         for dim_index in occupied:
             self.dim_assigned_counts[dim_index] -= 1
-        self._note_live(-1)
         auditor = self.network.auditor
         if auditor is not None:
             auditor.on_job_departed(
-                spec.name, time=self.engine.now, live=self._live_count
+                spec.name, time=self.engine.now, live=len(self.live_jobs)
             )
         self._finished_count += 1
         if self._collector is not None:
@@ -610,7 +603,7 @@ class ClusterSimulator:
             driver.release()
         cap = self.config.max_concurrent
         while self._admission_queue and (
-            cap is None or self._live_count < cap
+            cap is None or len(self.live_jobs) < cap
         ):
             self._admit(self._admission_queue.popleft())
 
@@ -655,17 +648,20 @@ class ClusterSimulator:
             on_collective_complete=driver.collective_done,
         )
         driver.bind(loop)
+        self._note_live()
         self.live_jobs[spec.name] = dims
+        live = len(self.live_jobs)
+        if live > self.peak_live_jobs:
+            self.peak_live_jobs = live
         occupied = dims if dims is not None else range(len(self.topology.dims))
         for dim_index in occupied:
             self.dim_assigned_counts[dim_index] += 1
-        self._note_live(+1)
         auditor = self.network.auditor
         if auditor is not None:
             auditor.on_job_admitted(
                 spec.name,
                 time=self.engine.now,
-                live=self._live_count,
+                live=live,
                 cap=self.config.max_concurrent,
             )
         driver.begin()
@@ -688,28 +684,11 @@ class ClusterSimulator:
         The solo run uses the job's *assigned* dimensions (see
         :meth:`assigned_dims`) — rho compares shared vs alone on the same
         slice of the platform.  Jobs with identical configuration share one
-        isolated run.  A registry name always resolves to the same
-        workload; Workload *instances* are keyed by content (name, batch,
-        parallelism, layer stack — everything the simulation reads), so
-        reconstructed-but-equal workloads (spec-driven sweeps rebuild them
-        per point) still share one baseline.  Priority, weight, and arrival
-        are irrelevant alone on the network, so they are not part of the
-        key.
+        isolated run (see :func:`_isolated_key`).
         """
-        workload = spec.workload
-        if isinstance(workload, str):
-            workload_key: tuple | str = workload
-        else:
-            workload_key = (
-                workload.name,
-                workload.batch_per_npu,
-                workload.mp_group_size,
-                workload.dp_style,
-                tuple(workload.layers),
-            )
         dims = self.assigned_dims(spec)
         if self.config.isolated_per_iteration:
-            key = (workload_key, spec.scheduler.lower(), 1, dims)
+            key = _isolated_key(spec.workload, spec.scheduler, 1, dims)
             if key not in self._isolated_cache:
                 self._isolated_cache[key] = isolated_jct(
                     self.topology,
@@ -717,12 +696,7 @@ class ClusterSimulator:
                     self.config,
                 )
             return self._isolated_cache[key] * spec.iterations
-        key = (
-            workload_key,
-            spec.scheduler.lower(),
-            spec.iterations,
-            dims,
-        )
+        key = _isolated_key(spec.workload, spec.scheduler, spec.iterations, dims)
         if key not in self._isolated_cache:
             self._isolated_cache[key] = isolated_jct(
                 self.topology, replace(spec, dim_indices=dims), self.config
@@ -820,7 +794,7 @@ class ClusterSimulator:
                 self.engine.run(max_events=max_events)
         except EventBudgetError:
             truncated = True
-        self._note_live(0)  # close the live-jobs time integral at stop
+        self._note_live()  # close the live-jobs time integral at stop
         unfinished = sorted(
             driver.spec.name for driver in self._drivers if not driver.terminal
         )
@@ -908,6 +882,34 @@ class ClusterSimulator:
         )
 
 
+def _isolated_key(
+    workload: str | Workload,
+    scheduler: str,
+    iterations: int,
+    dims: tuple[int, ...] | None,
+) -> tuple:
+    """The isolated-JCT cache key of a solo run: everything it reads.
+
+    A registry name always resolves to the same workload; Workload
+    *instances* are keyed by content (name, batch, parallelism, layer
+    stack), so reconstructed-but-equal workloads (spec-driven sweeps
+    rebuild them per point) still share one baseline.  Job name, priority,
+    weight and arrival set no timing alone on the network, so they are
+    not part of the key.
+    """
+    if isinstance(workload, str):
+        workload_key: tuple | str = workload
+    else:
+        workload_key = (
+            workload.name,
+            workload.batch_per_npu,
+            workload.mp_group_size,
+            workload.dp_style,
+            tuple(workload.layers),
+        )
+    return (workload_key, scheduler.lower(), iterations, dims)
+
+
 def isolated_jct(
     topology: Topology, spec: JobSpec, config: ClusterConfig | None = None
 ) -> float:
@@ -951,9 +953,11 @@ def mix_mean_service_time(
     """Expected isolated JCT of one job drawn from ``mix`` (seconds).
 
     The mean service demand behind target-rho calibration: per class and
-    size rung, one solo single-iteration run (cached) scaled by the mix's
-    expected iteration count, weighted by the analytic class/rung
-    probabilities and averaged over the scheduler rotation.  Exact for the
+    size rung, one solo single-iteration run scaled by the mix's expected
+    iteration count, weighted by the analytic class/rung probabilities
+    and averaged over the scheduler rotation.  Each run is cached under
+    the key :meth:`ClusterSimulator.isolated_time` uses, so a cluster run
+    sharing ``cache`` does not repeat it.  Exact for the
     iteration factor (service time is linear in iterations when run solo —
     iterations are identical and independent) and exact-by-construction
     for the rung weights, so ``derive_open_loop_rate`` hits its target
@@ -972,7 +976,7 @@ def mix_mean_service_time(
             continue
         per_scheduler = 0.0
         for scheduler in schedulers:
-            key = ("mix-service", workload.name, scheduler.lower())
+            key = _isolated_key(workload, scheduler, 1, None)
             if key not in cache:
                 cache[key] = isolated_jct(
                     topology,

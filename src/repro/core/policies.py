@@ -25,7 +25,6 @@ and the queue's reference in tests.
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
@@ -52,13 +51,10 @@ class IntraDimPolicy(abc.ABC):
         return min(ready_ops, key=self.sort_key)
 
     def select_from(
-        self,
-        queue: ReadyQueue,
-        owner: str | None = None,
-        exclude_owners: Iterable[str] | None = None,
+        self, queue: ReadyQueue, owner: str | None = None, idle_only: bool = False
     ) -> "OpState | None":
         """Best eligible op in ``queue`` under this policy, or ``None``."""
-        return queue.select(owner=owner, exclude_owners=exclude_owners)
+        return queue.select(owner=owner, idle_only=idle_only)
 
 
 class FifoPolicy(IntraDimPolicy):

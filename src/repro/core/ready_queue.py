@@ -10,9 +10,10 @@ ops by policy instead, so every hot-path decision is O(log n):
   is arrival order, SCF/LCF's their size order, so each policy's heap *is*
   its natural structure);
 * one per-owner bucket heap for the weighted-sharing wire's per-tenant
-  admission, with a heap of the inactive owners' bucket heads on top.
-  The buckets are built from the live ops on the first owner query, so a
-  serial wire, which never asks one, never builds them;
+  admission, with a heap of the idle owners' bucket heads on top.  The
+  buckets are built from the live ops on the first owner query and the
+  heads heap on the first idle-owner query, so a serial wire, which asks
+  neither, builds neither;
 * a parking map for ops blocked by an enforced per-collective order
   (Sec. 4.6.2) — a blocked op is unparked the moment it becomes its
   order's head, so eligibility never requires a scan.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -98,16 +99,15 @@ class ReadyQueue:
         self._live = 0
         self._priority_counts: dict[int, int] = {}
         # --- heap-of-heads (weighted-share admission) ----------------------
-        # ``select(exclude_owners=...)`` answers "best op among tenants with
-        # no flow in flight".  The owner scan is O(T) per admission; at
-        # thousands of tenants that dominates cluster runs.  When the channel
-        # mirrors its in-flight set via :meth:`set_owner_active`, every
-        # *inactive* owner's bucket head also lives in one shared lazy heap,
-        # making admission O(log T).  Entries go stale when their op is
-        # taken or their owner activates; stale tops are popped at peek
-        # (an inactive owner's current head is always re-pushed on discard/
-        # deactivate, so popping loses nothing).  The set is membership-only
-        # — never iterated — so determinism is unaffected.
+        # ``select(idle_only=True)`` answers "best op among tenants with no
+        # flow in flight", which the channel mirrors here through
+        # :meth:`set_owner_active`.  Every idle owner's bucket head lives in
+        # one shared lazy heap, so admission is O(log T) at any number of
+        # tenants.  Entries go stale when their op is taken or their owner
+        # activates; stale tops are popped at peek (an idle owner's current
+        # head is always re-pushed on discard/deactivate, so popping loses
+        # nothing).  The set is membership-only — never iterated — so
+        # determinism is unaffected.
         self._active_owners: set[str] = set()
         self._heads: list[tuple[tuple, "OpState"]] = []
         self._track_heads = False
@@ -169,19 +169,10 @@ class ReadyQueue:
     def set_owner_active(self, owner: str, active: bool) -> None:
         """Track whether ``owner`` has a flow in flight (weighted sharing).
 
-        The shared-wire channel mirrors its in-flight flow set here so the
-        queue can answer ``select(exclude_owners=<in-flight set>)`` from the
-        heads heap instead of scanning every owner.
+        The shared-wire channel mirrors its in-flight flow set here, so
+        ``select(idle_only=True)`` skips exactly those owners.
         """
-        if not self._track_heads:
-            # First activation turns tracking on: seed the heads heap with
-            # every owner's current head (ops admitted before any flow
-            # started predate tracking).
-            self._track_heads = True
-            for existing in list(self._owners()):
-                head = self._peek_owner(existing)
-                if head is not None:
-                    heapq.heappush(self._heads, (self._key(head), head))
+        self._start_tracking()
         if active:
             self._active_owners.add(owner)
             return
@@ -190,13 +181,24 @@ class ReadyQueue:
         if head is not None:
             heapq.heappush(self._heads, (self._key(head), head))
 
+    def _start_tracking(self) -> None:
+        """Seed the heads heap with every owner's current head, once (ops
+        admitted before the first owner query predate tracking)."""
+        if self._track_heads:
+            return
+        self._track_heads = True
+        for existing in list(self._owners()):
+            head = self._peek_owner(existing)
+            if head is not None:
+                heapq.heappush(self._heads, (self._key(head), head))
+
     def _peek_heads(self) -> "OpState | None":
-        """Best op among inactive owners, popping stale entries.
+        """Best op among idle owners, popping stale entries.
 
         An entry is stale when its op was taken or its owner currently has
-        a flow in flight; both are safe to pop outright, because an
-        inactive owner's current head is re-pushed on every discard and on
-        every deactivation.
+        a flow in flight; both are safe to pop outright, because an idle
+        owner's current head is re-pushed on every discard and on every
+        deactivation.
         """
         heads = self._heads
         active = self._active_owners
@@ -219,46 +221,20 @@ class ReadyQueue:
 
     # --- selection ----------------------------------------------------------
     def select(
-        self,
-        owner: str | None = None,
-        exclude_owners: Iterable[str] | None = None,
+        self, owner: str | None = None, idle_only: bool = False
     ) -> "OpState | None":
         """Best eligible op under the policy order, or ``None``.
 
         ``owner`` restricts to one tenant (fusion within a weighted-share
-        flow); ``exclude_owners`` skips tenants that already have a flow in
-        flight (weighted-share admission).  At most one filter is passed.
+        flow); ``idle_only`` skips the tenants :meth:`set_owner_active`
+        marked as having a flow in flight (weighted-share admission).  At
+        most one filter is passed.
         """
         if owner is not None:
             return self._peek_owner(owner)
-        if exclude_owners is not None:
-            # O(log T) fast path: when the exclusion set is the channel's
-            # mirrored in-flight set (same size; the channel updates both in
-            # lockstep), the answer is the top of the heads heap.  The
-            # candidate is re-checked against ``exclude_owners`` itself, so
-            # a mirror mismatch degrades to the scan instead of misselecting.
-            if self._track_heads:
-                size = (
-                    len(exclude_owners)  # type: ignore[arg-type]
-                    if hasattr(exclude_owners, "__len__")
-                    else None
-                )
-                if size is not None and size == len(self._active_owners):
-                    candidate = self._peek_heads()
-                    if candidate is None or candidate.owner not in exclude_owners:
-                        return candidate
-            best: "OpState | None" = None
-            best_key: tuple | None = None
-            for candidate_owner in list(self._owners()):
-                if candidate_owner in exclude_owners:
-                    continue
-                candidate = self._peek_owner(candidate_owner)
-                if candidate is None:
-                    continue
-                key = self._key(candidate)
-                if best_key is None or key < best_key:
-                    best, best_key = candidate, key
-            return best
+        if idle_only:
+            self._start_tracking()
+            return self._peek_heads()
         return self._heap.peek()
 
     def _peek_owner(self, owner: str) -> "OpState | None":

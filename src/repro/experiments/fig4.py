@@ -25,8 +25,6 @@ from .. import api
 from ..analysis.tables import format_table, pct
 from ..topology import PAPER_TOPOLOGY_NAMES
 from ..units import MB
-from ..workloads import gnmt, resnet152, transformer_1t
-from ..workloads.base import Workload
 
 UTILIZATION_GRID: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 FIG4_TOPOLOGIES: tuple[str, ...] = ("current-2D", *PAPER_TOPOLOGY_NAMES)
@@ -76,10 +74,6 @@ class Fig4Result:
             if w == workload
         )
 
-    def ideal_speedup_over_baseline(self, workload: str, topology: str) -> float:
-        curve = self.curve(workload, topology)
-        return curve.baseline_runtime / curve.ideal_runtime
-
     def render(self) -> str:
         blocks = ["Fig. 4: normalized runtime vs average BW utilization"]
         for workload in sorted({w for w, _ in self.curves}):
@@ -117,11 +111,6 @@ class Fig4Result:
                 )
             )
         return "\n".join(blocks)
-
-
-def fig4_workloads(quick: bool = True) -> list[Workload]:
-    transformer_layers = 8 if quick else 128
-    return [resnet152(), gnmt(), transformer_1t(num_layers=transformer_layers)]
 
 
 def fig4_sweep(quick: bool = True) -> "tuple[api.TrainingScenario, dict]":

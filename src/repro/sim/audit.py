@@ -221,9 +221,6 @@ class InvariantAuditor:
             )
 
     # --- channel hooks ------------------------------------------------------
-    def register_channel(self, channel: "DimensionChannel") -> None:
-        self._ledgers[channel] = _ChannelLedger()
-
     def _ledger(self, channel: "DimensionChannel") -> _ChannelLedger:
         ledger = self._ledgers.get(channel)
         if ledger is None:

@@ -67,7 +67,7 @@ class EventHandle:
     ``callback`` is ``None`` once the event has fired or been cancelled.
     """
 
-    __slots__ = ("time", "callback", "cancelled", "fired", "_queue")
+    __slots__ = ("time", "callback", "cancelled", "_queue")
 
     def __init__(
         self, time: float, callback: Callable[[], None], queue: "EventQueue"
@@ -75,13 +75,17 @@ class EventHandle:
         self.time = time
         self.callback: Callable[[], None] | None = callback
         self.cancelled = False
-        self.fired = False
         self._queue = queue
 
     @property
     def active(self) -> bool:
         """Still pending: neither fired nor cancelled."""
-        return not (self.cancelled or self.fired)
+        return self.callback is not None
+
+    @property
+    def fired(self) -> bool:
+        """The event fired (its callback ran or is running)."""
+        return self.callback is None and not self.cancelled
 
     def cancel(self) -> bool:
         """Retract the event; returns True if it was still pending."""
@@ -172,7 +176,7 @@ class EventQueue:
 
     def cancel(self, handle: EventHandle | None) -> bool:
         """Retract a pending event; returns True if it was still pending."""
-        if handle is None or handle.cancelled or handle.fired:
+        if handle is None or handle.callback is None:
             return False
         handle.cancelled = True
         handle.callback = None
@@ -211,28 +215,11 @@ class EventQueue:
                 self.auditor.on_event_fire(self, time, handle)
             self.now = time
             self._events_processed += 1
-            handle.fired = True
             callback, handle.callback = handle.callback, None
             assert callback is not None
             callback()
             return True
         return False
-
-    def pop_next(self) -> Callable[[], None] | None:
-        """Take the next live event off the queue without firing it.
-
-        ``now`` advances to the event's time and its callback is returned
-        for the caller to run itself; the engine does not count the event
-        as fired.  Returns ``None`` when no event is pending.
-        """
-        self._prune()
-        if not self._heap:
-            return None
-        time, _seq, handle = heapq.heappop(self._heap)
-        self.now = time
-        handle.fired = True
-        callback, handle.callback = handle.callback, None
-        return callback
 
     def run(self, max_events: int | None = None) -> None:
         """Run until no events remain (or ``max_events`` fired).

@@ -69,6 +69,7 @@ from .timeline import Interval, OpRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .audit import InvariantAuditor
+    from .network import SoloRecipe
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,8 @@ class _RunningBatch:
 
     ``remaining`` is the transfer time still owed; preemption decrements it
     by the elapsed segment and cancels the segment's pending release and
-    completion events.  ``recipe_index`` is the batch's position in a
-    :class:`WireRecorder`'s batch list while one is recording.
+    completion events.  ``recipe_index`` is the batch's position in the
+    batch list of the :class:`~repro.sim.network.SoloRecipe` recording it.
     """
 
     __slots__ = (
@@ -226,68 +227,6 @@ class _RunningBatch:
         self.release_handle: EventHandle | None = None
         self.complete_handle: EventHandle | None = None
         self.recipe_index = -1
-
-
-class WireRecorder:
-    """The serial wire's arithmetic while one collective runs alone.
-
-    :class:`~repro.sim.network.NetworkSimulator` attaches one to every
-    channel while it simulates a collective that it may later replay from
-    the recording (see :class:`~repro.sim.network.SoloRecipe`).  Event 0
-    is the collective's start; every later event is one batch's wire
-    release or completion, in firing order.
-    """
-
-    __slots__ = (
-        "engine",
-        "fired_before",
-        "intervals_before",
-        "times",
-        "events",
-        "batches",
-        "credits",
-        "outstanding",
-    )
-
-    def __init__(self, engine: EventQueue, channels: list[DimensionChannel]) -> None:
-        self.engine = engine
-        #: The engine's fired-event count, and each channel's number of
-        #: activity intervals, when the recording started.
-        self.fired_before = engine.events_processed
-        self.intervals_before = [
-            len(channel.stats.activity_intervals) for channel in channels
-        ]
-        #: Each event's time as it fired.
-        self.times = [engine.now]
-        #: Per event after the start: ``(origin, fixed, wall)``, so that it
-        #: fired at ``times[origin] + fixed + wall``.  ``origin`` is the
-        #: event its batch started in.  A release is recorded with a fixed
-        #: latency of ``0.0``: ``t + 0.0`` is ``t`` exactly for every ``t``
-        #: but ``-0.0``, which a clock starting at ``0.0`` never reads.
-        self.events: list[tuple[int, float, float]] = []
-        #: Per batch, in start order: ``(origin, fixed, wall)``.
-        self.batches: list[tuple[int, float, float]] = []
-        #: Per channel, per batch in start order: the statistics it
-        #: credited, ``(transfer seconds, fixed seconds, bytes, ops)``.
-        self.credits: list[list[tuple[float, float, float, int]]] = [
-            [] for _ in channels
-        ]
-        #: Per channel: each change to its outstanding bytes, in order.
-        self.outstanding: list[list[float]] = [[] for _ in channels]
-
-    def batch_started(
-        self, dim_index: int, running: _RunningBatch, nbytes: float, wall: float
-    ) -> None:
-        running.recipe_index = len(self.batches)
-        self.batches.append((len(self.times) - 1, running.fixed, wall))
-        self.credits[dim_index].append(
-            (running.remaining, running.fixed, nbytes, len(running.batch))
-        )
-
-    def fired(self, running: _RunningBatch, completion: bool) -> None:
-        origin, fixed, wall = self.batches[running.recipe_index]
-        self.events.append((origin, fixed if completion else 0.0, wall))
-        self.times.append(self.engine.now)
 
 
 class _FlowState:
@@ -411,14 +350,12 @@ class DimensionChannel:
         self.engine = engine
         self.on_batch_done = on_batch_done
         self.queue = ReadyQueue(policy.sort_key)
-        self.busy = False
         self.stats = ChannelStats()
         # Live outstanding load (enqueued but not yet completed work) — read
         # at job-arrival time by the cluster placement policies.  Bytes are
         # credited on enqueue and debited when the op's batch completes, so
         # preempted/paused work correctly stays outstanding.
         self._outstanding_bytes = 0.0
-        self._outstanding_owner_ops: dict[str, int] = {}
         # collective_seq -> remaining enforced op-key order for this channel.
         self.enforced_orders: dict[int, list[tuple[int, int, int]]] = {}
         self._active_since: float | None = None
@@ -453,8 +390,8 @@ class DimensionChannel:
         #: Observer-only; attached by ``NetworkSimulator(audit=True)``.
         self.auditor: "InvariantAuditor | None" = None
         #: Records the serial wire's arithmetic while a collective that the
-        #: network may replay runs alone (see :class:`WireRecorder`).
-        self.recorder: WireRecorder | None = None
+        #: network may replay runs alone.
+        self.recipe: SoloRecipe | None = None
 
     # --- fairness configuration -------------------------------------------
     def set_share_weights(
@@ -474,7 +411,7 @@ class DimensionChannel:
                 )
         if default <= 0:
             raise ConfigError(f"default share weight must be positive, got {default}")
-        if self.share_weights is None and (self.busy or self._paused):
+        if self.share_weights is None and (self._running is not None or self._paused):
             raise ConfigError(
                 f"dim{self.dim_index}: cannot switch to weighted sharing "
                 "while the serial wire has a batch in flight"
@@ -545,7 +482,7 @@ class DimensionChannel:
             # Serial wire: close the running segment at the old rate, then
             # either restart the leftover at the new rate or park it.  A
             # segment that is effectively done lets its pending events fire.
-            stopped = self._stop_segment() if self.busy else None
+            stopped = self._stop_segment() if self._running is not None else None
             self.capacity_factor = factor
             if stopped is not None and factor > 0.0:
                 self._start_segment(stopped)
@@ -572,36 +509,18 @@ class DimensionChannel:
         """
         return max(0.0, self._outstanding_bytes)
 
-    @property
-    def active_tenant_count(self) -> int:
-        """Distinct owners with outstanding (uncompleted) ops here."""
-        return len(self._outstanding_owner_ops)
-
-    def _track_enqueued(self, op: OpState) -> None:
-        self._outstanding_bytes += op.bytes_sent
-        if self.recorder is not None:
-            self.recorder.outstanding[self.dim_index].append(op.bytes_sent)
-        self._outstanding_owner_ops[op.owner] = (
-            self._outstanding_owner_ops.get(op.owner, 0) + 1
-        )
-
     def _track_completed(self, batch: list[OpState]) -> None:
-        recorder = self.recorder
+        recipe = self.recipe
         for op in batch:
             self._outstanding_bytes -= op.bytes_sent
-            if recorder is not None:
-                recorder.outstanding[self.dim_index].append(-op.bytes_sent)
-            count = self._outstanding_owner_ops.get(op.owner, 0) - 1
-            if count > 0:
-                self._outstanding_owner_ops[op.owner] = count
-            else:
-                self._outstanding_owner_ops.pop(op.owner, None)
+            if recipe is not None:
+                recipe.outstanding[self.dim_index].append(-op.bytes_sent)
 
     # --- activity tracking ------------------------------------------------
     @property
     def has_work(self) -> bool:
         return (
-            self.busy
+            self._running is not None
             or bool(self.queue)
             or bool(self._flows)
             or bool(self._paused)
@@ -645,14 +564,15 @@ class DimensionChannel:
         op.ready_time = self.engine.now
         eligible = self._op_is_eligible(op)
         self.queue.push(op, eligible)
-        self._track_enqueued(op)
+        self._outstanding_bytes += op.bytes_sent
+        if self.recipe is not None:
+            self.recipe.outstanding[self.dim_index].append(op.bytes_sent)
         if self.auditor is not None:
             self.auditor.on_enqueue(self, op)
         self._update_activity()
         if (
             self.preemption_enabled
             and self.share_weights is None
-            and self.busy
             and self._running is not None
             and op.priority > self._running.priority
             and eligible
@@ -677,7 +597,7 @@ class DimensionChannel:
         if self.share_weights is not None:
             self._try_start_shared()
             return
-        if self.busy:
+        if self._running is not None:
             return
         best = self.policy.select_from(self.queue)
         if self._paused:
@@ -785,15 +705,14 @@ class DimensionChannel:
             if running.transfer_total > 0
             else 1.0
         )
-        self.busy = True
         self._running = running
         nbytes = running.bytes_total * frac
         self.stats.transfer_seconds += remaining
         self.stats.fixed_seconds += running.fixed
         self.stats.bytes_sent += nbytes
         wall = remaining / self.capacity_factor
-        if self.recorder is not None:
-            self.recorder.batch_started(self.dim_index, running, nbytes, wall)
+        if self.recipe is not None:
+            self.recipe.batch_started(self.dim_index, running, nbytes, wall)
         end = now + running.fixed + wall
         for op in running.batch:
             op.end_time = end
@@ -830,7 +749,6 @@ class DimensionChannel:
         self.stats.fixed_seconds -= running.fixed
         self.stats.bytes_sent -= running.bytes_total * frac
         running.remaining = remaining
-        self.busy = False
         self._running = None
         return running
 
@@ -859,26 +777,25 @@ class DimensionChannel:
         return best
 
     def _release_wire(self, running: _RunningBatch) -> None:
-        if self.recorder is not None:
-            self.recorder.fired(running, completion=False)
-        if not self.busy:  # pragma: no cover - defensive
+        if self.recipe is not None:
+            self.recipe.fired(running, completion=False)
+        if self._running is None:  # pragma: no cover - defensive
             raise SimulationError(
                 f"dim{self.dim_index} released its wire while not busy"
             )
         running.remaining = 0.0
-        self.busy = False
         self._running = None
         self._update_activity()
         self.try_start()
 
     def _complete(self, running: _RunningBatch) -> None:
-        if self.recorder is not None:
-            self.recorder.fired(running, completion=True)
+        if self.recipe is not None:
+            self.recipe.fired(running, completion=True)
         self._track_completed(running.batch)
         if self.auditor is not None:
             self.auditor.on_batch_complete(self, running.batch)
         self.on_batch_done(self, running.batch)
-        if not self.busy:  # a busy wire is active and starts nothing
+        if self._running is None:  # a busy wire is active and starts nothing
             self._update_activity()
             self.try_start()
 
@@ -910,9 +827,7 @@ class DimensionChannel:
         flight; re-arms the finish event and returns True if any started."""
         started = False
         while True:
-            first = self.policy.select_from(
-                self.queue, exclude_owners=self._flows
-            )
+            first = self.policy.select_from(self.queue, idle_only=True)
             if first is None:
                 break
             self._start_flow(self._pick_batch(first, fusion_owner=first.owner))

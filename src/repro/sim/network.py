@@ -48,7 +48,7 @@ from ..numeric import ordered_sum
 from ..topology import Topology
 from .audit import InvariantAuditor, resolve_audit
 from .engine import EventQueue
-from .executor import DimensionChannel, FusionConfig, OpState, WireRecorder
+from .executor import DimensionChannel, FusionConfig, OpState, _RunningBatch
 from .faults import (
     MIN_CAPACITY_FACTOR,
     FaultSchedule,
@@ -319,16 +319,18 @@ class SoloRecipe:
     """One collective's run alone on idle serial wires, replayable from
     any start time (see :meth:`NetworkSimulator.start_solo`).
 
-    It is built from a :class:`~repro.sim.executor.WireRecorder`.  Event 0
-    is the collective's start.  Every later event, in firing order, is one
-    batch's wire release or completion.  Each is timed from the event its
-    batch started in, as :meth:`DimensionChannel._start_segment` times it:
-    ``(t + fixed) + wall`` for a completion and ``t + wall`` for a
-    release.  :meth:`times_from` recomputes every event time from a new
-    start with those same float operations.  :meth:`credit` adds the
-    rest, which does not depend on time: each channel's statistics and
-    outstanding-byte changes, in the recorded order, and its activity
-    intervals, held as (opening event, closing event) pairs.
+    A recipe records itself: :class:`NetworkSimulator` attaches it to every
+    channel while the collective is simulated, and :meth:`freeze` then
+    makes it replayable.  Event 0 is the collective's start.  Every later
+    event, in firing order, is one batch's wire release or completion.
+    Each is timed from the event its batch started in, as
+    :meth:`DimensionChannel._start_segment` times it: ``(t + fixed) +
+    wall`` for a completion and ``t + wall`` for a release.
+    :meth:`times_from` recomputes every event time from a new start with
+    those same float operations.  :meth:`credit` adds the rest, which does
+    not depend on time: each channel's statistics and outstanding-byte
+    changes, in the recorded order, and its activity intervals, held as
+    (opening event, closing event) pairs.
 
     **Why a certified replay is the simulation.**  The recomputed times
     are certified when they never decrease in firing order and are equal
@@ -349,23 +351,74 @@ class SoloRecipe:
     in the events the engine did not fire.
     """
 
-    __slots__ = ("events", "credits", "outstanding", "intervals", "completion")
+    __slots__ = (
+        "engine",
+        "fired_before",
+        "intervals_before",
+        "times",
+        "events",
+        "batches",
+        "credits",
+        "outstanding",
+        "intervals",
+        "completion",
+    )
 
-    def __init__(
-        self,
-        recorder: WireRecorder,
-        channels: list[DimensionChannel],
-        completion_time: float,
-    ) -> None:
-        times = recorder.times
-        #: Per event after the start: ``(origin, fixed, wall, tied)``;
-        #: ``tied``: it fired at the same time as the event before it.
-        self.events = [
-            (origin, fixed, wall, times[index + 1] == times[index])
-            for index, (origin, fixed, wall) in enumerate(recorder.events)
+    def __init__(self, engine: EventQueue, channels: list[DimensionChannel]) -> None:
+        """Start recording the collective that starts now."""
+        self.engine = engine
+        #: The engine's fired-event count, and each channel's number of
+        #: activity intervals, when the recording started.
+        self.fired_before = engine.events_processed
+        self.intervals_before = [
+            len(channel.stats.activity_intervals) for channel in channels
         ]
-        self.credits = recorder.credits
-        self.outstanding = recorder.outstanding
+        #: Each event's time as it fired.
+        self.times = [engine.now]
+        #: Per event after the start: ``(origin, fixed, wall, tied)``, so
+        #: that it fired at ``times[origin] + fixed + wall``, and ``tied``:
+        #: at the same time as the event before it.  ``origin`` is the
+        #: event its batch started in.  A release is recorded with a fixed
+        #: latency of ``0.0``: ``t + 0.0`` is ``t`` exactly for every ``t``
+        #: but ``-0.0``, which a clock starting at ``0.0`` never reads.
+        self.events: list[tuple[int, float, float, bool]] = []
+        #: Per batch, in start order: ``(origin, fixed, wall)``.
+        self.batches: list[tuple[int, float, float]] = []
+        #: Per channel, per batch in start order: the statistics it
+        #: credited, ``(transfer seconds, fixed seconds, bytes, ops)``.
+        self.credits: list[list[tuple[float, float, float, int]]] = [
+            [] for _ in channels
+        ]
+        #: Per channel: each change to its outstanding bytes, in order.
+        self.outstanding: list[list[float]] = [[] for _ in channels]
+        #: Set by :meth:`freeze`: per channel, its activity intervals as
+        #: (opening event, closing event) pairs, and the event the
+        #: collective completed in.
+        self.intervals: list[list[tuple[int, int]]] = []
+        self.completion = 0
+
+    def batch_started(
+        self, dim_index: int, running: _RunningBatch, nbytes: float, wall: float
+    ) -> None:
+        running.recipe_index = len(self.batches)
+        self.batches.append((len(self.times) - 1, running.fixed, wall))
+        self.credits[dim_index].append(
+            (running.remaining, running.fixed, nbytes, len(running.batch))
+        )
+
+    def fired(self, running: _RunningBatch, completion: bool) -> None:
+        origin, fixed, wall = self.batches[running.recipe_index]
+        times = self.times
+        times.append(self.engine.now)
+        self.events.append(
+            (origin, fixed if completion else 0.0, wall, times[-1] == times[-2])
+        )
+
+    def freeze(self, channels: list[DimensionChannel], completion_time: float) -> bool:
+        """End the recording of a collective that completed at
+        ``completion_time``; returns whether the recipe replays its own
+        times."""
+        times = self.times
         # Every event at one recorded time gets the same certified time,
         # so a time maps to the first event at it.
         first: dict[float, int] = {}
@@ -376,9 +429,10 @@ class SoloRecipe:
                 (first[interval.start], first[interval.end])
                 for interval in channel.stats.activity_intervals[before:]
             ]
-            for channel, before in zip(channels, recorder.intervals_before)
+            for channel, before in zip(channels, self.intervals_before)
         ]
         self.completion = first[completion_time]
+        return self.times_from(times[0]) == times
 
     def times_from(self, start: float) -> list[float] | None:
         """Every event time from ``start``, or ``None`` when the times
@@ -560,7 +614,6 @@ class NetworkBookkeeping(NetworkBackend):
         self._results: list[CollectiveResult] = []
         self._records: list[OpRecord] = []
         self._records_sorted = True
-        self._inflight = 0
         self._comm_active_since: float | None = None
         self._comm_active: list[Interval] = []
         self._owner_inflight: dict[str, int] = {}
@@ -632,7 +685,6 @@ class NetworkBookkeeping(NetworkBackend):
         now = self.engine.now
         owner = state.result.request.owner
         self._states[state.result.request.request_id] = state
-        self._inflight += 1
         if self._comm_active_since is None:
             self._comm_active_since = now
         self._owner_inflight[owner] = self._owner_inflight.get(owner, 0) + 1
@@ -646,8 +698,7 @@ class NetworkBookkeeping(NetworkBackend):
         request = state.result.request
         owner = request.owner
         del self._states[request.request_id]
-        self._inflight -= 1
-        if self._inflight == 0 and self._comm_active_since is not None:
+        if not self._states and self._comm_active_since is not None:
             if now > self._comm_active_since:
                 self._comm_active.append(Interval(self._comm_active_since, now))
             self._comm_active_since = None
@@ -814,7 +865,6 @@ class NetworkSimulator(NetworkBookkeeping):
         if self.auditor is not None:
             for channel in self.channels:
                 channel.auditor = self.auditor
-                self.auditor.register_channel(channel)
         #: ``plan key -> {parent dim: [(chunk_id, stage_index), ...]}`` —
         #: enforced orders with the request id stripped, re-stamped per
         #: submission (op keys embed the submitting request's id).
@@ -822,10 +872,10 @@ class NetworkSimulator(NetworkBookkeeping):
         #: ``plan key -> SoloRecipe``: the plan's last run alone, which
         #: :meth:`start_solo` replays.
         self._recipes: dict[tuple, SoloRecipe] = {}
-        #: The collective :meth:`start_solo` is starting.
+        #: The collective :meth:`start_solo` marked to run alone.
         self._solo: CollectiveResult | None = None
-        #: The collective being recorded: its plan key, result and recorder.
-        self._recording: tuple[tuple, CollectiveResult, WireRecorder] | None = None
+        #: The collective being recorded: its plan key, result and recipe.
+        self._recording: tuple[tuple, CollectiveResult, SoloRecipe] | None = None
 
     # --- fairness (multi-tenant wire disciplines) ---------------------------
     def set_tenant_weights(
@@ -1004,16 +1054,16 @@ class NetworkSimulator(NetworkBookkeeping):
 
     # --- replaying a collective that runs alone ------------------------------
     def start_solo(self, result: CollectiveResult) -> bool:
-        """Start ``result``'s collective if it runs alone, replaying it
-        from its plan's :class:`SoloRecipe` when the recipe's times pass
-        the certificate at this start.  Otherwise the collective is
-        simulated as usual, and that run becomes its plan's recipe.
+        """Mark ``result``'s collective if it runs alone.  When its start
+        event fires, it is replayed from its plan's :class:`SoloRecipe` if
+        the recipe's times pass the certificate at that start.  Otherwise
+        it is simulated as usual, and that run becomes its plan's recipe.
 
         The caller must then fire events until the collective completes,
         then every event at its completion instant, and then call
         :meth:`end_solo`.  ``TrainingSimulator`` does so when it waits on
-        a collective.  The engine fires no event for a replay: it finds
-        the collective complete and ``now`` at its completion.
+        a collective.  A replay fires one event, the collective's start,
+        which leaves the collective complete and ``now`` at its completion.
 
         Returns ``False``, having changed nothing, unless the collective
         runs alone.  That is: it is the last one submitted to this network
@@ -1026,10 +1076,7 @@ class NetworkSimulator(NetworkBookkeeping):
         """
         if not self._runs_alone(result):
             return False
-        start = self.engine.pop_next()
-        assert start is not None
         self._solo = result
-        start()
         return True
 
     def end_solo(self) -> None:
@@ -1037,15 +1084,14 @@ class NetworkSimulator(NetworkBookkeeping):
         replays its own times becomes its plan's recipe."""
         if self._recording is None:
             return
-        plan_key, result, recorder = self._recording
+        plan_key, result, recipe = self._recording
         self._recording = None
         for channel in self.channels:
-            channel.recorder = None
-        fired = self.engine.events_processed - recorder.fired_before
-        if self.engine.pending or fired != len(recorder.events):
+            channel.recipe = None
+        fired = self.engine.events_processed - recipe.fired_before
+        if self.engine.pending or fired != len(recipe.events):
             return  # something besides the collective's wire ran or is due
-        recipe = SoloRecipe(recorder, self.channels, result.completion_time)
-        if recipe.times_from(recorder.times[0]) == recorder.times:
+        if recipe.freeze(self.channels, result.completion_time):
             self._recipes[plan_key] = recipe
 
     def _runs_alone(self, result: CollectiveResult) -> bool:
@@ -1086,10 +1132,10 @@ class NetworkSimulator(NetworkBookkeeping):
 
     def _record(self, result: CollectiveResult, plan_key: tuple) -> None:
         """Record the collective starting now as it is simulated."""
-        recorder = WireRecorder(self.engine, self.channels)
+        recipe = SoloRecipe(self.engine, self.channels)
         for channel in self.channels:
-            channel.recorder = recorder
-        self._recording = (plan_key, result, recorder)
+            channel.recipe = recipe
+        self._recording = (plan_key, result, recipe)
 
     # --- progression ----------------------------------------------------------
     def _on_batch_done(self, channel: DimensionChannel, batch: list[OpState]) -> None:

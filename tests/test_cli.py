@@ -146,6 +146,28 @@ class TestCommands:
         assert code == 0
         assert "steady state: window" in capsys.readouterr().out
 
+    def test_cluster_target_rho_simulates_each_baseline_once(
+        self, capsys, monkeypatch
+    ):
+        """The rate calibration and the rho denominators share one cache:
+        this run draws 2 job shapes, so it makes 2 solo runs, not 4."""
+        import repro.cluster.simulator as sim_mod
+
+        calls = []
+        original = sim_mod.isolated_jct
+        monkeypatch.setattr(
+            sim_mod, "isolated_jct",
+            lambda *a, **k: calls.append(a[1].workload.name) or original(*a, **k),
+        )
+        code = main(
+            ["cluster", "--topology", "2D-SW_SW", "--target-rho", "0.4",
+             "--arrivals", "25", "--max-concurrent", "2",
+             "--measure", "0.05"]
+        )
+        assert code == 0
+        assert "steady state: window" in capsys.readouterr().out
+        assert len(calls) == len(set(calls)) == 2
+
     def test_cluster_open_loop_needs_one_intensity(self, capsys):
         assert main(
             ["cluster", "--rate", "100", "--target-rho", "0.5",

@@ -368,7 +368,7 @@ class TestHeadsHeap:
                     else:
                         active.discard(owner)
                     queue.set_owner_active(owner, now_active)
-                got = queue.select(exclude_owners=active)
+                got = queue.select(idle_only=True)
                 candidates = [op for op in ops if op.owner not in active]
                 want = policy.select(candidates) if candidates else None
                 # total-order sort keys: the minimum is unique, so both

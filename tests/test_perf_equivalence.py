@@ -48,7 +48,6 @@ from repro.core import LatencyModel, SchedulerFactory, Splitter
 from repro.experiments.fig12 import fig12_training_config
 from repro.sim import EventQueue, FusionConfig, LinkFault, NetworkSimulator
 from repro.sim.backends import get_backend
-from repro.sim.executor import WireRecorder
 from repro.sim.network import SoloRecipe
 from repro.topology import Topology, dimension, get_topology
 from repro.training import TrainingConfig, TrainingSimulator
@@ -511,11 +510,13 @@ class TestTrainingTimelines:
 def _recipe(*events: tuple[float, float]) -> SoloRecipe:
     """A recipe whose batches all start with the collective, at 0.0; each
     event ``(fixed, wall)`` fires at ``(0.0 + fixed) + wall``."""
-    recorder = WireRecorder(EventQueue(), [])
+    recipe = SoloRecipe(EventQueue(), [])
+    times = recipe.times
     for fixed, wall in events:
-        recorder.events.append((0, fixed, wall))
-        recorder.times.append((0.0 + fixed) + wall)
-    return SoloRecipe(recorder, [], recorder.times[-1])
+        times.append((0.0 + fixed) + wall)
+        recipe.events.append((0, fixed, wall, times[-1] == times[-2]))
+    assert recipe.freeze([], times[-1])
+    return recipe
 
 
 #: A release and a completion tied at 0.3000...04 from a start at 0.0.
@@ -635,7 +636,9 @@ class TestSoloReplay:
 
     def test_identical_blocking_all_reduces_replay(self, monkeypatch):
         """N identical blocking All-Reduces, each alone on 2D-SW_SW under
-        Baseline: the first is simulated and recorded, the rest replay."""
+        Baseline: the first is simulated and recorded, the rest replay.
+        Each collective's start event fires through the engine, replayed
+        or not; only the recorded one fires its W wire events."""
         replays = []
         replay = NetworkSimulator._replay
 
@@ -655,11 +658,20 @@ class TestSoloReplay:
             ],
             batch_per_npu=1,
         )
-        sim = TrainingSimulator(
-            workload, get_topology("2D-SW_SW"), scheduler="baseline", audit=False
-        )
-        sim.run()
+
+        def events(audit: bool) -> int:
+            sim = TrainingSimulator(
+                workload, get_topology("2D-SW_SW"), scheduler="baseline", audit=audit
+            )
+            sim.run()
+            return sim.engine.events_processed
+
+        plain = events(audit=False)
         assert replays == [False] + [True] * (count - 1)
+        # An audited run simulates every collective: its start plus W.
+        wire, rest = divmod(events(audit=True) - count, count)
+        assert rest == 0 and wire > 0
+        assert plain == count + wire
 
     @pytest.mark.parametrize(
         "setup", ["alone", "record_ops", "preemption", "shared_wire", "second_pending"]

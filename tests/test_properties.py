@@ -397,7 +397,7 @@ class TestReadyQueueProperties:
                     assert queue.select(owner=name) is best(
                         [op for op in live if op.owner == name]
                     )
-                assert queue.select(exclude_owners=active) is best(
+                assert queue.select(idle_only=True) is best(
                     [op for op in live if op.owner not in active]
                 )
 
