@@ -72,6 +72,11 @@ def _known_fields(cls: type) -> tuple[str, ...]:
 
 def _reject_unknown(cls: type, data: dict, where: str) -> dict:
     """Drop envelope keys, reject unknown ones with a did-you-mean hint."""
+    if not isinstance(data, dict):
+        raise SpecError(
+            f"{where}: expected an object of {cls.__name__} fields, "
+            f"got {type(data).__name__} {data!r}"
+        )
     payload = dict(data)
     payload.pop("schema", None)
     payload.pop("mode", None)
@@ -85,6 +90,14 @@ def _reject_unknown(cls: type, data: dict, where: str) -> dict:
             f"{where}: unknown key(s):{hints}\n  known: {', '.join(known)}"
         )
     return payload
+
+
+def _nested(kind: type[_T], value: Any, where: str) -> _T:
+    """A nested spec piece: ``value`` if it already is a ``kind``, else
+    built from its JSON object (anything else is a SpecError at ``where``)."""
+    if isinstance(value, kind):
+        return value
+    return kind(**_reject_unknown(kind, value, where))
 
 
 def _built(where: str, build: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
@@ -759,8 +772,9 @@ class TrainingScenario(ScenarioSpec):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload_args", dict(self.workload_args))
-        if isinstance(self.faults, dict):  # convenience: accept dicts
-            object.__setattr__(self, "faults", FaultSpec.from_dict(self.faults))
+        if self.faults is not None:
+            faults = _nested(FaultSpec, self.faults, "TrainingScenario.faults")
+            object.__setattr__(self, "faults", faults)
         if self.backend_options is not None:
             object.__setattr__(
                 self, "backend_options", dict(self.backend_options)
@@ -869,12 +883,18 @@ class ClusterScenario(ScenarioSpec):
         from ..cluster.jobs import check_unique_names
 
         object.__setattr__(self, "topology", _validate_topology(self.topology))
+        jobs = self.jobs or ()
+        if not isinstance(jobs, (list, tuple)):
+            raise SpecError(
+                "ClusterScenario.jobs: expected a list of jobs, "
+                f"got {type(jobs).__name__} {jobs!r}"
+            )
         object.__setattr__(
             self,
             "jobs",
             tuple(
-                job if isinstance(job, ScenarioJob) else ScenarioJob.from_dict(job)
-                for job in self.jobs or ()
+                _nested(ScenarioJob, job, f"ClusterScenario.jobs[{index}]")
+                for index, job in enumerate(jobs)
             ),
         )
         # Nested pieces may be given as their JSON dicts.
@@ -885,8 +905,9 @@ class ClusterScenario(ScenarioSpec):
         )
         for name, kind in nested:
             value = getattr(self, name)
-            if value is not None and not isinstance(value, kind):
-                object.__setattr__(self, name, kind.from_dict(value))
+            if value is not None:
+                where = f"ClusterScenario.{name}"
+                object.__setattr__(self, name, _nested(kind, value, where))
         populations = (
             bool(self.jobs)
             + (self.trace is not None)

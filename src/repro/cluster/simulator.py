@@ -28,7 +28,6 @@ from collections.abc import Callable, Iterator, Sequence
 from ..core.scheduler import SchedulerFactory
 from ..core.splitter import Splitter
 from ..errors import ConfigError, DeadlockError, EventBudgetError
-from ..numeric import ordered_sum
 from ..sim.audit import InvariantViolation
 from ..sim.backends import get_backend, resolve_backend_key
 from ..sim.engine import EventQueue
@@ -532,7 +531,6 @@ class ClusterSimulator:
         self._last_live_change = 0.0
         self._live_window_integral = 0.0
         self._finished_count = 0
-        self._released_collectives = 0
         self._collector: _SteadyCollector | None = None
         if self.config.measure_time is not None:
             self._collector = _SteadyCollector(
@@ -597,9 +595,6 @@ class ClusterSimulator:
                 self._collector.note_finish(driver, rho)
         cap_detail = self.config.outcome_cap
         if cap_detail is not None and self._finished_count > cap_detail:
-            self._released_collectives += (
-                driver.loop.collectives_issued if driver.loop is not None else 0
-            )
             driver.release()
         cap = self.config.max_concurrent
         while self._admission_queue and (
@@ -805,14 +800,7 @@ class ClusterSimulator:
             )
         if self.network.auditor is not None:
             self._audit_outcomes()
-        submitted = self._released_collectives + ordered_sum(
-            d.loop.collectives_issued
-            for d in self._drivers
-            # truncated/windowed runs may cut a job pre-arrival; released
-            # drivers contribute via the accumulator instead
-            if d.loop is not None
-        )
-        result = self.network.result() if submitted else None
+        result = self.network.result() if self.network.collectives_submitted else None
         utilization = None
         comm_active = 0.0
         if result is not None and result.comm_active_seconds > 0:

@@ -89,11 +89,34 @@ def build_chunk_plan(
     )
 
 
+def build_chunk_plans(
+    ctype: CollectiveType,
+    chunk_sizes: Sequence[float],
+    orders: Sequence[Sequence[int]],
+    topology: Topology,
+) -> tuple[ChunkPlan, ...]:
+    """One :class:`ChunkPlan` per (size, order) pair, in chunk order.
+
+    A chunk's stages depend only on its size and dimension order, and equal
+    chunks have at most ``D!`` orders: :func:`stage_plan` runs once per
+    distinct (size, order), and the chunks sharing it share its stage tuple.
+    """
+    shapes: dict[tuple[float, tuple[int, ...]], tuple[Stage, ...]] = {}
+    chunks: list[ChunkPlan] = []
+    for chunk_id, (size, dim_order) in enumerate(zip(chunk_sizes, orders)):
+        order = tuple(dim_order)
+        stages = shapes.get((size, order))
+        if stages is None:
+            stages = tuple(stage_plan(ctype, size, order, topology))
+            shapes[size, order] = stages
+        chunks.append(ChunkPlan(chunk_id, size, ctype, order, stages))
+    return tuple(chunks)
+
+
 def validate_collective_plan(plan: CollectivePlan) -> None:
     """Sanity-check a plan: chunk ids, sizes, and per-chunk stage structure.
 
-    Raises :class:`ScheduleError` on any inconsistency.  Used by tests and by
-    the executor in paranoid mode.
+    Raises :class:`ScheduleError` on any inconsistency.  Used by tests.
     """
     if not plan.chunks:
         raise ScheduleError("collective plan has no chunks")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..collectives.types import CollectiveRequest
 from ..errors import ScheduleError
 from ..topology import Topology
-from .chunk import CollectivePlan, build_chunk_plan
+from .chunk import CollectivePlan, build_chunk_plans
 from .consistency import replay_alone
 from .latency_model import LatencyModel
 from .scheduler import CollectiveScheduler
@@ -79,10 +79,7 @@ class ExhaustiveScheduler(CollectiveScheduler):
         plan = CollectivePlan(
             request=request,
             topology=topology,
-            chunks=tuple(
-                build_chunk_plan(i, request.ctype, size, order, topology)
-                for i, (size, order) in enumerate(zip(chunk_sizes, orders))
-            ),
+            chunks=build_chunk_plans(request.ctype, chunk_sizes, orders, topology),
             scheduler_name=self.name,
         )
         result = replay_alone(

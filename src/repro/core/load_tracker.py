@@ -10,6 +10,8 @@ collective type (Sec. 4.4), and is increased as each chunk is scheduled
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from ..collectives.types import CollectiveType
 from ..errors import ScheduleError
 from .latency_model import LatencyModel
@@ -38,7 +40,7 @@ class DimLoadTracker:
         """Current loads (a copy; mutating it does not affect the tracker)."""
         return list(self._loads)
 
-    def update(self, additional: list[float]) -> None:
+    def update(self, additional: Sequence[float]) -> None:
         """Add a newly scheduled chunk's per-dimension loads (line 30)."""
         if len(additional) != self.ndims:
             raise ScheduleError(

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import abc
 
-from ..collectives.phases import Stage, stage_plan
+from ..collectives.phases import stage_plan
 from ..collectives.types import CollectiveRequest, CollectiveType, PhaseOp
 from ..errors import ScheduleError
 from ..topology import Topology
-from .chunk import ChunkPlan, CollectivePlan, build_chunk_plan
+from .chunk import CollectivePlan, build_chunk_plans
 from .latency_model import LatencyModel
 from .load_tracker import DimLoadTracker
 from .splitter import Splitter
@@ -73,14 +73,10 @@ class CollectiveScheduler(abc.ABC):
                 f"scheduler produced {len(orders)} orders for "
                 f"{len(chunk_sizes)} chunks"
             )
-        chunks: list[ChunkPlan] = [
-            build_chunk_plan(i, request.ctype, size, order, topology)
-            for i, (size, order) in enumerate(zip(chunk_sizes, orders))
-        ]
         return CollectivePlan(
             request=request,
             topology=topology,
-            chunks=tuple(chunks),
+            chunks=build_chunk_plans(request.ctype, chunk_sizes, orders, topology),
             scheduler_name=self.name,
             issue_time=issue_time,
         )
@@ -189,50 +185,52 @@ class ThemisScheduler(CollectiveScheduler):
     ) -> list[tuple[int, ...]]:
         tracker = DimLoadTracker(model)
         tracker.reset(request.ctype)
+        # For All-Reduce, Algorithm 1 schedules the RS half and mirrors it
+        # for AG; the tracker update covers the full round trip.
+        probe_ctype = (
+            CollectiveType.REDUCE_SCATTER
+            if request.ctype is CollectiveType.ALL_REDUCE
+            else request.ctype
+        )
+        # A chunk's loads (calcLoads, lines 28-29) depend only on its size
+        # and order, so each distinct (size, order) is derived once per
+        # call.  Chunks share the tuple, which the tracker only reads.
+        shapes: dict[tuple[float, tuple[int, ...]], tuple[float, ...]] = {}
+
+        def loads_of(chunk_size: float, order: tuple[int, ...]) -> tuple[float, ...]:
+            loads = shapes.get((chunk_size, order))
+            if loads is None:
+                stages = stage_plan(request.ctype, chunk_size, order, model.topology)
+                loads = tuple(model.stage_loads(stages))
+                shapes[chunk_size, order] = loads
+            return loads
+
         orders: list[tuple[int, ...]] = []
         for chunk_size in chunk_sizes:
-            # For All-Reduce, Algorithm 1 schedules the RS half and mirrors
-            # it for AG; the tracker update covers the full round trip.
-            probe_ctype = (
-                CollectiveType.REDUCE_SCATTER
-                if request.ctype is CollectiveType.ALL_REDUCE
-                else request.ctype
-            )
             order = self._schedule_chunk(probe_ctype, chunk_size, tracker, model)
-            stages = stage_plan(request.ctype, chunk_size, order, model.topology)
-            loads = model.stage_loads(stages)
+            loads = loads_of(chunk_size, order)
             if self.overshoot_guard:
-                order, stages, loads = self._apply_overshoot_guard(
-                    request.ctype, probe_ctype, chunk_size, tracker, model,
-                    order, stages, loads,
-                )
+                baseline = baseline_dim_order(probe_ctype, tracker.ndims)
+                if order != baseline:
+                    base_loads = loads_of(chunk_size, baseline)
+                    if self._overshoots(tracker, loads, base_loads):
+                        order, loads = baseline, base_loads
             tracker.update(loads)
             orders.append(order)
         return orders
 
-    def _apply_overshoot_guard(
-        self,
-        ctype: CollectiveType,
-        probe_ctype: CollectiveType,
-        chunk_size: float,
+    @staticmethod
+    def _overshoots(
         tracker: DimLoadTracker,
-        model: LatencyModel,
-        order: tuple[int, ...],
-        stages: list[Stage],
-        loads: list[float],
-    ) -> tuple[tuple[int, ...], list[Stage], list[float]]:
-        """Fall back to the baseline order if the reroute overshoots."""
-        baseline = baseline_dim_order(probe_ctype, tracker.ndims)
-        if order == baseline:
-            return order, stages, loads
+        loads: tuple[float, ...],
+        base_loads: tuple[float, ...],
+    ) -> bool:
+        """Whether a rerouted chunk's projected max dimension load exceeds
+        the baseline order's (the overshoot guard)."""
         current = tracker.get_loads()
-        rerouted_max = max(c + l for c, l in zip(current, loads))
-        base_stages = stage_plan(ctype, chunk_size, baseline, model.topology)
-        base_loads = model.stage_loads(base_stages)
-        baseline_max = max(c + l for c, l in zip(current, base_loads))
-        if rerouted_max > baseline_max:
-            return baseline, base_stages, base_loads
-        return order, stages, loads
+        rerouted_max = max(now + add for now, add in zip(current, loads))
+        baseline_max = max(now + add for now, add in zip(current, base_loads))
+        return rerouted_max > baseline_max
 
 
 #: Scheduler kinds :class:`SchedulerFactory` builds (the unified registry's

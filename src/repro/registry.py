@@ -46,6 +46,9 @@ class Registry(Generic[T]):
         self._entries = {
             self._fold(name): factory for name, factory in entries.items()
         }
+        #: Each key's factory signature, derived on its first build; keys
+        #: are never re-registered, so an entry never goes stale.
+        self._signatures: dict[str, inspect.Signature] = {}
 
     def _fold(self, name: str) -> str:
         return name.lower() if self.casefold else name
@@ -74,8 +77,12 @@ class Registry(Generic[T]):
     def build(self, name: str, **kwargs: Any) -> T:
         """Call ``name``'s factory with ``kwargs``, checked against its signature."""
         factory = self.lookup(name)
+        key = self._fold(name)
+        signature = self._signatures.get(key)
+        if signature is None:
+            signature = self._signatures[key] = inspect.signature(factory)
         try:
-            inspect.signature(factory).bind(**kwargs)
+            signature.bind(**kwargs)
         except TypeError as error:
             raise self.error(f"{self.noun} {name!r}: {error}") from None
         return factory(**kwargs)

@@ -292,12 +292,14 @@ class CollectivePlanner:
             if any(factor != 1.0 for factor in local):
                 plan_model = ScaledLatencyModel(model, local)
         plan = scheduler.plan(request, subtopo, plan_model, issue_time=now)
-        # Chunks repeat a handful of distinct stages: cost each one once.
-        stage_costs: dict[Stage, OpCost] = {}
+        # A chunk's costs depend only on its size and order, and equal
+        # chunks have at most D! orders: cost each distinct one once.
+        rows: dict[tuple[float, tuple[int, ...]], tuple[OpCost, ...]] = {}
         for chunk in plan.chunks:
-            for stage in chunk.stages:
-                if stage not in stage_costs:
-                    stage_costs[stage] = (
+            shape = (chunk.size, chunk.dim_order)
+            if shape not in rows:
+                rows[shape] = tuple(
+                    (
                         stage,
                         subtopo.parent_index(stage.dim_index),
                         model.bytes_per_npu(
@@ -306,10 +308,9 @@ class CollectivePlanner:
                         model.chunk_load(stage.op, stage.stage_size, stage.dim_index),
                         model.fixed_latency(stage.op, stage.dim_index),
                     )
-        costs = tuple(
-            tuple(stage_costs[stage] for stage in chunk.stages)
-            for chunk in plan.chunks
-        )
+                    for stage in chunk.stages
+                )
+        costs = tuple(rows[chunk.size, chunk.dim_order] for chunk in plan.chunks)
         if key is not None:
             self._plans[key] = (plan, costs)
         return plan, key, costs
@@ -735,6 +736,11 @@ class NetworkBookkeeping(NetworkBackend):
     def _wire_stats(self) -> WireStats:
         """The wire's per-dimension statistics for :meth:`result`."""
         raise NotImplementedError
+
+    @property
+    def collectives_submitted(self) -> int:
+        """How many collectives were submitted so far."""
+        return len(self._results)
 
     def result(self) -> ExecutionResult:
         """Snapshot results at the current simulation time.

@@ -121,6 +121,27 @@ class TestRegistry:
         assert "" not in api.registry_keys("backend")
         assert "" not in api.registry_keys("algorithm")
 
+    def test_build_derives_each_signature_once(self, monkeypatch):
+        """A key's factory signature is derived on its first build only."""
+        import inspect
+
+        from repro.registry import Registry
+
+        derived = []
+        real = inspect.signature
+
+        def counting(factory):
+            derived.append(factory)
+            return real(factory)
+
+        monkeypatch.setattr(inspect, "signature", counting)
+        registry = Registry("widget", {"ring": RingAlgorithm}, error=CollectiveError)
+        assert isinstance(registry.build("ring"), RingAlgorithm)
+        assert isinstance(registry.build("Ring"), RingAlgorithm)
+        assert derived == [RingAlgorithm]
+        with pytest.raises(CollectiveError, match="widget 'ring': .*'bogus'"):
+            registry.build("ring", bogus=1)
+
     def test_factory_error_is_not_a_key_miss(self):
         def broken():
             raise WorkloadError("unknown layer kind 'conv9d'")
@@ -643,6 +664,33 @@ class TestLoadTimeValidation:
             api.FaultSpec(flap_factor=2.0)
         with pytest.raises(SpecError, match="probability"):
             api.FaultSpec(straggler_probability=1.5)
+
+    @pytest.mark.parametrize(
+        ("document", "where"),
+        [
+            ({"mode": "cluster", "jobs": [5]}, "ClusterScenario.jobs[0]"),
+            ({"mode": "cluster", "jobs": 5}, "ClusterScenario.jobs"),
+            ({"mode": "cluster", "open_loop": 5}, "ClusterScenario.open_loop"),
+            ({"mode": "cluster", "trace": [1, 2]}, "ClusterScenario.trace"),
+            ({"mode": "cluster", "jobs": "ab"}, "ClusterScenario.jobs"),
+            ({"mode": "cluster", "faults": "x"}, "ClusterScenario.faults"),
+            ({"mode": "training", "faults": [3]}, "TrainingScenario.faults"),
+        ],
+    )
+    def test_malformed_nested_value(self, tmp_path, document, where):
+        """A nested value that is no object fails at load, naming its place."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema": 1, **document}))
+        with pytest.raises(SpecError, match=re.escape(f"{where}: expected")):
+            api.load_spec(path)
+
+    def test_training_faults_convert_like_cluster_faults(self):
+        faults = {"flap_dims": [1]}
+        training = api.TrainingScenario(topology="2D-SW_SW", faults=faults)
+        cluster = api.ClusterScenario(
+            topology="2D-SW_SW", jobs=(api.ScenarioJob(name="a"),), faults=faults
+        )
+        assert training.faults == cluster.faults == api.FaultSpec(flap_dims=(1,))
 
     def test_run_check_fails_cleanly(self, tmp_path, capsys):
         from repro.cli import main

@@ -310,6 +310,14 @@ class TestSpecCommands:
         assert "placement key must be a string" in err
         assert "Traceback" not in err
 
+    def test_run_check_malformed_nested_value_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema": 1, "mode": "cluster", "jobs": [5]}')
+        assert main(["run", "--spec", str(path), "--check"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ClusterScenario.jobs[0]" in err
+        assert "Traceback" not in err
+
     def test_every_shipped_spec_checks(self, capsys):
         import glob
         from pathlib import Path

@@ -5,7 +5,9 @@ Covered properties:
 * stage-size math: telescoping invariance of hierarchical RS/AG bytes,
   palindromic AR stage sizes, conservation under arbitrary dim orders;
 * scheduler: every produced order is a valid permutation; all chunks sum
-  to the collective size; determinism (same inputs -> same plan);
+  to the collective size; determinism (same inputs -> same plan); a
+  planned miss (chunks sharing one stage tuple and cost row per distinct
+  order) equals the chunk-by-chunk build and a fresh model's costs;
 * load tracker: order keys sort consistently with loads;
 * simulator: dependencies respected, wire never oversubscribed, makespan
   bounded below by the fluid/critical-path bounds and above by the fully
@@ -44,10 +46,13 @@ from repro.core import (
     SchedulerFactory,
     Splitter,
     ThemisScheduler,
+    build_chunk_plan,
+    validate_collective_plan,
 )
 from repro.core.policies import get_policy
 from repro.sim import FusionConfig, NetworkSimulator
 from repro.sim.executor import OpState
+from repro.sim.network import CollectivePlanner
 from repro.topology import Topology, dimension
 from repro.units import MB
 
@@ -57,9 +62,10 @@ _KINDS = ("ring", "fc", "sw")
 
 
 @st.composite
-def topologies(draw, max_dims: int = 4):
-    """Random 2-4 dimension topologies with power-of-two sizes."""
-    ndims = draw(st.integers(min_value=2, max_value=max_dims))
+def topologies(draw, max_dims: int = 4, min_dims: int = 2):
+    """Random ``min_dims``-``max_dims`` dimension topologies with
+    power-of-two sizes."""
+    ndims = draw(st.integers(min_value=min_dims, max_value=max_dims))
     dims = []
     for index in range(ndims):
         kind = draw(st.sampled_from(_KINDS))
@@ -194,6 +200,64 @@ class TestSchedulerProperties:
         first = ThemisScheduler(Splitter(chunks)).plan(request, topo)
         second = ThemisScheduler(Splitter(chunks)).plan(request, topo)
         assert first.dim_orders() == second.dim_orders()
+
+    @given(
+        topo=topologies(min_dims=1),
+        ctype=collective_types,
+        size=sizes,
+        chunks=st.integers(min_value=1, max_value=64),
+        scheduler=st.sampled_from(
+            [
+                ("baseline", 16.0, False),
+                ("themis", 16.0, False),
+                ("themis", 16.0, True),
+                ("themis", None, False),
+                ("themis", None, True),
+            ]
+        ),
+        degraded=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_planned_miss_matches_chunk_by_chunk_build(
+        self, topo, ctype, size, chunks, scheduler, degraded, data
+    ):
+        """Chunks share one stage tuple and one cost row per distinct
+        (size, order); every chunk still equals its own build, and every
+        cost row is what a fresh model gives its stages."""
+        picked = st.lists(st.integers(0, topo.ndims - 1), min_size=1, unique=True)
+        dims = data.draw(st.none() | picked.map(lambda chosen: tuple(sorted(chosen))))
+        kind, divisor, guard = scheduler
+        factory = SchedulerFactory(
+            kind,
+            splitter=Splitter(chunks),
+            threshold_divisor=divisor,
+            overshoot_guard=guard,
+        )
+        factors = tuple(
+            0.5 if degraded and index == 0 else 1.0 for index in range(topo.ndims)
+        )
+        request = CollectiveRequest(ctype, size, dim_indices=dims)
+        plan, _, costs = CollectivePlanner(topo).plan(request, factory, factors, 0.0)
+        validate_collective_plan(plan)
+        assert plan.nchunks == len(costs) == factory.splitter.chunk_count(size)
+        subtopo = plan.topology
+        assert subtopo.parent_indices == tuple(dims or range(topo.ndims))
+        model = LatencyModel(subtopo)
+        for chunk, row in zip(plan.chunks, costs):
+            assert chunk == build_chunk_plan(
+                chunk.chunk_id, ctype, chunk.size, chunk.dim_order, subtopo
+            )
+            assert row == tuple(
+                (
+                    stage,
+                    subtopo.parent_index(stage.dim_index),
+                    model.bytes_per_npu(stage.op, stage.stage_size, stage.dim_index),
+                    model.chunk_load(stage.op, stage.stage_size, stage.dim_index),
+                    model.fixed_latency(stage.op, stage.dim_index),
+                )
+                for stage in chunk.stages
+            )
 
     @given(topo=topologies(), size=sizes)
     # Derandomized: the overshoot allowance below is a heuristic constant,

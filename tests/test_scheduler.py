@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.collectives import CollectiveRequest, CollectiveType
@@ -167,3 +169,58 @@ class TestSchedulerFactory:
         factory = SchedulerFactory("themis", splitter=Splitter(4))
         plan = factory.create().plan(make_request(), fig5_topology)
         assert plan.nchunks == 4
+
+
+class TestPlanDerivesEachShapeOnce:
+    """A plan-cache miss derives each distinct (chunk size, order) once.
+
+    Equal chunks of a D-dimensional network have at most D! orders.  Each
+    pass (Themis's load pass, then the chunk-plan build) calls
+    ``stage_plan`` at most once per distinct (size, order), not once per
+    chunk; under the overshoot guard the load pass also derives the
+    baseline order and the orders the guard turns down.
+    """
+
+    @pytest.mark.parametrize(
+        "preset", ["2D-SW_SW", "3D-FC_Ring_SW", "4D-Ring_FC_Ring_SW"]
+    )
+    @pytest.mark.parametrize(
+        ("kind", "guard"), [("baseline", False), ("themis", False), ("themis", True)]
+    )
+    def test_stage_plan_once_per_distinct_shape(self, monkeypatch, preset, kind, guard):
+        from collections import Counter
+
+        import repro.core.chunk as chunk_module
+        import repro.core.scheduler as scheduler_module
+        from repro.sim.network import CollectivePlanner
+        from repro.topology import get_topology
+
+        calls: Counter = Counter()
+        for module in (chunk_module, scheduler_module):
+            real = module.stage_plan
+
+            def counting(ctype, size, order, topology, real=real, module=module):
+                calls[module.__name__, size, tuple(order)] += 1
+                return real(ctype, size, order, topology)
+
+            monkeypatch.setattr(module, "stage_plan", counting)
+        topology = get_topology(preset)
+        factory = SchedulerFactory(kind, overshoot_guard=guard)
+        request = make_request(size=300 * MB)
+        plan, _, _ = CollectivePlanner(topology).plan(
+            request, factory, (1.0,) * topology.ndims, 0.0
+        )
+        assert plan.nchunks == 64
+        shapes = {(chunk.size, chunk.dim_order) for chunk in plan.chunks}
+        built = {key[1:] for key in calls if key[0] == chunk_module.__name__}
+        loaded = {key[1:] for key in calls if key[0] == scheduler_module.__name__}
+        assert max(calls.values()) == 1
+        assert built == shapes
+        if kind == "baseline":
+            assert len(shapes) == 1 and not loaded
+        elif guard:
+            # The guard also derives the orders it turns down.
+            assert shapes <= loaded
+            assert len(loaded) <= math.factorial(topology.ndims)
+        else:
+            assert len(shapes) > 1 and loaded == shapes
