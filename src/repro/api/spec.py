@@ -70,14 +70,31 @@ def _known_fields(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
+def _got(value: Any) -> str:
+    """How an error message shows a malformed spec value."""
+    return f"got {type(value).__name__} {value!r}"
+
+
+def _object(value: Any, where: str, what: str) -> dict:
+    """A copy of the JSON object ``value`` (anything else is a SpecError
+    at ``where``)."""
+    if not isinstance(value, dict):
+        raise SpecError(f"{where}: expected an object of {what}, {_got(value)}")
+    return dict(value)
+
+
+def _converted(value: Any, convert: Callable[[Any], _T], where: str, what: str) -> _T:
+    """``convert(value)``; a value it cannot take is a SpecError at ``where``
+    saying it expected ``what``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(f"{where}: expected {what}, {_got(value)}") from None
+
+
 def _reject_unknown(cls: type, data: dict, where: str) -> dict:
     """Drop envelope keys, reject unknown ones with a did-you-mean hint."""
-    if not isinstance(data, dict):
-        raise SpecError(
-            f"{where}: expected an object of {cls.__name__} fields, "
-            f"got {type(data).__name__} {data!r}"
-        )
-    payload = dict(data)
+    payload = _object(data, where, f"{cls.__name__} fields")
     payload.pop("schema", None)
     payload.pop("mode", None)
     known = _known_fields(cls)
@@ -116,10 +133,19 @@ def _built(where: str, build: Callable[..., _T], *args: Any, **kwargs: Any) -> _
 
 def _dims(values: Iterable[Any], where: str) -> tuple[int, ...]:
     """Dimension indices as ints; a NaN or inf is a SpecError, not a crash."""
-    try:
-        return tuple(int(value) for value in values)
-    except (TypeError, ValueError, OverflowError) as error:
-        raise SpecError(f"{where}: {error}") from None
+    return _converted(
+        values,
+        lambda items: tuple(int(item) for item in items),
+        where,
+        "a list of dimension indices",
+    )
+
+
+def _keys(values: Iterable[Any], where: str) -> tuple[str, ...]:
+    """Registry keys as strings (a value that is no list is a SpecError)."""
+    return _converted(
+        values, lambda items: tuple(str(item) for item in items), where, "a list"
+    )
 
 
 def _fit_topology(
@@ -136,8 +162,8 @@ def _fit_topology(
 def _size_bytes(value: Any, field_name: str) -> float:
     """Byte counts may be written as numbers or strings like ``"100MB"``."""
     if isinstance(value, str):
-        value = parse_size(value)
-    size = float(value)
+        value = _built(field_name, parse_size, value)
+    size = _converted(value, float, field_name, "a byte count or a size like '1GB'")
     if not 0 < size < math.inf:
         raise SpecError(f"{field_name} must be positive and finite, got {size}")
     return size
@@ -373,7 +399,9 @@ class ScenarioJob:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workload_args", dict(self.workload_args))
+        where = f"job {self.name!r}: workload_args"
+        args = _object(self.workload_args, where, "workload arguments")
+        object.__setattr__(self, "workload_args", args)
         object.__setattr__(
             self, "workload", _validate_workload(self.workload, self.workload_args)
         )
@@ -448,10 +476,10 @@ class PoissonTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "workloads", tuple(str(w) for w in self.workloads)
+            self, "workloads", _keys(self.workloads, "PoissonTrace.workloads")
         )
         object.__setattr__(
-            self, "schedulers", tuple(str(s) for s in self.schedulers)
+            self, "schedulers", _keys(self.schedulers, "PoissonTrace.schedulers")
         )
         for name in self.workloads:
             validate_key("workload", name)
@@ -558,7 +586,7 @@ class OpenLoopTrace:
                     f"got {self.calibration_slots}"
                 )
         object.__setattr__(
-            self, "schedulers", tuple(str(s) for s in self.schedulers)
+            self, "schedulers", _keys(self.schedulers, "OpenLoopTrace.schedulers")
         )
         for name in self.schedulers:
             validate_key("scheduler", name)
@@ -771,14 +799,16 @@ class TrainingScenario(ScenarioSpec):
     backend_options: "dict | None" = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workload_args", dict(self.workload_args))
+        where = "TrainingScenario.workload_args"
+        args = _object(self.workload_args, where, "workload arguments")
+        object.__setattr__(self, "workload_args", args)
         if self.faults is not None:
             faults = _nested(FaultSpec, self.faults, "TrainingScenario.faults")
             object.__setattr__(self, "faults", faults)
         if self.backend_options is not None:
-            object.__setattr__(
-                self, "backend_options", dict(self.backend_options)
-            )
+            where = "TrainingScenario.backend_options"
+            options = _object(self.backend_options, where, "backend options")
+            object.__setattr__(self, "backend_options", options)
         impl = _validate_backend(
             self.backend,
             self.backend_options,
@@ -931,9 +961,9 @@ class ClusterScenario(ScenarioSpec):
                 "against a fixed number of service slots"
             )
         if self.backend_options is not None:
-            object.__setattr__(
-                self, "backend_options", dict(self.backend_options)
-            )
+            where = "ClusterScenario.backend_options"
+            options = _object(self.backend_options, where, "backend options")
+            object.__setattr__(self, "backend_options", options)
         _validate_backend(
             self.backend, self.backend_options, where="ClusterScenario"
         )
@@ -948,10 +978,15 @@ class ClusterScenario(ScenarioSpec):
                     "fairness_weights requires fairness='weighted', "
                     f"got {self.fairness!r}"
                 )
+            where = "ClusterScenario.fairness_weights"
+            weights = _object(self.fairness_weights, where, "job weights")
             object.__setattr__(
                 self,
                 "fairness_weights",
-                {str(k): float(v) for k, v in self.fairness_weights.items()},
+                {
+                    str(job): _converted(weight, float, f"{where}[{job!r}]", "a number")
+                    for job, weight in weights.items()
+                },
             )
         if self.fairness_weights_by_dim is not None:
             if not weighted:
@@ -959,14 +994,19 @@ class ClusterScenario(ScenarioSpec):
                     "fairness_weights_by_dim requires fairness='weighted', "
                     f"got {self.fairness!r}"
                 )
-            object.__setattr__(
-                self,
-                "fairness_weights_by_dim",
-                {
-                    str(owner): {int(d): float(w) for d, w in dims.items()}
-                    for owner, dims in self.fairness_weights_by_dim.items()
-                },
+            where = "ClusterScenario.fairness_weights_by_dim"
+            jobs_dims = _object(
+                self.fairness_weights_by_dim, where, "per-dimension job weights"
             )
+            by_dim: dict[str, dict[int, float]] = {}
+            for job, dims in jobs_dims.items():
+                place = f"{where}[{job!r}]"
+                shares: dict[int, float] = {}
+                for dim, weight in _object(dims, place, "dimension weights").items():
+                    index = _converted(dim, int, place, "a dimension index")
+                    shares[index] = _converted(weight, float, place, "a number")
+                by_dim[str(job)] = shares
+            object.__setattr__(self, "fairness_weights_by_dim", by_dim)
         validate_key("policy", self.policy)
         if self.dp_bucket_bytes is not None:
             object.__setattr__(

@@ -53,7 +53,12 @@ class IntraDimPolicy(abc.ABC):
     def select_from(
         self, queue: ReadyQueue, owner: str | None = None, idle_only: bool = False
     ) -> "OpState | None":
-        """Best eligible op in ``queue`` under this policy, or ``None``."""
+        """Best eligible op in ``queue`` under this policy, or ``None``.
+
+        The queue is keyed by this policy's :meth:`sort_key`, so this is
+        :meth:`ReadyQueue.select`; a dimension channel reads its queue
+        directly on its hot path.
+        """
         return queue.select(owner=owner, idle_only=idle_only)
 
 

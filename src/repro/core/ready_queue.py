@@ -41,9 +41,11 @@ class _LazyHeap:
 
     Deletion marks the op (``op.queued = False``); dead entries are dropped
     when they surface at the top, and the whole heap is rebuilt in one O(n)
-    sweep once dead entries outnumber live ones (ops taken through *another*
-    index — e.g. an owner bucket — die buried, so top-pruning alone would
-    let long steady-state runs accumulate them).
+    sweep once dead entries outnumber live ones (ops taken through
+    *another* index — e.g. an owner bucket — die buried, so top-pruning
+    alone would let long steady-state runs accumulate them).
+    :class:`ReadyQueue` pushes onto ``entries`` itself, and on the serial
+    wire's path it reads and pops the global heap's top inline.
     """
 
     __slots__ = ("entries", "dead")
@@ -53,9 +55,6 @@ class _LazyHeap:
     def __init__(self) -> None:
         self.entries: list[tuple[tuple, "OpState"]] = []
         self.dead = 0
-
-    def push(self, key: tuple, op: "OpState") -> None:
-        heapq.heappush(self.entries, (key, op))
 
     def peek(self) -> "OpState | None":
         entries = self.entries
@@ -77,9 +76,6 @@ class _LazyHeap:
             self.entries = [e for e in self.entries if e[1].queued]
             heapq.heapify(self.entries)
             self.dead = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class ReadyQueue:
@@ -115,56 +111,54 @@ class ReadyQueue:
     # --- mutation -----------------------------------------------------------
     def push(self, op: "OpState", eligible: bool) -> None:
         """Add a newly ready op (``eligible`` per the channel's orders)."""
-        if eligible:
-            self._admit(op)
-        else:
+        if not eligible:
             self._parked[op.key] = op
-
-    def _admit(self, op: "OpState") -> None:
+            return
         op.queued = True
         key = self._key(op)
-        self._heap.push(key, op)
+        heapq.heappush(self._heap.entries, (key, op))
         if self._owner_heaps is not None:
-            self._owner_heaps[op.owner].push(key, op)
-        if self._track_heads and op.owner not in self._active_owners:
-            heapq.heappush(self._heads, (key, op))
+            heapq.heappush(self._owner_heaps[op.owner].entries, (key, op))
+            # Tracking heads implies the buckets exist (see _start_tracking).
+            if self._track_heads and op.owner not in self._active_owners:
+                heapq.heappush(self._heads, (key, op))
         self._live += 1
         counts = self._priority_counts
-        counts[op.priority] = counts.get(op.priority, 0) + 1
+        priority = op.priority
+        counts[priority] = counts[priority] + 1 if priority in counts else 1
 
     def promote(self, op_key: OpKey) -> bool:
         """An enforced order advanced: unpark its new head if waiting."""
         op = self._parked.pop(op_key, None)
         if op is None:
             return False
-        self._admit(op)
+        self.push(op, True)
         return True
 
     def discard(self, op: "OpState") -> None:
         """Remove an op selected into a batch (or parked and superseded)."""
-        if self._parked.pop(op.key, None) is not None:
-            return
         if not op.queued:
+            self._parked.pop(op.key, None)
             return
         op.queued = False
         self._live -= 1
-        counts = self._priority_counts
-        remaining = counts[op.priority] - 1
-        if remaining:
-            counts[op.priority] = remaining
+        self._priority_counts[op.priority] -= 1
+        entries = self._heap.entries
+        if entries[0][1] is op:
+            # The serial wire takes the head it just peeked: pop it now.
+            heapq.heappop(entries)
         else:
-            del counts[op.priority]
-        self._heap.note_dead()
+            self._heap.note_dead()
         if self._owner_heaps is not None:
             owner_heap = self._owner_heaps.get(op.owner)
             if owner_heap is not None:
                 owner_heap.note_dead()
-        if self._track_heads and op.owner not in self._active_owners:
-            # The taken op may have been its owner's head: keep the owner's
-            # *current* head present in the heads heap.
-            head = self._peek_owner(op.owner)
-            if head is not None:
-                heapq.heappush(self._heads, (self._key(head), head))
+            if self._track_heads and op.owner not in self._active_owners:
+                # The taken op may have been its owner's head: keep the
+                # owner's *current* head present in the heads heap.
+                head = self._peek_owner(op.owner)
+                if head is not None:
+                    heapq.heappush(self._heads, (self._key(head), head))
 
     def set_owner_active(self, owner: str, active: bool) -> None:
         """Track whether ``owner`` has a flow in flight (weighted sharing).
@@ -220,6 +214,18 @@ class ReadyQueue:
         return None
 
     # --- selection ----------------------------------------------------------
+    def peek(self) -> "OpState | None":
+        """Best eligible op under the policy order, or ``None`` (the serial
+        wire's selection: :meth:`select` with no filter)."""
+        entries = self._heap.entries
+        while entries:
+            op = entries[0][1]
+            if op.queued:
+                return op
+            heapq.heappop(entries)
+            self._heap.dead -= 1
+        return None
+
     def select(
         self, owner: str | None = None, idle_only: bool = False
     ) -> "OpState | None":
@@ -235,7 +241,7 @@ class ReadyQueue:
         if idle_only:
             self._start_tracking()
             return self._peek_heads()
-        return self._heap.peek()
+        return self.peek()
 
     def _peek_owner(self, owner: str) -> "OpState | None":
         owner_heaps = self._owners()
@@ -253,16 +259,20 @@ class ReadyQueue:
             self._owner_heaps = defaultdict(_LazyHeap)
             for op in self:
                 if op.queued:  # a parked op joins its bucket when promoted
-                    self._owner_heaps[op.owner].push(self._key(op), op)
+                    heapq.heappush(
+                        self._owner_heaps[op.owner].entries, (self._key(op), op)
+                    )
         return self._owner_heaps
 
     def max_priority(self) -> int | None:
         """Highest priority among eligible ops (``None`` when none)."""
         # Distinct priority levels are few (per-tenant), so max over the
-        # count index is O(#levels), not O(#ops).
-        if not self._priority_counts:
-            return None
-        return max(self._priority_counts)
+        # count index is O(#levels), not O(#ops).  A level's count stays in
+        # the index at zero, so a push and a discard never resize it.
+        return max(
+            (level for level, count in self._priority_counts.items() if count),
+            default=None,
+        )
 
     # --- introspection ------------------------------------------------------
     def __len__(self) -> int:

@@ -55,6 +55,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from ..collectives.phases import Stage
@@ -153,19 +154,20 @@ class OpState:
         return (self.collective_seq, self.chunk_id, self.stage_index)
 
     def to_record(self) -> OpRecord:
+        stage = self.stage
         return OpRecord(
-            collective_seq=self.collective_seq,
-            chunk_id=self.chunk_id,
-            stage_index=self.stage_index,
-            dim_index=self.parent_dim,
-            op=self.stage.op,
-            stage_size=self.stage.stage_size,
-            bytes_sent=self.bytes_sent,
-            transfer_time=self.transfer_time,
-            fixed_time=self.fixed_time,
-            ready_time=self.ready_time,
-            start_time=self.start_time,
-            end_time=self.end_time,
+            self.collective_seq,
+            self.chunk_id,
+            self.stage_index,
+            self.parent_dim,
+            stage.op,
+            stage.stage_size,
+            self.bytes_sent,
+            self.transfer_time,
+            self.fixed_time,
+            self.ready_time,
+            self.start_time,
+            self.end_time,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -527,16 +529,25 @@ class DimensionChannel:
         )
 
     def _update_activity(self) -> None:
+        """Open or close the activity interval to match :attr:`has_work`.
+
+        The serial wire's hot path opens the interval inline where the
+        channel has work by construction (an enqueue, a segment start) and
+        closes it inline where a release leaves no work.
+        """
         if self.has_work:
             if self._active_since is None:
                 self._active_since = self.engine.now
         elif self._active_since is not None:
-            now = self.engine.now
-            if now > self._active_since:
-                self.stats.activity_intervals.append(
-                    Interval(self._active_since, now)
-                )
-            self._active_since = None
+            self._close_activity()
+
+    def _close_activity(self) -> None:
+        """The channel has no work left: close its open activity interval."""
+        assert self._active_since is not None
+        now = self.engine.now
+        if now > self._active_since:
+            self.stats.activity_intervals.append(Interval(self._active_since, now))
+        self._active_since = None
 
     def snapshot_activity(self) -> list[Interval]:
         """Closed activity intervals plus any still-open one up to ``now``.
@@ -560,35 +571,35 @@ class DimensionChannel:
 
     # --- execution ----------------------------------------------------------
     def enqueue(self, op: OpState) -> None:
-        """An op's previous stage finished: it is now ready on this channel."""
-        op.ready_time = self.engine.now
-        eligible = self._op_is_eligible(op)
+        """An op's previous stage finished: it is now ready on this channel.
+
+        Under an enforced per-collective order only the order's head is
+        eligible; preemption checks eligibility too, because an
+        order-blocked op cannot start, so preempting for it would be
+        immediately undone (and would inflate the reported preemption
+        count).
+        """
+        now = self.engine.now
+        op.ready_time = now
+        eligible = True
+        if self.enforced_orders:
+            order = self.enforced_orders.get(op.collective_seq)
+            eligible = order is None or bool(order and order[0] == op.key)
         self.queue.push(op, eligible)
         self._outstanding_bytes += op.bytes_sent
         if self.recipe is not None:
             self.recipe.outstanding[self.dim_index].append(op.bytes_sent)
         if self.auditor is not None:
             self.auditor.on_enqueue(self, op)
-        self._update_activity()
-        if (
-            self.preemption_enabled
-            and self.share_weights is None
-            and self._running is not None
-            and op.priority > self._running.priority
-            and eligible
-        ):
+        if self._active_since is None:
+            self._active_since = now
+        running = self._running
+        if running is None:
+            self.try_start()
+        elif self.preemption_enabled and op.priority > running.priority and eligible:
             self._preempt_running()
-        self.try_start()
-
-    def _op_is_eligible(self, op: OpState) -> bool:
-        """Whether ``op`` may start now under enforced per-collective orders.
-
-        Preemption checks this before pausing the wire: an order-blocked op
-        cannot start, so preempting for it would be immediately undone (and
-        would inflate the reported preemption count).
-        """
-        order = self.enforced_orders.get(op.collective_seq)
-        return order is None or bool(order and order[0] == op.key)
+            if self._running is None:
+                self.try_start()
 
     def try_start(self) -> None:
         """Start the next batch/flow if the wire discipline allows one."""
@@ -599,74 +610,59 @@ class DimensionChannel:
             return
         if self._running is not None:
             return
-        best = self.policy.select_from(self.queue)
+        queue = self.queue
+        best = queue.peek()
         if self._paused:
             paused = self._best_paused()
             assert paused is not None
-            if best is None or paused.priority >= self.queue.max_priority():
+            if best is None or paused.priority >= queue.max_priority():
                 self._paused.remove(paused)
                 self._start_segment(paused)
                 return
         if best is None:
             return
-        self._execute(self._pick_batch(best))
-
-    def _take(self, op: OpState) -> OpState:
-        """Remove a selected op from the ready structure and advance orders.
-
-        Popping an enforced order's head makes the next op in that order
-        eligible; the indexed queue unparks it immediately, so fusion and
-        subsequent selections see it without any rescan (this is the
-        incremental equivalent of the seed's sliding ``taken`` offsets).
-        """
-        self.queue.discard(op)
-        order = self.enforced_orders.get(op.collective_seq)
-        if order and order[0] == op.key:
-            order.pop(0)
-            if order:
-                self.queue.promote(order[0])
-        return op
+        # Run the batch with pipelined fixed latency (paper Sec. 4.4): the
+        # wire is occupied for the batch's *transfer* time only; the fixed
+        # delay ``A_K = steps x step_latency`` is a pipeline shadow — the
+        # results become available ``fixed`` later, but the next batch may
+        # start injecting as soon as the wire frees.  This realizes the
+        # paper's per-dimension total ``A_K + N_K x B_K + idle_K``, where
+        # A_K is paid once (by the exposed tail), not per chunk.
+        self._start_segment(_RunningBatch(*self._pick_batch(best)))
 
     def _pick_batch(
         self, first: OpState, fusion_owner: str | None = None
-    ) -> list[OpState]:
-        batch = [self._take(first)]
-        if not self.fusion.enabled or not self.fusion.is_small(first):
-            return batch
-        # Fusing preserves relative start order: each accepted op advances
-        # its enforced order, so eligibility slides forward with the batch.
-        while len(batch) < self.fusion.max_ops:
-            candidate = self.policy.select_from(self.queue, owner=fusion_owner)
-            if candidate is None or not self.fusion.is_small(candidate):
-                break
-            batch.append(self._take(candidate))
-        return batch
+    ) -> tuple[list[OpState], float, float, float, int]:
+        """Take ``first`` and, when it is small, fuse the next small ops.
 
-    # --- serial wire (default, with optional preemption) -------------------
-    def _execute(self, batch: list[OpState]) -> None:
-        """Run a batch with pipelined fixed latency (paper Sec. 4.4).
-
-        The dimension's wire is occupied for the batch's *transfer* time
-        only; the fixed delay ``A_K = steps x step_latency`` is a pipeline
-        shadow — the results become available ``fixed`` later, but the next
-        batch may start injecting as soon as the wire frees.  This realizes
-        the paper's per-dimension total ``A_K + N_K x B_K + idle_K``, where
-        A_K is paid once (by the exposed tail), not per chunk.
+        Each op taken leaves the ready queue and advances its enforced
+        order: popping an order's head makes the next op in that order
+        eligible, and the queue unparks it at once, so fusion sees it with
+        no rescan.  Fusing thus preserves relative start order.  The
+        batch is stamped and counted in the same pass, which returns it
+        with its fixed latency (the ops' maximum), transfer time and bytes
+        (summed left to right from integer ``0``, as :func:`ordered_sum`
+        does) and priority (the ops' maximum).
         """
-        self._start_segment(_RunningBatch(batch, *self._begin_batch(batch)))
-
-    def _begin_batch(self, batch: list[OpState]) -> tuple[float, float, float, int]:
-        """Stamp and count a starting batch in one pass.
-
-        Returns its fixed latency (the ops' maximum), transfer time and
-        bytes (summed left to right from integer ``0``, as
-        :func:`ordered_sum` does) and priority (the ops' maximum).
-        """
+        queue = self.queue
+        orders = self.enforced_orders
+        fusion = self.fusion
+        fuse = fusion.enabled and fusion.is_small(first)
         now = self.engine.now
-        fixed, priority = batch[0].fixed_time, batch[0].priority
+        batch: list[OpState] = []
+        fixed, priority = first.fixed_time, first.priority
         transfer: float = 0
         nbytes: float = 0
-        for op in batch:
+        op: OpState | None = first
+        while op is not None:
+            queue.discard(op)
+            if orders:
+                order = orders.get(op.collective_seq)
+                if order and order[0] == op.key:
+                    order.pop(0)
+                    if order:
+                        queue.promote(order[0])
+            batch.append(op)
             op.start_time = now
             if op.fixed_time > fixed:
                 fixed = op.fixed_time
@@ -674,12 +670,18 @@ class DimensionChannel:
                 priority = op.priority
             transfer += op.transfer_time
             nbytes += op.bytes_sent
+            if not fuse or len(batch) >= fusion.max_ops:
+                break
+            op = queue.peek() if fusion_owner is None else queue.select(fusion_owner)
+            if op is not None and not fusion.is_small(op):
+                break
         self.stats.op_count += len(batch)
         self.stats.batch_count += 1
         if self.auditor is not None:
             self.auditor.on_batch_start(self, batch)
-        return fixed, transfer, nbytes, priority
+        return batch, fixed, transfer, nbytes, priority
 
+    # --- serial wire (default, with optional preemption) -------------------
     def _start_segment(self, running: _RunningBatch) -> None:
         """(Re)occupy the wire for the batch's remaining transfer work.
 
@@ -697,7 +699,8 @@ class DimensionChannel:
         in nominal seconds.
         """
         assert self.capacity_factor > 0.0  # failed links park, never start
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         running.segment_start = now
         remaining = running.remaining
         frac = (
@@ -707,24 +710,24 @@ class DimensionChannel:
         )
         self._running = running
         nbytes = running.bytes_total * frac
-        self.stats.transfer_seconds += remaining
-        self.stats.fixed_seconds += running.fixed
-        self.stats.bytes_sent += nbytes
+        stats = self.stats
+        stats.transfer_seconds += remaining
+        stats.fixed_seconds += running.fixed
+        stats.bytes_sent += nbytes
         wall = remaining / self.capacity_factor
         if self.recipe is not None:
             self.recipe.batch_started(self.dim_index, running, nbytes, wall)
         end = now + running.fixed + wall
         for op in running.batch:
             op.end_time = end
-        self._update_activity()
+        if self._active_since is None:
+            self._active_since = now
         # Completion is scheduled before the wire release so that when the
         # fixed delay is zero (same-instant tie) the finished batch's
         # successor ops are enqueued before the channel picks its next batch.
-        running.complete_handle = self.engine.schedule(
-            end, lambda: self._complete(running)
-        )
-        running.release_handle = self.engine.schedule(
-            now + wall, lambda: self._release_wire(running)
+        running.complete_handle = engine.schedule(end, partial(self._complete, running))
+        running.release_handle = engine.schedule(
+            now + wall, partial(self._release_wire, running)
         )
 
     def _stop_segment(self) -> _RunningBatch | None:
@@ -785,16 +788,21 @@ class DimensionChannel:
             )
         running.remaining = 0.0
         self._running = None
-        self._update_activity()
-        self.try_start()
+        # The serial wire has no flows: work remains iff ops are queued or
+        # a batch is paused.
+        if self.queue or self._paused:
+            self.try_start()
+        else:
+            self._close_activity()
 
     def _complete(self, running: _RunningBatch) -> None:
         if self.recipe is not None:
             self.recipe.fired(running, completion=True)
-        self._track_completed(running.batch)
+        batch = running.batch
+        self._track_completed(batch)
         if self.auditor is not None:
-            self.auditor.on_batch_complete(self, running.batch)
-        self.on_batch_done(self, running.batch)
+            self.auditor.on_batch_complete(self, batch)
+        self.on_batch_done(self, batch)
         if self._running is None:  # a busy wire is active and starts nothing
             self._update_activity()
             self.try_start()
@@ -827,17 +835,23 @@ class DimensionChannel:
         flight; re-arms the finish event and returns True if any started."""
         started = False
         while True:
-            first = self.policy.select_from(self.queue, idle_only=True)
+            first = self.queue.select(idle_only=True)
             if first is None:
                 break
-            self._start_flow(self._pick_batch(first, fusion_owner=first.owner))
+            self._start_flow(*self._pick_batch(first, fusion_owner=first.owner))
             started = True
         if started:
             self._arm_finish()
         return started
 
-    def _start_flow(self, batch: list[OpState]) -> None:
-        fixed, transfer, nbytes, priority = self._begin_batch(batch)
+    def _start_flow(
+        self,
+        batch: list[OpState],
+        fixed: float,
+        transfer: float,
+        nbytes: float,
+        priority: int,
+    ) -> None:
         self.stats.transfer_seconds += transfer
         self.stats.fixed_seconds += fixed
         self.stats.bytes_sent += nbytes
@@ -940,7 +954,7 @@ class DimensionChannel:
         end = self.engine.now + flow.fixed
         for op in flow.batch:
             op.end_time = end
-        self.engine.schedule(end, lambda: self._complete_flow(flow))
+        self.engine.schedule(end, partial(self._complete_flow, flow))
         self._update_activity()
         if not self._try_start_shared():
             self._arm_finish()

@@ -194,6 +194,9 @@ WireStats = tuple[list[float], list[float], list[float], list[list[Interval]]]
 #: Intra-dimension policies whose sort keys read a time only to compare
 #: it, so a certified replay (see :class:`SoloRecipe`) makes their choices.
 _REPLAYABLE_POLICIES = (FifoPolicy, SmallestChunkFirstPolicy, LargestChunkFirstPolicy)
+#: Certified recipes kept per plan key, newest first.  A start whose
+#: newest recipe fails the certificate may pass an older one's.
+_RECIPES_PER_PLAN = 4
 
 
 class CollectivePlanner:
@@ -875,9 +878,9 @@ class NetworkSimulator(NetworkBookkeeping):
         #: enforced orders with the request id stripped, re-stamped per
         #: submission (op keys embed the submitting request's id).
         self._order_cache: dict[tuple, dict[int, list[tuple[int, int]]]] = {}
-        #: ``plan key -> SoloRecipe``: the plan's last run alone, which
-        #: :meth:`start_solo` replays.
-        self._recipes: dict[tuple, SoloRecipe] = {}
+        #: ``plan key -> [SoloRecipe, ...]``: the plan's newest runs alone,
+        #: newest first, which :meth:`start_solo` replays.
+        self._recipes: dict[tuple, list[SoloRecipe]] = {}
         #: The collective :meth:`start_solo` marked to run alone.
         self._solo: CollectiveResult | None = None
         #: The collective being recorded: its plan key, result and recipe.
@@ -1061,9 +1064,10 @@ class NetworkSimulator(NetworkBookkeeping):
     # --- replaying a collective that runs alone ------------------------------
     def start_solo(self, result: CollectiveResult) -> bool:
         """Mark ``result``'s collective if it runs alone.  When its start
-        event fires, it is replayed from its plan's :class:`SoloRecipe` if
-        the recipe's times pass the certificate at that start.  Otherwise
-        it is simulated as usual, and that run becomes its plan's recipe.
+        event fires, it is replayed from the newest of its plan's recipes
+        (:class:`SoloRecipe`) whose times pass the certificate at that
+        start.  Otherwise it is simulated as usual, and that run joins its
+        plan's recipes (the newest :data:`_RECIPES_PER_PLAN` are kept).
 
         The caller must then fire events until the collective completes,
         then every event at its completion instant, and then call
@@ -1087,7 +1091,7 @@ class NetworkSimulator(NetworkBookkeeping):
 
     def end_solo(self) -> None:
         """Finish what :meth:`start_solo` began: a recorded run that
-        replays its own times becomes its plan's recipe."""
+        replays its own times becomes its plan's newest recipe."""
         if self._recording is None:
             return
         plan_key, result, recipe = self._recording
@@ -1098,7 +1102,9 @@ class NetworkSimulator(NetworkBookkeeping):
         if self.engine.pending or fired != len(recipe.events):
             return  # something besides the collective's wire ran or is due
         if recipe.freeze(self.channels, result.completion_time):
-            self._recipes[plan_key] = recipe
+            recipes = self._recipes.setdefault(plan_key, [])
+            recipes.insert(0, recipe)
+            del recipes[_RECIPES_PER_PLAN:]
 
     def _runs_alone(self, result: CollectiveResult) -> bool:
         return (
@@ -1121,20 +1127,19 @@ class NetworkSimulator(NetworkBookkeeping):
         )
 
     def _replay(self, result: CollectiveResult, plan_key: tuple) -> bool:
-        """Replay the collective starting now, if its plan has a recipe
-        whose times pass the certificate from now."""
-        recipe = self._recipes.get(plan_key)
-        if recipe is None:
-            return False
-        times = recipe.times_from(self.engine.now)
-        if times is None:
-            return False
-        state = _CollectiveState(result, [], None)
-        self._register_collective(state)
-        recipe.credit(self.channels, times)
-        self.engine.now = times[recipe.completion]
-        self._finish_collective(state)
-        return True
+        """Replay the collective starting now from the newest of its
+        plan's recipes whose times pass the certificate from now."""
+        for recipe in self._recipes.get(plan_key, ()):
+            times = recipe.times_from(self.engine.now)
+            if times is None:
+                continue
+            state = _CollectiveState(result, [], None)
+            self._register_collective(state)
+            recipe.credit(self.channels, times)
+            self.engine.now = times[recipe.completion]
+            self._finish_collective(state)
+            return True
+        return False
 
     def _record(self, result: CollectiveResult, plan_key: tuple) -> None:
         """Record the collective starting now as it is simulated."""
@@ -1145,17 +1150,19 @@ class NetworkSimulator(NetworkBookkeeping):
 
     # --- progression ----------------------------------------------------------
     def _on_batch_done(self, channel: DimensionChannel, batch: list[OpState]) -> None:
-        record = self.record_ops
+        records = self._records if self.record_ops else None
+        states = self._states
+        channels = self.channels
         for op in batch:
-            if record:
-                self._records.append(op.to_record())
+            if records is not None:
+                records.append(op.to_record())
                 self._records_sorted = False
-            state = self._states[op.collective_seq]
+            state = states[op.collective_seq]
             ops = state.chunk_ops[op.chunk_id]
             next_index = op.stage_index + 1
             if next_index < len(ops):
                 next_op = ops[next_index]
-                self.channels[next_op.parent_dim].enqueue(next_op)
+                channels[next_op.parent_dim].enqueue(next_op)
             state.remaining_ops -= 1
             if state.remaining_ops == 0:
                 self._finish_collective(state)

@@ -9,15 +9,20 @@ Fig. 5 pipeline diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..collectives.types import PhaseOp
 from ..numeric import ordered_sum
 from ..units import fmt_size, fmt_time
 
 
-@dataclass(frozen=True)
-class OpRecord:
-    """One completed chunk operation on one dimension."""
+class OpRecord(NamedTuple):
+    """One completed chunk operation on one dimension.
+
+    A named tuple, so that building one of the many a recorded run keeps is
+    cheap: it is immutable, and ``_replace`` / ``_asdict`` stand in for
+    :func:`dataclasses.replace` / :func:`dataclasses.asdict`.
+    """
 
     collective_seq: int
     chunk_id: int

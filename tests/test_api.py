@@ -615,6 +615,7 @@ class TestOpenLoopSpec:
 # --- load-time rejection ----------------------------------------------------
 NAN = float("nan")
 LINK_ON_DIM_5 = {"links": [{"dim_index": 5, "start": 0.0, "factor": 0.5}]}
+WEIGHTED_JOB = {"fairness": "weighted", "jobs": [{"name": "a"}]}
 
 
 class TestLoadTimeValidation:
@@ -675,10 +676,45 @@ class TestLoadTimeValidation:
             ({"mode": "cluster", "jobs": "ab"}, "ClusterScenario.jobs"),
             ({"mode": "cluster", "faults": "x"}, "ClusterScenario.faults"),
             ({"mode": "training", "faults": [3]}, "TrainingScenario.faults"),
+            (
+                {"mode": "cluster", **WEIGHTED_JOB, "fairness_weights": [1]},
+                "ClusterScenario.fairness_weights",
+            ),
+            (
+                {"mode": "cluster", **WEIGHTED_JOB, "fairness_weights": {"a": "x"}},
+                "ClusterScenario.fairness_weights['a']",
+            ),
+            (
+                {
+                    "mode": "cluster",
+                    **WEIGHTED_JOB,
+                    "fairness_weights_by_dim": {"a": [1]},
+                },
+                "ClusterScenario.fairness_weights_by_dim['a']",
+            ),
+            (
+                {"mode": "training", "workload_args": [1]},
+                "TrainingScenario.workload_args",
+            ),
+            (
+                {"mode": "training", "backend_options": 5},
+                "TrainingScenario.backend_options",
+            ),
+            (
+                {"mode": "cluster", "jobs": [{"name": "a", "workload_args": 5}]},
+                "job 'a': workload_args",
+            ),
+            ({"mode": "cluster", "trace": {"workloads": 5}}, "PoissonTrace.workloads"),
+            ({"mode": "collective", "size": [1]}, "size"),
+            (
+                {"mode": "cluster", "open_loop": {"rate": 1.0, "schedulers": 5}},
+                "OpenLoopTrace.schedulers",
+            ),
         ],
     )
     def test_malformed_nested_value(self, tmp_path, document, where):
-        """A nested value that is no object fails at load, naming its place."""
+        """A nested value of the wrong kind fails at load as a SpecError
+        naming its place, not as a bare error from converting it."""
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": 1, **document}))
         with pytest.raises(SpecError, match=re.escape(f"{where}: expected")):

@@ -312,11 +312,15 @@ class TestSpecCommands:
 
     def test_run_check_malformed_nested_value_is_clean_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text('{"schema": 1, "mode": "cluster", "jobs": [5]}')
-        assert main(["run", "--spec", str(path), "--check"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "ClusterScenario.jobs[0]" in err
-        assert "Traceback" not in err
+        for document, where in (
+            ('{"schema": 1, "mode": "cluster", "jobs": [5]}', "jobs[0]: expected"),
+            ('{"schema": 1, "mode": "collective", "size": [1]}', "size: expected"),
+        ):
+            path.write_text(document)
+            assert main(["run", "--spec", str(path), "--check"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and where in err
+            assert "Traceback" not in err
 
     def test_every_shipped_spec_checks(self, capsys):
         import glob

@@ -48,7 +48,7 @@ from repro.core import LatencyModel, SchedulerFactory, Splitter
 from repro.experiments.fig12 import fig12_training_config
 from repro.sim import EventQueue, FusionConfig, LinkFault, NetworkSimulator
 from repro.sim.backends import get_backend
-from repro.sim.network import SoloRecipe
+from repro.sim.network import _RECIPES_PER_PLAN, SoloRecipe
 from repro.topology import Topology, dimension, get_topology
 from repro.training import TrainingConfig, TrainingSimulator
 from repro.units import KB, MB
@@ -672,6 +672,60 @@ class TestSoloReplay:
         wire, rest = divmod(events(audit=True) - count, count)
         assert rest == 0 and wire > 0
         assert plain == count + wire
+
+    def test_older_recipe_replays_when_the_newest_fails(self, monkeypatch):
+        """Transformer-1T (8 layers) under Themis+SCF on 4D-Ring_FC_Ring_SW
+        (a Fig. 12 quick cell): each fallback's run joins its plan's
+        recipes, newest first, and a start whose newest recipe fails the
+        certificate replays from an older one whose recipe passes.  The
+        run equals the audited run, and the plan keeps at most
+        ``_RECIPES_PER_PLAN`` recipes although more are recorded."""
+        used: list[int | None] = []
+        credited: list[SoloRecipe] = []
+        recorded: list[bool] = []
+        replay, credit, freeze = (
+            NetworkSimulator._replay,
+            SoloRecipe.credit,
+            SoloRecipe.freeze,
+        )
+
+        def traced_replay(self, result, plan_key):
+            recipes = list(self._recipes.get(plan_key, ()))
+            replayed = replay(self, result, plan_key)
+            if recipes:
+                used.append(recipes.index(credited[-1]) if replayed else None)
+            return replayed
+
+        def traced_credit(self, channels, times):
+            credited.append(self)
+            credit(self, channels, times)
+
+        def traced_freeze(self, channels, completion_time):
+            recorded.append(freeze(self, channels, completion_time))
+            return recorded[-1]
+
+        monkeypatch.setattr(NetworkSimulator, "_replay", traced_replay)
+        monkeypatch.setattr(SoloRecipe, "credit", traced_credit)
+        monkeypatch.setattr(SoloRecipe, "freeze", traced_freeze)
+
+        def run(audit: bool) -> tuple[tuple, TrainingSimulator]:
+            sim = TrainingSimulator(
+                transformer_1t(num_layers=8),
+                get_topology("4D-Ring_FC_Ring_SW"),
+                scheduler="themis",
+                config=fig12_training_config(quick=True),
+                audit=audit,
+            )
+            return _training_value(sim), sim
+
+        plain, sim = run(audit=False)
+        fallbacks = used.count(None)
+        assert (len(used) - fallbacks, fallbacks) == (29, 4)
+        assert sum(1 for index in used if index) == 2  # replays from an older one
+        assert recorded == [True] * (1 + fallbacks)
+        (recipes,) = sim.network._recipes.values()
+        assert len(recipes) == _RECIPES_PER_PLAN < len(recorded)
+        assert plain == run(audit=True)[0]
 
     @pytest.mark.parametrize(
         "setup", ["alone", "record_ops", "preemption", "shared_wire", "second_pending"]

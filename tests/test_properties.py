@@ -25,7 +25,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import BoundedPareto, JobMix, JobSpec, open_loop_trace, stream_seed
@@ -464,6 +464,54 @@ class TestReadyQueueProperties:
                 assert queue.select(idle_only=True) is best(
                     [op for op in live if op.owner not in active]
                 )
+
+    @given(
+        policy_name=st.sampled_from(["FIFO", "SCF", "LCF"]),
+        actions=queue_actions,
+        first_query=st.integers(min_value=0, max_value=60),
+    )
+    @example(  # "a" has the best op but a flow in flight: idle picks "b"
+        policy_name="FIFO",
+        actions=[
+            ("push", "a", 0, 1.0, 0),
+            ("push", "b", 0, 1.0, 0),
+            ("activate", "a", 0, 1.0, 0),
+        ],
+        first_query=0,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_select_from_is_the_queue_selection(
+        self, policy_name, actions, first_query
+    ):
+        """The channel reads its queue directly; ``IntraDimPolicy.select_from``
+        stays the policy's selection API and must pick the same op as
+        ``ReadyQueue.select`` (and the serial wire's ``peek``), before and
+        after the first owner query builds the per-owner buckets."""
+        policy = get_policy(policy_name)
+        queue = ReadyQueue(policy.sort_key)
+        ops: list[OpState] = []
+        for step, (action, owner, priority, size, pick) in enumerate(actions):
+            querying = step >= first_query
+            if action in ("push", "park"):
+                stage = Stage(dim_index=0, op=PhaseOp.RS, stage_size=size)
+                op = OpState(step, 0, 0, stage, 0, 1.0, 1.0, 0.0, priority, owner)
+                op.ready_time = float(pick % 3)
+                queue.push(op, eligible=action == "push")
+                ops.append(op)
+            elif action == "discard" and ops:
+                queue.discard(ops.pop(pick % len(ops)))
+            elif action == "promote" and ops:
+                queue.promote(ops[pick % len(ops)].key)
+            elif action in ("activate", "deactivate") and querying:
+                queue.set_owner_active(owner, action == "activate")
+
+            assert policy.select_from(queue) is queue.select() is queue.peek()
+            if querying:
+                for name in _OWNERS:
+                    best = queue.select(owner=name)
+                    assert policy.select_from(queue, owner=name) is best
+                idle = queue.select(idle_only=True)
+                assert policy.select_from(queue, idle_only=True) is idle
 
 
 # --- open-loop traces ---------------------------------------------------------------

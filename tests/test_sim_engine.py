@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import EventQueue, Interval, merge_intervals, total_length
-from repro.sim.engine import ordered_sum
-from repro.sim.timeline import OpRecord, render_gantt
 from repro.collectives import PhaseOp
+from repro.collectives.phases import Stage
+from repro.core import get_policy
+from repro.errors import SimulationError
+from repro.sim import EventQueue, FusionConfig, Interval, merge_intervals, total_length
+from repro.sim.engine import ordered_sum
+from repro.sim.executor import DimensionChannel, OpState
+from repro.sim.timeline import OpRecord, render_gantt
+from repro.topology import dimension
 
 
 class TestEventQueue:
@@ -326,6 +330,41 @@ class TestOpRecord:
         assert record.queueing_delay == pytest.approx(1.0)
         assert record.label() == "AG C2.3"
 
+    def test_field_order(self):
+        """A record is a tuple: its fields keep their order, and
+        ``OpState.to_record`` fills each one positionally."""
+        assert OpRecord._fields == (
+            "collective_seq",
+            "chunk_id",
+            "stage_index",
+            "dim_index",
+            "op",
+            "stage_size",
+            "bytes_sent",
+            "transfer_time",
+            "fixed_time",
+            "ready_time",
+            "start_time",
+            "end_time",
+        )
+        stage = Stage(dim_index=0, op=PhaseOp.AG, stage_size=8.0)
+        op = OpState(7, 1, 2, stage, 3, 6.0, 1.0, 0.5)
+        op.ready_time, op.start_time, op.end_time = 1.0, 2.0, 3.5
+        record = op.to_record()
+        assert record == (7, 1, 2, 3, PhaseOp.AG, 8.0, 6.0, 1.0, 0.5, 1.0, 2.0, 3.5)
+        assert record.dim_index == 3 and record.stage_size == 8.0
+        assert record.duration == 1.5 and record.queueing_delay == 1.0
+        assert record.label() == "AG C2.3"
+
+    def test_immutable(self):
+        record = _record(0, 0, 0, 1.0, 2.0)
+        with pytest.raises(AttributeError):
+            record.start_time = 0.0
+        moved = record._replace(start_time=0.5)
+        assert (moved.start_time, record.start_time) == (0.5, 1.0)
+        assert moved.duration == 1.5
+        assert record._asdict()["end_time"] == 2.0
+
 
 class TestGantt:
     def test_render_contains_labels(self):
@@ -345,3 +384,51 @@ class TestGantt:
         art = render_gantt(records, ndims=1, width=30)
         line = next(l for l in art.splitlines() if l.startswith("dim1"))
         assert len(line) <= len("dim1: ") + 30 + 1
+
+
+class TestSerialWireActivity:
+    """A serial wire opens its activity interval where it gets work (an
+    enqueue, a segment start) and closes it where a release leaves none."""
+
+    @staticmethod
+    def _channel() -> DimensionChannel:
+        return DimensionChannel(
+            0,
+            dimension("sw", 4, 400.0, latency_ns=100),
+            get_policy("fifo"),
+            FusionConfig(enabled=False),
+            EventQueue(),
+            on_batch_done=lambda channel, batch: None,
+        )
+
+    @staticmethod
+    def _op(chunk: int) -> OpState:
+        stage = Stage(dim_index=0, op=PhaseOp.RS, stage_size=1.0)
+        # Transfer 1.0 s on the wire, then a 0.5 s fixed-latency shadow.
+        return OpState(0, chunk, 0, stage, 0, 1.0, 1.0, 0.5)
+
+    def test_release_with_empty_queue_closes_the_interval(self):
+        """The first op's wire releases at 1.0 with nothing queued, which
+        closes its interval there; an op enqueued at that same instant
+        opens a new one."""
+        channel = self._channel()
+        engine = channel.engine
+        channel.enqueue(self._op(0))
+        engine.schedule(1.0, lambda: channel.enqueue(self._op(1)))
+        engine.run()
+        assert channel.stats.activity_intervals == [
+            Interval(0.0, 1.0),
+            Interval(1.0, 2.0),
+        ]
+        assert channel.snapshot_activity() == channel.stats.activity_intervals
+        assert channel.stats.batch_count == 2
+
+    def test_release_with_queued_work_keeps_the_interval_open(self):
+        """An op enqueued while the wire is busy starts at the release,
+        and the interval runs on until the wire empties."""
+        channel = self._channel()
+        engine = channel.engine
+        channel.enqueue(self._op(0))
+        engine.schedule(0.5, lambda: channel.enqueue(self._op(1)))
+        engine.run()
+        assert channel.stats.activity_intervals == [Interval(0.0, 2.0)]
