@@ -23,12 +23,8 @@ from typing import Any
 
 from ..analysis.tables import format_table
 from ..errors import SpecError
+from ..typed import read
 from ..units import fmt_time
-
-_REPORT_KEYS = (
-    "mode", "spec", "makespan", "wall_time", "events",
-    "avg_utilization", "per_dim_utilization", "truncated", "payload",
-)
 
 
 @dataclass
@@ -93,24 +89,10 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        if not isinstance(data, dict):
-            raise SpecError(f"report must be a dict, got {type(data)}")
-        unknown = sorted(set(data) - set(_REPORT_KEYS))
-        if unknown:
-            raise SpecError(f"unknown report keys: {', '.join(unknown)}")
-        per_dim = data.get("per_dim_utilization")
-        return cls(
-            mode=str(data["mode"]),
-            spec=dict(data.get("spec") or {}),
-            makespan=float(data["makespan"]),
-            wall_time=float(data.get("wall_time", 0.0)),
-            events=int(data.get("events", 0)),
-            avg_utilization=data.get("avg_utilization"),
-            per_dim_utilization=tuple(per_dim) if per_dim is not None else None,
-            truncated=bool(data.get("truncated", False)),
-            payload=dict(data.get("payload") or {}),
-        )
+    def from_dict(cls, data: Any) -> "RunReport":
+        """The report a :meth:`to_dict` document describes, each value read
+        by its field's type (:mod:`repro.typed`)."""
+        return read(cls, data, "report", SpecError)
 
     def describe(self) -> str:
         """Human-readable summary; the rich detail's own renderer when present."""

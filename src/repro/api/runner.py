@@ -210,6 +210,7 @@ def _run_cluster(
             else spec.max_concurrent
         )
         assert slots is not None  # enforced by the spec
+        assert spec.open_loop.mix is not None  # the spec fills in the default
         mean_service = mix_mean_service_time(
             topology,
             spec.open_loop.mix,

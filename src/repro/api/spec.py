@@ -9,11 +9,13 @@ so a complete experiment configuration is a small JSON document:
   scenario type, through JSON included;
 * versioned schema — every serialized spec carries ``"schema"``; newer
   documents are rejected with a clear upgrade message;
-* strict validation — a spec is valid when the runtime objects it
-  describes can be built, so construction builds them (each range rule
-  lives once, on the runtime type that uses the field) and re-raises
-  their errors as :class:`SpecError`; on top, unknown keys and registry
-  keys get a did-you-mean hint, and cross-field rules are checked here;
+* strict validation — every field is read by its declared type
+  (:mod:`repro.typed`: ``"false"`` is no bool, a string no list), and a
+  spec is valid when the runtime objects it describes can be built, so
+  construction builds them (each range rule lives once, on the runtime
+  type that uses the field) and re-raises their errors as
+  :class:`SpecError`; on top, unknown keys and registry keys get a
+  did-you-mean hint, and cross-field rules are checked here;
 * dotted overrides — ``spec.with_overrides({"trace.seed": "3"})`` rebuilds
   a spec with nested fields replaced (the CLI's ``--set``, and the axis
   mechanism of :func:`repro.api.sweep`).
@@ -33,19 +35,35 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
+from typing import Annotated, Any, ClassVar, TypeVar
 
+from ..cluster import ClusterConfig, WeightedSharing
+from ..cluster.jobs import (
+    JobMix,
+    JobSpec,
+    check_open_loop_args,
+    check_unique_names,
+    derive_open_loop_rate,
+    open_loop_trace,
+    poisson_trace,
+)
 from ..collectives.types import CollectiveType
-from ..core.splitter import Splitter
-from ..errors import CollectiveError, ReproError, SpecError
+from ..errors import CollectiveError, SpecError, WorkloadError
+from ..numeric import is_count
+from ..sim.backends import get_backend, resolve_backend_key
+from ..sim.faults import FaultSchedule, JobFaultPolicy, LinkFault
 from ..topology import Topology, topology_from_dict, topology_to_dict
 from ..training.iteration import TrainingConfig
+from ..typed import Count, Typed, built, read_args
 from ..units import GB, parse_size
-from ..workloads import Workload, get_workload, workload_from_dict
-from .registry import did_you_mean, validate_key
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster import ClusterConfig
+from ..workloads import (
+    WORKLOADS,
+    Workload,
+    get_workload,
+    workload_from_dict,
+    workload_to_dict,
+)
+from .registry import COLLECTIVE_KEYS, did_you_mean, resolve, validate_key
 
 _T = TypeVar("_T")
 
@@ -57,7 +75,7 @@ SCHEMA_VERSION = 1
 # --- shared helpers ---------------------------------------------------------
 def _check_schema(data: dict, where: str) -> None:
     version = data.get("schema", SCHEMA_VERSION)
-    if not isinstance(version, int) or version < 1:
+    if not is_count(version):
         raise SpecError(f"{where}: bad schema version {version!r}")
     if version > SCHEMA_VERSION:
         raise SpecError(
@@ -66,86 +84,13 @@ def _check_schema(data: dict, where: str) -> None:
         )
 
 
-def _known_fields(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def _got(value: Any) -> str:
-    """How an error message shows a malformed spec value."""
-    return f"got {type(value).__name__} {value!r}"
-
-
-def _object(value: Any, where: str, what: str) -> dict:
-    """A copy of the JSON object ``value`` (anything else is a SpecError
-    at ``where``)."""
-    if not isinstance(value, dict):
-        raise SpecError(f"{where}: expected an object of {what}, {_got(value)}")
-    return dict(value)
-
-
-def _converted(value: Any, convert: Callable[[Any], _T], where: str, what: str) -> _T:
-    """``convert(value)``; a value it cannot take is a SpecError at ``where``
-    saying it expected ``what``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SpecError(f"{where}: expected {what}, {_got(value)}") from None
-
-
-def _reject_unknown(cls: type, data: dict, where: str) -> dict:
-    """Drop envelope keys, reject unknown ones with a did-you-mean hint."""
-    payload = _object(data, where, f"{cls.__name__} fields")
-    payload.pop("schema", None)
-    payload.pop("mode", None)
-    known = _known_fields(cls)
-    unknown = sorted(set(payload) - set(known))
-    if unknown:
-        hints = "".join(
-            f"\n  {key!r}{did_you_mean(key, known)}" for key in unknown
-        )
-        raise SpecError(
-            f"{where}: unknown key(s):{hints}\n  known: {', '.join(known)}"
-        )
-    return payload
-
-
-def _nested(kind: type[_T], value: Any, where: str) -> _T:
-    """A nested spec piece: ``value`` if it already is a ``kind``, else
-    built from its JSON object (anything else is a SpecError at ``where``)."""
-    if isinstance(value, kind):
-        return value
-    return kind(**_reject_unknown(kind, value, where))
-
-
 def _built(where: str, build: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
     """``build(*args, **kwargs)``, its library errors re-raised as SpecError.
 
-    A spec validates by building the runtime objects it describes, so
-    each range rule lives once, on the runtime type that uses the field.
+    A spec validates by building the runtime objects it describes, so each
+    range rule lives once, on the runtime type that uses the field.
     """
-    try:
-        return build(*args, **kwargs)
-    except SpecError:
-        raise
-    except ReproError as error:
-        raise SpecError(f"{where}: {error}") from None
-
-
-def _dims(values: Iterable[Any], where: str) -> tuple[int, ...]:
-    """Dimension indices as ints; a NaN or inf is a SpecError, not a crash."""
-    return _converted(
-        values,
-        lambda items: tuple(int(item) for item in items),
-        where,
-        "a list of dimension indices",
-    )
-
-
-def _keys(values: Iterable[Any], where: str) -> tuple[str, ...]:
-    """Registry keys as strings (a value that is no list is a SpecError)."""
-    return _converted(
-        values, lambda items: tuple(str(item) for item in items), where, "a list"
-    )
+    return built(SpecError, where, build, *args, **kwargs)
 
 
 def _fit_topology(
@@ -159,30 +104,26 @@ def _fit_topology(
         topology.subset(dims)
 
 
-def _size_bytes(value: Any, field_name: str) -> float:
-    """Byte counts may be written as numbers or strings like ``"100MB"``."""
-    if isinstance(value, str):
-        value = _built(field_name, parse_size, value)
-    size = _converted(value, float, field_name, "a byte count or a size like '1GB'")
-    if not 0 < size < math.inf:
-        raise SpecError(f"{field_name} must be positive and finite, got {size}")
-    return size
+def _size_bytes(value: Any) -> Any:
+    """A byte count written as a string like ``"100MB"``, in bytes."""
+    return parse_size(value) if isinstance(value, str) else value
 
 
-def _validate_collective(key: str) -> str:
+#: A byte count, which a spec may also write as a size like ``"100MB"``.
+Bytes = Annotated[float, _size_bytes]
+
+
+def _validate_collective(key: str) -> None:
     """Collective keys go through ``CollectiveType.from_name`` so the short
     aliases (``ar``/``rs``/``ag``/``a2a``) stay valid in specs and CLIs."""
     try:
         CollectiveType.from_name(key)
     except CollectiveError:
-        from .registry import COLLECTIVE_KEYS
-
         raise SpecError(
             f"unknown collective key {key!r}"
             f"{did_you_mean(key, COLLECTIVE_KEYS)}; "
             f"known: {', '.join(COLLECTIVE_KEYS)} (or ar/rs/ag/a2a)"
         ) from None
-    return key
 
 
 def _validate_backend(
@@ -199,8 +140,6 @@ def _validate_backend(
     backend's own validator, so a packet-option typo is a load-time
     :class:`SpecError` with the backend's did-you-mean hint.
     """
-    from ..sim.backends import get_backend, resolve_backend_key
-
     if backend is not None:
         validate_key("backend", backend)
     impl = get_backend(
@@ -211,53 +150,46 @@ def _validate_backend(
     return impl
 
 
-def _validate_topology(value: Any) -> Any:
-    """A topology is a preset key or an inline serialized dict."""
-    if isinstance(value, Topology):  # convenience: accept live objects
+def _inlined(value: Any) -> Any:
+    """A live :class:`Topology` or :class:`Workload` as its serialized dict
+    (a convenience for Python callers); any other value unchanged."""
+    if isinstance(value, Topology):
         return topology_to_dict(value)
-    if isinstance(value, dict):
-        topology_from_dict(value)  # validation only
-        return dict(value)
-    validate_key("topology", str(value))
-    return str(value)
+    if isinstance(value, Workload):
+        return workload_to_dict(value)
+    return value
 
 
-def _validate_workload(value: Any, args: dict) -> Any:
-    """A workload is a registry key (+ args) or an inline serialized dict."""
-    if isinstance(value, Workload):  # convenience: accept live objects
-        from ..workloads import workload_to_dict
-
-        value = workload_to_dict(value)
-    if isinstance(value, dict):
-        if args:
-            raise SpecError("workload_args only apply to registry-key workloads")
-        return dict(value)
-    validate_key("workload", str(value))
-    return str(value)
+#: A topology or workload: a registry key or an inline serialized dict.
+KeyOrDict = Annotated[str | dict, _inlined]
 
 
 def _workload_object(value: "str | dict", args: dict) -> "str | Workload":
-    """What a runtime type takes for a spec's workload: the registry key
-    itself, or the built :class:`Workload` when args or a dict describe it."""
-    if args or isinstance(value, dict):
-        return resolve_workload(value, args)
-    return value
+    """What a runtime type takes for a spec's workload (a registry key, with
+    ``args``, or an inline serialized dict): the key itself, or the built
+    :class:`Workload` when args or a dict describe it."""
+    if isinstance(value, dict) and args:
+        raise SpecError("workload_args only apply to registry-key workloads")
+    if not isinstance(value, dict):
+        validate_key("workload", value)
+    return resolve_workload(value, args) if args or isinstance(value, dict) else value
 
 
 def resolve_topology(value: "str | dict") -> Topology:
     """Build the :class:`Topology` a spec's topology field names."""
     if isinstance(value, dict):
         return topology_from_dict(value)
-    from .registry import resolve
-
     return resolve("topology", value)
 
 
 def resolve_workload(value: "str | dict", args: dict | None = None) -> Workload:
-    """Build the :class:`Workload` a spec's workload field names."""
+    """Build the :class:`Workload` a spec's workload field names; each of
+    ``args`` is read by the factory parameter's declared type."""
     if isinstance(value, dict):
         return workload_from_dict(value)
-    return get_workload(value, **(args or {}))
+    factory = WORKLOADS.lookup(value)
+    typed = read_args(factory, args or {}, "workload_args", WorkloadError)
+    return get_workload(value, **typed)
 
 
 def parse_cli_value(text: str) -> Any:
@@ -316,7 +248,7 @@ def _set_dotted(data: Any, path: str, value: Any) -> None:
 
 # --- base class -------------------------------------------------------------
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Typed):
     """Common (de)serialization surface of every scenario type."""
 
     #: Dispatch key stored in serialized documents.
@@ -324,10 +256,7 @@ class ScenarioSpec:
 
     def to_dict(self) -> dict:
         """Plain-dict form: ``{"schema": ..., "mode": ..., <fields>}``."""
-        data: dict = {"schema": SCHEMA_VERSION, "mode": self.mode}
-        for f in dataclasses.fields(self):
-            data[f.name] = _plain(getattr(self, f.name))
-        return data
+        return {"schema": SCHEMA_VERSION, "mode": self.mode, **_plain(self)}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -336,7 +265,7 @@ class ScenarioSpec:
         Path(path).write_text(self.to_json() + "\n")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
+    def from_dict(cls, data: Any) -> "ScenarioSpec":
         if not isinstance(data, dict):
             raise SpecError(f"{cls.__name__}: spec must be a dict, got {type(data)}")
         _check_schema(data, cls.__name__)
@@ -346,8 +275,8 @@ class ScenarioSpec:
                 f"{cls.__name__} cannot load a {declared!r} spec "
                 f"(expected mode {cls.mode!r})"
             )
-        payload = _reject_unknown(cls, data, cls.__name__)
-        return cls(**payload)
+        payload = {k: v for k, v in data.items() if k not in ("schema", "mode")}
+        return super().from_dict(payload)
 
     def with_overrides(self, overrides: dict[str, Any]) -> "ScenarioSpec":
         """Copy with dotted-path overrides applied and re-validated.
@@ -366,12 +295,9 @@ class ScenarioSpec:
 
 def _plain(value: Any) -> Any:
     """Recursively convert spec values to JSON-plain python."""
-    if isinstance(value, ScenarioSpec) or dataclasses.is_dataclass(value):
-        inner = {
-            f.name: _plain(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return inner
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return {entry.name: _plain(getattr(value, entry.name)) for entry in fields}
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
     if isinstance(value, dict):
@@ -381,7 +307,7 @@ def _plain(value: Any) -> Any:
 
 # --- nested cluster pieces --------------------------------------------------
 @dataclass(frozen=True)
-class ScenarioJob:
+class ScenarioJob(Typed):
     """One cluster job, serializable (mirrors :class:`repro.cluster.JobSpec`).
 
     ``workload`` is a registry key (optionally parameterized via
@@ -389,35 +315,22 @@ class ScenarioJob:
     """
 
     name: str
-    workload: "str | dict" = "resnet-152"
+    workload: KeyOrDict = "resnet-152"
     workload_args: dict = field(default_factory=dict)
     arrival_time: float = 0.0
     scheduler: str = "themis"
-    iterations: int = 1
+    iterations: Count = 1
     dim_indices: "tuple[int, ...] | None" = None
     priority: int = 0
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        where = f"job {self.name!r}: workload_args"
-        args = _object(self.workload_args, where, "workload arguments")
-        object.__setattr__(self, "workload_args", args)
-        object.__setattr__(
-            self, "workload", _validate_workload(self.workload, self.workload_args)
-        )
+        super().__post_init__()
         validate_key("scheduler", self.scheduler)
-        if self.dim_indices is not None:
-            object.__setattr__(
-                self,
-                "dim_indices",
-                _dims(self.dim_indices, f"job {self.name!r}: dim_indices"),
-            )
         _built("ScenarioJob", self.to_jobspec)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioJob":
-        payload = _reject_unknown(cls, data, "ScenarioJob")
-        return cls(**payload)
+    def _where(self) -> str:
+        return f"job {self.name!r}: "
 
     @classmethod
     def from_jobspec(cls, spec: Any) -> "ScenarioJob":
@@ -426,14 +339,9 @@ class ScenarioJob:
         Registry-keyed workloads stay keys; workload *instances* are
         inlined losslessly via ``workload_to_dict``.
         """
-        workload = spec.workload
-        if not isinstance(workload, str):
-            from ..workloads import workload_to_dict
-
-            workload = workload_to_dict(workload)
         return cls(
             name=spec.name,
-            workload=workload,
+            workload=spec.workload,
             arrival_time=spec.arrival_time,
             scheduler=spec.scheduler,
             iterations=spec.iterations,
@@ -444,8 +352,6 @@ class ScenarioJob:
 
     def to_jobspec(self) -> "Any":
         """The runnable :class:`~repro.cluster.JobSpec` this entry names."""
-        from ..cluster import JobSpec
-
         return JobSpec(
             name=self.name,
             workload=_workload_object(self.workload, self.workload_args),
@@ -459,7 +365,7 @@ class ScenarioJob:
 
 
 @dataclass(frozen=True)
-class PoissonTrace:
+class PoissonTrace(Typed):
     """A generated Poisson arrival trace (see :func:`repro.cluster.poisson_trace`).
 
     ``interarrival`` is the mean gap in **seconds**; ``schedulers`` is
@@ -470,29 +376,17 @@ class PoissonTrace:
     interarrival: float = 2e-3
     seed: int = 0
     schedulers: tuple[str, ...] = ("themis",)
-    iterations: int = 1
+    iterations: Count = 1
     start_time: float = 0.0
-    jobs: int | None = None
+    jobs: "Count | None" = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "workloads", _keys(self.workloads, "PoissonTrace.workloads")
-        )
-        object.__setattr__(
-            self, "schedulers", _keys(self.schedulers, "PoissonTrace.schedulers")
-        )
+        super().__post_init__()
         for name in self.workloads:
             validate_key("workload", name)
         for name in self.schedulers:
             validate_key("scheduler", name)
-        if self.jobs is not None and not 1 <= self.jobs < math.inf:
-            raise SpecError(f"need >= 1 jobs, got {self.jobs}")
         _built("PoissonTrace", self.to_jobs)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PoissonTrace":
-        payload = _reject_unknown(cls, data, "PoissonTrace")
-        return cls(**payload)
 
     def to_jobs(self) -> list:
         """Draw the deterministic job list this trace describes.
@@ -500,8 +394,6 @@ class PoissonTrace:
         ``jobs`` (when set) rotates ``workloads`` up to that count;
         otherwise one job per workload entry.
         """
-        from ..cluster import poisson_trace
-
         names = list(self.workloads)
         if self.jobs is not None:
             names = list(itertools.islice(itertools.cycle(names), self.jobs))
@@ -532,7 +424,7 @@ _OPEN_LOOP_KNOBS = (
 
 
 @dataclass(frozen=True)
-class OpenLoopTrace:
+class OpenLoopTrace(Typed):
     """A generated open-loop arrival trace (see :func:`repro.cluster.open_loop_trace`).
 
     Exactly one of ``rate`` (arrivals per second) or ``target_rho``
@@ -553,14 +445,14 @@ class OpenLoopTrace:
     #: network regardless of admission slots — set ``calibration_slots=1``
     #: there so ``target_rho`` means load against the network, not
     #: against the (memory-bounding) concurrency cap.
-    calibration_slots: "int | None" = None
+    calibration_slots: "Count | None" = None
     duration: "float | None" = 0.5
-    max_jobs: "int | None" = None
+    max_jobs: "Count | None" = None
     process: str = "poisson"
     seed: int = 0
     schedulers: tuple[str, ...] = ("themis",)
     start_time: float = 0.0
-    mix: Any = None
+    mix: "JobMix | None" = None
     rate_amplitude: float = 0.5
     rate_period: float = 0.25
     burst_on: float = 0.05
@@ -569,39 +461,18 @@ class OpenLoopTrace:
     name_prefix: str = "oj"
 
     def __post_init__(self) -> None:
-        from ..cluster import JobMix, derive_open_loop_rate
-        from ..cluster.jobs import check_open_loop_args
-
+        super().__post_init__()
         if (self.rate is None) == (self.target_rho is None):
             raise SpecError(
                 "an open-loop trace needs exactly one of 'rate' or "
                 "'target_rho'"
             )
-        if self.calibration_slots is not None:
-            if self.target_rho is None:
-                raise SpecError("calibration_slots only applies to target_rho")
-            if not 1 <= self.calibration_slots < math.inf:
-                raise SpecError(
-                    f"calibration_slots must be >= 1, "
-                    f"got {self.calibration_slots}"
-                )
-        object.__setattr__(
-            self, "schedulers", _keys(self.schedulers, "OpenLoopTrace.schedulers")
-        )
+        if self.calibration_slots is not None and self.target_rho is None:
+            raise SpecError("calibration_slots only applies to target_rho")
         for name in self.schedulers:
             validate_key("scheduler", name)
-        mix = self.mix
-        if mix is None:
-            mix = JobMix()
-        elif isinstance(mix, dict):
-            payload = _reject_unknown(JobMix, mix, "OpenLoopTrace.mix")
-            mix = _built("OpenLoopTrace.mix", JobMix, **payload)
-        elif not isinstance(mix, JobMix):
-            raise SpecError(
-                f"mix must be a JobMix or a mapping of its fields, "
-                f"got {type(mix).__name__}"
-            )
-        object.__setattr__(self, "mix", mix)
+        if self.mix is None:
+            object.__setattr__(self, "mix", JobMix())
         _built("OpenLoopTrace", check_open_loop_args, rate=self.rate, **self._knobs())
         if self.target_rho is not None:  # the rate is calibrated at run time
             _built("OpenLoopTrace", derive_open_loop_rate, self.target_rho, 1.0, 1)
@@ -610,11 +481,6 @@ class OpenLoopTrace:
         """The fields passed through unchanged to ``open_loop_trace``."""
         return {name: getattr(self, name) for name in _OPEN_LOOP_KNOBS}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "OpenLoopTrace":
-        payload = _reject_unknown(cls, data, "OpenLoopTrace")
-        return cls(**payload)
-
     def to_jobs(self, rate: "float | None" = None) -> list:
         """Draw the deterministic job list this trace describes.
 
@@ -622,8 +488,6 @@ class OpenLoopTrace:
         traces (the runner computes it from the mix's mean isolated
         service time); explicit-``rate`` traces ignore it.
         """
-        from ..cluster import open_loop_trace
-
         resolved = self.rate if self.rate is not None else rate
         if resolved is None:
             raise SpecError(
@@ -640,7 +504,7 @@ class OpenLoopTrace:
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Typed):
     """Fault-injection description: link degradation plus job crashes.
 
     The network side composes three sources into one deterministic
@@ -656,15 +520,15 @@ class FaultSpec:
 
     #: Explicit timed events: mappings of :class:`~repro.sim.LinkFault`
     #: fields (``dim_index``, ``start``, ``factor``, ``duration``, ``label``).
-    links: tuple = ()
+    links: tuple[LinkFault, ...] = ()
     #: Dimensions given generated transient flaps.
-    flap_dims: tuple = ()
+    flap_dims: tuple[int, ...] = ()
     flap_count: int = 2
     flap_factor: float = 0.5
     flap_mean_interval: float = 0.01
     flap_mean_duration: float = 0.005
     #: Dimensions given persistent stragglers.
-    straggler_dims: tuple = ()
+    straggler_dims: tuple[int, ...] = ()
     straggler_factor: float = 0.5
     straggler_probability: float = 1.0
     #: Master seed of the flap/straggler/crash substreams.
@@ -676,36 +540,12 @@ class FaultSpec:
     backoff_base: float = 1e-3
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.5
-    checkpoint_iterations: "int | None" = None
+    checkpoint_iterations: "Count | None" = None
     restart_overhead: float = 0.0
 
     def __post_init__(self) -> None:
-        from ..errors import ConfigError
-        from ..sim.faults import LinkFault
-
-        try:
-            object.__setattr__(
-                self,
-                "links",
-                tuple(
-                    event
-                    if isinstance(event, LinkFault)
-                    else LinkFault(**dict(event))
-                    for event in self.links
-                ),
-            )
-        except (ConfigError, TypeError) as error:
-            raise SpecError(f"FaultSpec.links: {error}") from None
-        for name in ("flap_dims", "straggler_dims"):
-            object.__setattr__(
-                self, name, _dims(getattr(self, name), f"FaultSpec.{name}")
-            )
+        super().__post_init__()
         _built("FaultSpec", self.to_runtime)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        payload = _reject_unknown(cls, data, "FaultSpec")
-        return cls(**payload)
 
     def to_runtime(self) -> "tuple[Any, Any]":
         """The runnable ``(FaultSchedule | None, JobFaultPolicy | None)``.
@@ -713,8 +553,6 @@ class FaultSpec:
         Both generators run even without dimensions (they then draw
         nothing), so their knobs are checked whenever the spec is built.
         """
-        from ..sim.faults import FaultSchedule, JobFaultPolicy
-
         schedule = (
             FaultSchedule(self.links)
             + FaultSchedule.flaps(
@@ -754,23 +592,22 @@ class CollectiveScenario(ScenarioSpec):
 
     mode: ClassVar[str] = "collective"
 
-    topology: "str | dict" = "3D-SW_SW_SW_homo"
+    topology: KeyOrDict = "3D-SW_SW_SW_homo"
     collective: str = "allreduce"
-    size: float = GB
-    chunks: int = 64
+    size: Bytes = GB
+    chunks: Count = 64
     scheduler: str = "themis"
     policy: str = "SCF"
-    max_events: "int | None" = None
+    max_events: "Count | None" = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "topology", _validate_topology(self.topology))
-        object.__setattr__(self, "size", _size_bytes(self.size, "size"))
+        super().__post_init__()
+        if not 0 < self.size < math.inf:
+            raise SpecError(f"size must be positive and finite, got {self.size}")
+        _built("topology", resolve_topology, self.topology)
         _validate_collective(self.collective)
         validate_key("scheduler", self.scheduler)
         validate_key("policy", self.policy)
-        _built("CollectiveScenario", Splitter, self.chunks)
-        if self.max_events is not None and not 1 <= self.max_events < math.inf:
-            raise SpecError(f"max_events must be >= 1, got {self.max_events}")
 
 
 @dataclass(frozen=True)
@@ -779,16 +616,16 @@ class TrainingScenario(ScenarioSpec):
 
     mode: ClassVar[str] = "training"
 
-    workload: "str | dict" = "resnet-152"
+    workload: KeyOrDict = "resnet-152"
     workload_args: dict = field(default_factory=dict)
-    topology: "str | dict" = "3D-SW_SW_SW_homo"
+    topology: KeyOrDict = "3D-SW_SW_SW_homo"
     scheduler: str = "themis"
     policy: str = "SCF"
     ideal_network: bool = False
-    iterations: int = 1
+    iterations: Count = 1
     overlap_dp: bool = True
-    dp_bucket_bytes: "float | None" = None
-    chunks: int = 64
+    dp_bucket_bytes: "Bytes | None" = None
+    chunks: Count = 64
     #: Link-degradation schedule for the private network.  Job-crash knobs
     #: (``crash_rate``) are a cluster concept and rejected here.
     faults: "FaultSpec | None" = None
@@ -799,34 +636,16 @@ class TrainingScenario(ScenarioSpec):
     backend_options: "dict | None" = None
 
     def __post_init__(self) -> None:
-        where = "TrainingScenario.workload_args"
-        args = _object(self.workload_args, where, "workload arguments")
-        object.__setattr__(self, "workload_args", args)
-        if self.faults is not None:
-            faults = _nested(FaultSpec, self.faults, "TrainingScenario.faults")
-            object.__setattr__(self, "faults", faults)
-        if self.backend_options is not None:
-            where = "TrainingScenario.backend_options"
-            options = _object(self.backend_options, where, "backend options")
-            object.__setattr__(self, "backend_options", options)
+        super().__post_init__()
         impl = _validate_backend(
             self.backend,
             self.backend_options,
             ideal_network=self.ideal_network,
             where="TrainingScenario",
         )
-        object.__setattr__(
-            self, "workload", _validate_workload(self.workload, self.workload_args)
-        )
-        object.__setattr__(self, "topology", _validate_topology(self.topology))
+        _built("topology", resolve_topology, self.topology)
         validate_key("scheduler", self.scheduler)
         validate_key("policy", self.policy)
-        if self.dp_bucket_bytes is not None:
-            object.__setattr__(
-                self,
-                "dp_bucket_bytes",
-                _size_bytes(self.dp_bucket_bytes, "dp_bucket_bytes"),
-            )
         _built("TrainingScenario", self.to_config)
         _built(
             "TrainingScenario", _workload_object, self.workload, self.workload_args
@@ -880,7 +699,7 @@ class ClusterScenario(ScenarioSpec):
 
     mode: ClassVar[str] = "cluster"
 
-    topology: "str | dict" = "3D-SW_SW_SW_homo"
+    topology: KeyOrDict = "3D-SW_SW_SW_homo"
     jobs: tuple[ScenarioJob, ...] = ()
     trace: "PoissonTrace | None" = None
     open_loop: "OpenLoopTrace | None" = None
@@ -889,18 +708,18 @@ class ClusterScenario(ScenarioSpec):
     fairness_weights: "dict[str, float] | None" = None
     fairness_weights_by_dim: "dict[str, dict[int, float]] | None" = None
     policy: str = "SCF"
-    chunks: int = 64
+    chunks: Count = 64
     overlap_dp: bool = True
-    dp_bucket_bytes: "float | None" = None
+    dp_bucket_bytes: "Bytes | None" = None
     isolated_baselines: bool = True
     record_ops: bool = False
-    max_events: "int | None" = None
-    max_concurrent: "int | None" = None
+    max_events: "Count | None" = None
+    max_concurrent: "Count | None" = None
     warmup_time: float = 0.0
     measure_time: "float | None" = None
     outcome_cap: "int | None" = None
     isolated_per_iteration: bool = False
-    convergence_epochs: int = 8
+    convergence_epochs: Count = 8
     #: Fault injection: link degradation schedule and/or job crash policy
     #: (``None`` = healthy network, crash-free jobs).
     faults: "FaultSpec | None" = None
@@ -910,34 +729,8 @@ class ClusterScenario(ScenarioSpec):
     backend_options: "dict | None" = None
 
     def __post_init__(self) -> None:
-        from ..cluster.jobs import check_unique_names
-
-        object.__setattr__(self, "topology", _validate_topology(self.topology))
-        jobs = self.jobs or ()
-        if not isinstance(jobs, (list, tuple)):
-            raise SpecError(
-                "ClusterScenario.jobs: expected a list of jobs, "
-                f"got {type(jobs).__name__} {jobs!r}"
-            )
-        object.__setattr__(
-            self,
-            "jobs",
-            tuple(
-                _nested(ScenarioJob, job, f"ClusterScenario.jobs[{index}]")
-                for index, job in enumerate(jobs)
-            ),
-        )
-        # Nested pieces may be given as their JSON dicts.
-        nested: tuple[tuple[str, Any], ...] = (
-            ("trace", PoissonTrace),
-            ("open_loop", OpenLoopTrace),
-            ("faults", FaultSpec),
-        )
-        for name, kind in nested:
-            value = getattr(self, name)
-            if value is not None:
-                where = f"ClusterScenario.{name}"
-                object.__setattr__(self, name, _nested(kind, value, where))
+        super().__post_init__()
+        _built("topology", resolve_topology, self.topology)
         populations = (
             bool(self.jobs)
             + (self.trace is not None)
@@ -960,62 +753,17 @@ class ClusterScenario(ScenarioSpec):
                 "open_loop.calibration_slots): offered load is defined "
                 "against a fixed number of service slots"
             )
-        if self.backend_options is not None:
-            where = "ClusterScenario.backend_options"
-            options = _object(self.backend_options, where, "backend options")
-            object.__setattr__(self, "backend_options", options)
-        _validate_backend(
-            self.backend, self.backend_options, where="ClusterScenario"
-        )
+        _validate_backend(self.backend, self.backend_options, where="ClusterScenario")
         if self.fairness is not None:
             validate_key("fairness", self.fairness)
         if self.placement is not None:
             validate_key("placement", self.placement)
-        weighted = self.fairness == "weighted"
-        if self.fairness_weights is not None:
-            if not weighted:
+        for name in ("fairness_weights", "fairness_weights_by_dim"):
+            if getattr(self, name) is not None and self.fairness != "weighted":
                 raise SpecError(
-                    "fairness_weights requires fairness='weighted', "
-                    f"got {self.fairness!r}"
+                    f"{name} requires fairness='weighted', got {self.fairness!r}"
                 )
-            where = "ClusterScenario.fairness_weights"
-            weights = _object(self.fairness_weights, where, "job weights")
-            object.__setattr__(
-                self,
-                "fairness_weights",
-                {
-                    str(job): _converted(weight, float, f"{where}[{job!r}]", "a number")
-                    for job, weight in weights.items()
-                },
-            )
-        if self.fairness_weights_by_dim is not None:
-            if not weighted:
-                raise SpecError(
-                    "fairness_weights_by_dim requires fairness='weighted', "
-                    f"got {self.fairness!r}"
-                )
-            where = "ClusterScenario.fairness_weights_by_dim"
-            jobs_dims = _object(
-                self.fairness_weights_by_dim, where, "per-dimension job weights"
-            )
-            by_dim: dict[str, dict[int, float]] = {}
-            for job, dims in jobs_dims.items():
-                place = f"{where}[{job!r}]"
-                shares: dict[int, float] = {}
-                for dim, weight in _object(dims, place, "dimension weights").items():
-                    index = _converted(dim, int, place, "a dimension index")
-                    shares[index] = _converted(weight, float, place, "a number")
-                by_dim[str(job)] = shares
-            object.__setattr__(self, "fairness_weights_by_dim", by_dim)
         validate_key("policy", self.policy)
-        if self.dp_bucket_bytes is not None:
-            object.__setattr__(
-                self,
-                "dp_bucket_bytes",
-                _size_bytes(self.dp_bucket_bytes, "dp_bucket_bytes"),
-            )
-        if self.max_events is not None and not 1 <= self.max_events < math.inf:
-            raise SpecError(f"max_events must be >= 1, got {self.max_events}")
         config = _built("ClusterScenario", self.to_config)
         slices = [j.dim_indices for j in self.jobs if j.dim_indices is not None]
         if slices or config.link_faults is not None:
@@ -1027,12 +775,10 @@ class ClusterScenario(ScenarioSpec):
                 slices,
             )
 
-    def to_config(self, audit: bool | None = None) -> "ClusterConfig":
+    def to_config(self, audit: bool | None = None) -> ClusterConfig:
         """The runnable :class:`~repro.cluster.ClusterConfig` this spec names,
         fault schedule and job-crash policy included.  ``audit`` is the
         run option of the same name (see :func:`repro.api.run`)."""
-        from ..cluster import ClusterConfig, WeightedSharing
-
         fairness: Any = self.fairness
         if self.fairness == "weighted" and (
             self.fairness_weights or self.fairness_weights_by_dim
@@ -1088,12 +834,13 @@ class ProvisioningScenario(ScenarioSpec):
 
     mode: ClassVar[str] = "provisioning"
 
-    topology: "str | dict" = "3D-SW_SW_SW_homo"
+    topology: KeyOrDict = "3D-SW_SW_SW_homo"
     tolerance: float = 0.01
     collective: str = "allreduce"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "topology", _validate_topology(self.topology))
+        super().__post_init__()
+        _built("topology", resolve_topology, self.topology)
         _validate_collective(self.collective)
         if not 0 <= self.tolerance < 1:
             raise SpecError(
@@ -1123,7 +870,7 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
         raise SpecError(
             f"spec needs a 'mode' key; one of: {', '.join(SCENARIO_TYPES)}"
         )
-    cls = SCENARIO_TYPES.get(mode)
+    cls = SCENARIO_TYPES.get(mode) if isinstance(mode, str) else None
     if cls is None:
         raise SpecError(
             f"unknown scenario mode {mode!r}"

@@ -24,7 +24,6 @@ backend (see :mod:`repro.sim.backends`).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -43,9 +42,10 @@ from ..core.policies import (
     get_policy,
 )
 from ..core.scheduler import SchedulerFactory
-from ..errors import ConfigError, SimulationError, did_you_mean
+from ..errors import ConfigError, SimulationError
 from ..numeric import ordered_sum
 from ..topology import Topology
+from ..typed import read
 from .audit import InvariantAuditor, resolve_audit
 from .engine import EventQueue
 from .executor import DimensionChannel, FusionConfig, OpState, _RunningBatch
@@ -543,9 +543,9 @@ class NetworkBackend:
         """The :attr:`options_type` instance a ``backend_options`` document
         describes; specs call this too, so a bad document fails early.
 
-        Unknown keys get a did-you-mean hint.  The document is JSON, so
-        values are type-checked, not coerced: a bool option takes a bool,
-        an int option an int, a float option any number, a str option a str.
+        The document is read by :func:`repro.typed.read`: an unknown key
+        gets a did-you-mean hint, and each value must have its option's
+        type (``"false"`` is no bool; an int is a float).
         """
         if cls.options_type is None:
             if options:
@@ -554,30 +554,7 @@ class NetworkBackend:
                     f"{', '.join(sorted(options))}"
                 )
             return None
-        data = options or {}
-        fields = dataclasses.fields(cls.options_type)
-        kinds = {entry.name: type(entry.default) for entry in fields}
-        known = tuple(kinds)
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            hints = ", ".join(f"{key!r}{did_you_mean(key, known)}" for key in unknown)
-            raise ConfigError(
-                f"unknown {cls.key} backend option(s): {hints}; "
-                f"known: {', '.join(known)}"
-            )
-        for key, value in data.items():
-            kind = kinds[key]
-            # bool subclasses int, so only a bool option may take a bool.
-            typed = isinstance(value, (int, float) if kind is float else kind)
-            if not typed or isinstance(value, bool) != (kind is bool):
-                raise ConfigError(
-                    f"{cls.key} backend option {key!r} must be "
-                    f"{kind.__name__}, got {value!r}"
-                )
-        try:
-            return cls.options_type(**{k: kinds[k](v) for k, v in data.items()})
-        except OverflowError as error:  # an int too large for a float
-            raise ConfigError(f"{cls.key} backend option: {error}") from None
+        return read(cls.options_type, options or {}, f"{cls.key} backend options")
 
 
 class NetworkBookkeeping(NetworkBackend):

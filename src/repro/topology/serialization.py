@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Any
 
 from ..errors import TopologyError
+from ..typed import read_value
 from ..units import to_gbps
 from .dimension import DimensionSpec
 from .topology import Topology
@@ -55,12 +57,13 @@ def dimension_to_dict(dim: DimensionSpec) -> dict:
     }
 
 
-def dimension_from_dict(data: dict) -> DimensionSpec:
+def dimension_from_dict(data: dict, where: str = "dimension") -> DimensionSpec:
     """Parse one dimension; unknown keys are rejected to catch typos.
 
     Accepts bandwidth as ``link_bw`` (bytes/s; exact) or ``link_gbps``, and
     latency as ``step_latency`` (seconds; exact) or ``latency_ns``.  Native
-    units win when both are present.
+    units win when both are present.  Each value must have its field's
+    type (:mod:`repro.typed`); errors name it as ``<where>.<key>``.
     """
     if not isinstance(data, dict):
         raise TopologyError(f"dimension entry must be a dict, got {type(data)}")
@@ -76,24 +79,27 @@ def dimension_from_dict(data: dict) -> DimensionSpec:
     from ..units import gbps
     from .dimension import DimensionKind
 
-    link_bw = (
-        float(data["link_bw"])
-        if "link_bw" in data
-        else gbps(float(data["link_gbps"]))
-    )
-    if "step_latency" in data:
-        step_latency = float(data["step_latency"])
+    def field(key: str, kind: type, default: Any = None) -> Any:
+        value = data.get(key, default)
+        return read_value(kind, value, f"{where}.{key}", TopologyError)
+
+    if "link_bw" in data:
+        link_bw = field("link_bw", float)
     else:
-        step_latency = float(data.get("latency_ns", 0.0)) * 1e-9
+        link_bw = gbps(field("link_gbps", float))
+    if "step_latency" in data:
+        step_latency = field("step_latency", float)
+    else:
+        step_latency = field("latency_ns", float, 0.0) * 1e-9
     return DimensionSpec(
-        kind=DimensionKind.from_name(str(data["kind"])),
-        size=int(data["size"]),
+        kind=DimensionKind.from_name(field("kind", str)),
+        size=field("size", int),
         link_bw=link_bw,
-        links_per_npu=int(data.get("links_per_npu", 1)),
+        links_per_npu=field("links_per_npu", int, 1),
         step_latency=step_latency,
-        max_packet_bytes=float(data.get("max_packet_bytes", 0.0)),
-        packet_header_bytes=float(data.get("packet_header_bytes", 0.0)),
-        name=str(data.get("name", "")),
+        max_packet_bytes=field("max_packet_bytes", float, 0.0),
+        packet_header_bytes=field("packet_header_bytes", float, 0.0),
+        name=field("name", str, ""),
     )
 
 
@@ -109,11 +115,18 @@ def topology_from_dict(data: dict) -> Topology:
     """Build a topology from a dict produced by :func:`topology_to_dict`."""
     if not isinstance(data, dict):
         raise TopologyError(f"topology must be a dict, got {type(data)}")
+    unknown = set(data) - {"name", "dims"}
+    if unknown:
+        raise TopologyError(f"unknown topology keys: {sorted(unknown)}")
     dims_data = data.get("dims")
     if not dims_data:
         raise TopologyError("topology dict needs a non-empty 'dims' list")
-    dims = [dimension_from_dict(entry) for entry in dims_data]
-    return Topology(dims, name=str(data.get("name", "")))
+    dims = [
+        dimension_from_dict(entry, f"dims[{index}]")
+        for index, entry in enumerate(dims_data)
+    ]
+    name = read_value(str, data.get("name", ""), "topology.name", TopologyError)
+    return Topology(dims, name=name)
 
 
 def load_topology(path: str | Path) -> Topology:

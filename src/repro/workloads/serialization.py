@@ -9,8 +9,11 @@ compares equal to ``w`` for any valid :class:`Workload`.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..collectives.types import CollectiveType
 from ..errors import WorkloadError
+from ..typed import read_value
 from .base import Workload
 from .layers import CommAttachment, Layer
 
@@ -24,6 +27,12 @@ _WORKLOAD_KEYS = {
 }
 
 
+def _read(data: dict, where: str, key: str, kind: Any, default: Any = None) -> Any:
+    """``data[key]`` (``default`` when absent) held to ``kind``'s type rule
+    (:mod:`repro.typed`); an error names it as ``<where>.<key>``."""
+    return read_value(kind, data.get(key, default), f"{where}.{key}", WorkloadError)
+
+
 def _comm_to_dict(comm: CommAttachment) -> dict:
     return {
         "ctype": comm.ctype.value,
@@ -33,14 +42,14 @@ def _comm_to_dict(comm: CommAttachment) -> dict:
     }
 
 
-def _comm_from_dict(data: dict) -> CommAttachment:
+def _comm_from_dict(data: dict, where: str) -> CommAttachment:
     if not isinstance(data, dict):
         raise WorkloadError(f"comm attachment must be a dict, got {type(data)}")
     return CommAttachment(
-        ctype=CollectiveType.from_name(str(data["ctype"])),
-        size=float(data["size"]),
-        blocking=bool(data.get("blocking", True)),
-        label=str(data.get("label", "")),
+        ctype=CollectiveType.from_name(_read(data, where, "ctype", str)),
+        size=_read(data, where, "size", float),
+        blocking=_read(data, where, "blocking", bool, True),
+        label=_read(data, where, "label", str, ""),
     )
 
 
@@ -68,24 +77,29 @@ def layer_to_dict(layer: Layer) -> dict:
     return data
 
 
-def layer_from_dict(data: dict) -> Layer:
-    """Parse one layer; unknown keys are rejected to catch typos."""
+def layer_from_dict(data: dict, where: str = "layer") -> Layer:
+    """Parse one layer; unknown keys are rejected to catch typos, and each
+    value must have its field's type."""
     if not isinstance(data, dict):
         raise WorkloadError(f"layer entry must be a dict, got {type(data)}")
     unknown = set(data) - _LAYER_KEYS
     if unknown:
         raise WorkloadError(f"unknown layer keys: {sorted(unknown)}")
+    fwd_comm, bwd_comm = (
+        _comm_from_dict(data[key], f"{where}.{key}") if data.get(key) else None
+        for key in ("fwd_comm", "bwd_comm")
+    )
     return Layer(
-        name=str(data.get("name", "")),
-        fwd_flops=float(data.get("fwd_flops", 0.0)),
-        bwd_flops=float(data.get("bwd_flops", 0.0)),
-        param_bytes=float(data.get("param_bytes", 0.0)),
-        fwd_mem_bytes=float(data.get("fwd_mem_bytes", 0.0)),
-        bwd_mem_bytes=float(data.get("bwd_mem_bytes", 0.0)),
-        fwd_comm=_comm_from_dict(data["fwd_comm"]) if data.get("fwd_comm") else None,
-        bwd_comm=_comm_from_dict(data["bwd_comm"]) if data.get("bwd_comm") else None,
-        fwd_wait_label=str(data.get("fwd_wait_label", "")),
-        bwd_wait_label=str(data.get("bwd_wait_label", "")),
+        name=_read(data, where, "name", str, ""),
+        fwd_flops=_read(data, where, "fwd_flops", float, 0.0),
+        bwd_flops=_read(data, where, "bwd_flops", float, 0.0),
+        param_bytes=_read(data, where, "param_bytes", float, 0.0),
+        fwd_mem_bytes=_read(data, where, "fwd_mem_bytes", float, 0.0),
+        bwd_mem_bytes=_read(data, where, "bwd_mem_bytes", float, 0.0),
+        fwd_comm=fwd_comm,
+        bwd_comm=bwd_comm,
+        fwd_wait_label=_read(data, where, "fwd_wait_label", str, ""),
+        bwd_wait_label=_read(data, where, "bwd_wait_label", str, ""),
     )
 
 
@@ -115,12 +129,14 @@ def workload_from_dict(data: dict) -> Workload:
     layers_data = data.get("layers")
     if not layers_data:
         raise WorkloadError("workload dict needs a non-empty 'layers' list")
-    mp = data.get("mp_group_size")
     return Workload(
-        name=str(data.get("name", "")),
-        layers=[layer_from_dict(entry) for entry in layers_data],
-        batch_per_npu=int(data.get("batch_per_npu", 1)),
-        mp_group_size=int(mp) if mp is not None else None,
-        dp_style=str(data.get("dp_style", "allreduce")),
-        notes=str(data.get("notes", "")),
+        name=_read(data, "workload", "name", str, ""),
+        layers=[
+            layer_from_dict(entry, f"layers[{index}]")
+            for index, entry in enumerate(layers_data)
+        ],
+        batch_per_npu=_read(data, "workload", "batch_per_npu", int, 1),
+        mp_group_size=_read(data, "workload", "mp_group_size", int | None),
+        dp_style=_read(data, "workload", "dp_style", str, "allreduce"),
+        notes=_read(data, "workload", "notes", str, ""),
     )

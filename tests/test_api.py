@@ -8,6 +8,7 @@ import json
 import math
 import random
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,9 @@ from repro.errors import (
 )
 from repro.sim import NetworkSimulator
 from repro.sim.backends import get_backend, register_backend
+from repro.sim.backends.fluid import FluidOptions
+from repro.sim.backends.packet import PacketOptions
+from repro.sim.faults import LinkFault
 from repro.sim.stats import bw_utilization
 from repro.topology import Topology, dimension, get_topology, topology_to_dict
 from repro.training.iteration import TrainingConfig, simulate_training
@@ -720,6 +724,35 @@ class TestLoadTimeValidation:
         with pytest.raises(SpecError, match=re.escape(f"{where}: expected")):
             api.load_spec(path)
 
+    @pytest.mark.parametrize(
+        ("workload", "args", "where"),
+        [
+            ("flood", {"layers": "x"}, "workload_args.layers: expected int"),
+            ("flood", {"param_mb": True}, "workload_args.param_mb: expected float"),
+            ("dlrm", {"bottom_widths": "x"}, "bottom_widths: expected a list"),
+            ("dlrm", {"top_widths": [1.5]}, "top_widths[0]: expected int"),
+        ],
+    )
+    def test_workload_args_read_by_factory_types(self, workload, args, where):
+        """``workload_args`` values are held to the factory's annotated
+        parameter types, for a training spec and a cluster job alike."""
+        for document in (
+            {"mode": "training", "workload": workload, "workload_args": args},
+            {
+                "mode": "cluster",
+                "jobs": [{"name": "a", "workload": workload, "workload_args": args}],
+            },
+        ):
+            with pytest.raises(SpecError, match=re.escape(where)):
+                api.spec_from_dict(document)
+        # an int is a float, and a list a tuple, as in every other document
+        spec = api.TrainingScenario(
+            workload="dlrm", workload_args={"bottom_widths": [64, 32]}
+        )
+        assert api.resolve_workload(spec.workload, spec.workload_args) == get_workload(
+            "dlrm", bottom_widths=(64, 32)
+        )
+
     def test_training_faults_convert_like_cluster_faults(self):
         faults = {"flap_dims": [1]}
         training = api.TrainingScenario(topology="2D-SW_SW", faults=faults)
@@ -915,6 +948,77 @@ class TestNonFiniteFuzz:
         accepted = []
         for path in paths:
             for bad in (NAN, math.inf, -math.inf, -1):
+                mutated = copy.deepcopy(data)
+                target = mutated
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = bad
+                try:
+                    api.spec_from_dict(mutated)
+                except SpecError:
+                    continue
+                accepted.append((".".join(map(str, path)), bad))
+        assert not accepted, f"{base}: accepted {accepted}"
+
+
+#: One value of each JSON kind.
+JSON_KINDS = {"string": "x", "number": 3, "bool": True, "list": [], "object": {}}
+
+
+def json_kind(value):
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else "string"
+
+
+def leaves(data, path=()):
+    """``(path, value)`` of every non-null scalar leaf of a spec dict."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, path + (key,))
+        elif value is not None:
+            yield path + (key,), value
+
+
+#: Fields declared ``X | None``, where null is a value like any other.
+OPTIONAL_FIELDS = {
+    name
+    for cls in (
+        api.CollectiveScenario,
+        api.TrainingScenario,
+        api.ClusterScenario,
+        api.ProvisioningScenario,
+        api.ScenarioJob,
+        api.PoissonTrace,
+        api.OpenLoopTrace,
+        api.FaultSpec,
+        api.JobMix,
+        LinkFault,
+        PacketOptions,
+        FluidOptions,
+    )
+    for name, kind in typing.get_type_hints(cls).items()
+    if type(None) in typing.get_args(kind)
+}
+
+
+class TestTypeConfusionFuzz:
+    @pytest.mark.parametrize("base", sorted(FUZZ_BASES))
+    def test_every_leaf_rejects_every_other_json_kind(self, base):
+        """A leaf swapped for a value of another JSON kind (or null, where
+        its field is not optional) fails at load as a SpecError."""
+        data = FUZZ_BASES[base]().to_dict()
+        accepted = []
+        for path, original in leaves(data):
+            bad_values = [
+                value
+                for kind, value in JSON_KINDS.items()
+                if kind != json_kind(original)
+            ]
+            if path[-1] not in OPTIONAL_FIELDS:
+                bad_values.append(None)
+            for bad in bad_values:
                 mutated = copy.deepcopy(data)
                 target = mutated
                 for key in path[:-1]:

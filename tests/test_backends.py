@@ -273,7 +273,7 @@ class TestOptionTypes:
     )
     def test_wrong_type_rejected(self, backend, options, kind):
         (name,) = options
-        with pytest.raises(ConfigError, match=f"{backend} .*'{name}' must be {kind}"):
+        with pytest.raises(ConfigError, match=f"{backend} .*{name}: expected {kind}"):
             get_backend(backend).validate_options(options)
         with pytest.raises(SpecError, match=name):
             api.TrainingScenario(

@@ -307,7 +307,7 @@ class TestSpecCommands:
         )
         assert main(["run", "--spec", str(path), "--check"]) == 1
         err = capsys.readouterr().err
-        assert "placement key must be a string" in err
+        assert "ClusterScenario.placement: expected str" in err
         assert "Traceback" not in err
 
     def test_run_check_malformed_nested_value_is_clean_error(self, tmp_path, capsys):
@@ -321,6 +321,17 @@ class TestSpecCommands:
             err = capsys.readouterr().err
             assert err.startswith("error:") and where in err
             assert "Traceback" not in err
+
+    def test_run_check_rejects_a_string_bool_override(self, capsys):
+        """``--set ideal_network=False`` sets the string ``"False"``, which
+        is no bool: the check fails instead of running the Ideal network."""
+        spec = Path(__file__).resolve().parent.parent / "examples" / "specs"
+        argv = ["run", "--spec", str(spec / "training_dlrm.json"), "--check"]
+        assert main([*argv, "--set", "ideal_network=False"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ideal_network" in err
+        assert "Traceback" not in err
+        assert main([*argv, "--set", "ideal_network=false"]) == 0
 
     def test_every_shipped_spec_checks(self, capsys):
         import glob

@@ -347,7 +347,7 @@ class TestSpecs:
     def test_non_string_placement_key_is_a_spec_error(self):
         # A mistyped JSON document can put any value here; it must fail as
         # a spec error with the known keys, not an AttributeError.
-        with pytest.raises(SpecError, match="must be a string"):
+        with pytest.raises(SpecError, match="placement: expected str"):
             api.spec_from_dict(
                 {
                     "schema": 1,

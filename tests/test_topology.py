@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TopologyError
+from repro import api
+from repro.errors import SpecError, TopologyError
 from repro.topology import (
     DimensionKind,
     DimensionSpec,
@@ -13,6 +14,8 @@ from repro.topology import (
     get_topology,
     paper_topologies,
     preset_names,
+    topology_from_dict,
+    topology_to_dict,
 )
 from repro.units import gbps
 
@@ -190,3 +193,41 @@ class TestPresets:
         topo = get_topology("4D-Ring_SW_SW_SW")
         latencies_ns = [d.step_latency * 1e9 for d in topo.dims]
         assert latencies_ns == pytest.approx([20, 700, 700, 1700])
+
+
+def _document(**dim):
+    """A 2D inline topology document whose first dimension has ``dim``."""
+    first = {"kind": "sw", "size": 4, "link_gbps": 100, **dim}
+    return {"dims": [first, {"kind": "sw", "size": 4, "link_gbps": 100}]}
+
+
+class TestDocumentTypes:
+    """An inline topology's values must have their field's type: nothing
+    is coerced, so a malformed value fails at load, naming its key."""
+
+    def test_fractional_size_rejected(self):
+        # Coercing with int() would simulate 8 NPUs while the spec says 8.7.
+        with pytest.raises(TopologyError, match=r"dims\[0\]\.size: expected int"):
+            topology_from_dict(_document(size=8.7))
+
+    def test_string_size_is_a_spec_error(self):
+        # Coercing with int() would escape run --check as a bare ValueError.
+        with pytest.raises(TopologyError, match=r"dims\[0\]\.size: expected int"):
+            topology_from_dict(_document(size="abc"))
+        with pytest.raises(SpecError, match=r"topology: dims\[0\]\.size"):
+            api.CollectiveScenario(topology=_document(size="abc"))
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(TopologyError, match="nmae"):
+            topology_from_dict({**_document(), "nmae": "pod"})
+
+    def test_alias_keys_and_exact_round_trip(self):
+        aliased = topology_from_dict(_document(latency_ns=700))
+        native = topology_from_dict(
+            _document(link_bw=aliased.dims[0].link_bw, step_latency=700e-9)
+        )
+        assert aliased.dims[0].link_bw == native.dims[0].link_bw
+        assert aliased.dims[0].step_latency == pytest.approx(700e-9)
+        for name in preset_names():
+            topology = get_topology(name)
+            assert topology_from_dict(topology_to_dict(topology)) == topology

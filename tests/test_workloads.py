@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import api
 from repro.collectives import CollectiveType
-from repro.errors import WorkloadError
+from repro.errors import SpecError, WorkloadError
 from repro.topology import get_topology, paper_topologies
 from repro.workloads import (
     CommScope,
@@ -18,6 +19,8 @@ from repro.workloads import (
     resnet152,
     split_leading_dims,
     transformer_1t,
+    workload_from_dict,
+    workload_to_dict,
 )
 
 
@@ -253,3 +256,37 @@ class TestSplitLeadingDims:
         scope = CommScope((0, 1), (16, 8))
         text = scope.describe(topo)
         assert "dim1:16" in text and "128 NPUs" in text
+
+
+def _document(**workload):
+    """An inline workload document: one layer with a blocking All-to-All."""
+    comm = {"ctype": "alltoall", "size": 1e6, "blocking": True}
+    layer = {"name": "l0", "fwd_flops": 1e9, "bwd_flops": 2e9, "fwd_comm": comm}
+    return {"name": "w", "layers": [layer], "batch_per_npu": 2, **workload}
+
+
+class TestDocumentTypes:
+    """An inline workload's values must have their field's type: nothing
+    is coerced, so a malformed value fails at load, naming its key."""
+
+    def test_string_blocking_rejected(self):
+        # Coercing with bool() would read the string "false" as True.
+        document = _document()
+        document["layers"][0]["fwd_comm"]["blocking"] = "false"
+        with pytest.raises(
+            WorkloadError, match=r"layers\[0\]\.fwd_comm\.blocking: expected bool"
+        ):
+            workload_from_dict(document)
+        with pytest.raises(SpecError, match="blocking"):
+            api.TrainingScenario(workload=document, topology="2D-SW_SW")
+
+    def test_fractional_batch_rejected(self):
+        # Coercing with int() would truncate a per-NPU batch of 2.5 to 2.
+        with pytest.raises(WorkloadError, match="batch_per_npu: expected int"):
+            workload_from_dict(_document(batch_per_npu=2.5))
+
+    def test_exact_round_trip(self):
+        assert workload_from_dict(_document()).layers[0].fwd_comm.blocking
+        for name in ("dlrm", "gnmt", "transformer-1t"):
+            workload = get_workload(name)
+            assert workload_from_dict(workload_to_dict(workload)) == workload
