@@ -48,21 +48,15 @@ from ..cluster.jobs import (
     poisson_trace,
 )
 from ..collectives.types import CollectiveType
-from ..errors import CollectiveError, SpecError, WorkloadError
+from ..errors import CollectiveError, SpecError
 from ..numeric import is_count
 from ..sim.backends import get_backend, resolve_backend_key
 from ..sim.faults import FaultSchedule, JobFaultPolicy, LinkFault
 from ..topology import Topology, topology_from_dict, topology_to_dict
 from ..training.iteration import TrainingConfig
-from ..typed import Count, Typed, built, read_args
+from ..typed import Count, Typed, built
 from ..units import GB, parse_size
-from ..workloads import (
-    WORKLOADS,
-    Workload,
-    get_workload,
-    workload_from_dict,
-    workload_to_dict,
-)
+from ..workloads import WORKLOADS, Workload, workload_from_dict, workload_to_dict
 from .registry import COLLECTIVE_KEYS, did_you_mean, resolve, validate_key
 
 _T = TypeVar("_T")
@@ -187,9 +181,7 @@ def resolve_workload(value: "str | dict", args: dict | None = None) -> Workload:
     ``args`` is read by the factory parameter's declared type."""
     if isinstance(value, dict):
         return workload_from_dict(value)
-    factory = WORKLOADS.lookup(value)
-    typed = read_args(factory, args or {}, "workload_args", WorkloadError)
-    return get_workload(value, **typed)
+    return WORKLOADS.build(value, "workload_args", **(args or {}))
 
 
 def parse_cli_value(text: str) -> Any:

@@ -27,10 +27,12 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
+from typing import Any
 
 from . import api
 from .analysis.tables import format_table, ms, pct
@@ -41,8 +43,8 @@ from .workloads import get_workload
 
 
 #: Defaults of the ``cluster`` subcommand's trace-shaping flags — shared by
-#: ``build_parser`` and the ``--fairness`` ignored-flag warning so the two
-#: can never disagree.
+#: ``build_parser`` and the ``--fairness``/``--placement`` ignored-flag note
+#: so the two can never disagree.
 _CLUSTER_TRACE_DEFAULTS = {
     "jobs": 4,
     "interarrival_ms": 2.0,
@@ -118,30 +120,24 @@ def _parse_fault_event(text: str, *, failure: bool) -> dict:
     return event
 
 
-def _fault_payload(args: argparse.Namespace) -> dict | None:
-    """Merge ``--faults FILE`` with ``--degrade`` / ``--link-failure`` flags
-    into one FaultSpec payload dict (``None`` when no fault flag was given)."""
-    payload: dict = {}
+def _fault_payload(args: argparse.Namespace) -> api.FaultSpec | None:
+    """``--faults FILE`` read as a :class:`~repro.api.FaultSpec`, with the
+    ``--degrade`` / ``--link-failure`` events appended to its ``links``
+    (``None`` when no fault flag was given)."""
+    payload: Any = {}
     if args.faults:
         try:
             payload = json.loads(Path(args.faults).read_text())
         except json.JSONDecodeError as error:
-            raise SpecError(
-                f"invalid fault JSON in {args.faults}: {error}"
-            ) from error
-        if not isinstance(payload, dict):
-            raise SpecError(
-                f"{args.faults}: a fault spec must be a JSON object of "
-                f"FaultSpec fields"
-            )
-    links = list(payload.get("links", ()))
-    for text in args.degrade:
-        links.append(_parse_fault_event(text, failure=False))
-    for text in args.link_failure:
-        links.append(_parse_fault_event(text, failure=True))
-    if links:
-        payload["links"] = links
-    return payload or None
+            raise SpecError(f"invalid fault JSON in {args.faults}: {error}") from error
+    events: list[Any] = [
+        *(_parse_fault_event(text, failure=False) for text in args.degrade),
+        *(_parse_fault_event(text, failure=True) for text in args.link_failure),
+    ]
+    if payload == {} and not events:
+        return None
+    spec = api.FaultSpec.from_dict(payload)
+    return dataclasses.replace(spec, links=(*spec.links, *events))
 
 
 def _emit_report(report: api.RunReport, as_json: bool) -> None:
@@ -314,6 +310,44 @@ def _cmd_cluster_open_loop(args: argparse.Namespace) -> int:
     return 0
 
 
+def _skewed_comparison(
+    args: argparse.Namespace,
+    flag: str,
+    variants: tuple[str, ...],
+    baselines: tuple[str, ...],
+    sweep: Callable[..., Any],
+    run: Callable[..., Any],
+) -> int:
+    """The fixed skewed-trace comparison ``--<flag>`` runs: the chosen
+    policy beside its ``baselines`` (every one of ``variants`` for
+    ``all``); the trace-shaping flags are ignored, with a note."""
+    ignored = [
+        f"--{dest.replace('_', '-')}"
+        for dest, default in _CLUSTER_TRACE_DEFAULTS.items()
+        if getattr(args, dest) != default
+    ]
+    if ignored:
+        print(
+            f"note: --{flag} runs the fixed skewed trace; ignoring "
+            f"{', '.join(ignored)}",
+            file=sys.stderr,
+        )
+    choice = getattr(args, flag)
+    if choice == "all":
+        policies = variants
+    elif choice in baselines:
+        policies = (choice,)
+    else:
+        # Always include the baselines so the comparison is visible.
+        policies = (*baselines, choice)
+    if args.show_spec:
+        base, _axes = sweep(topology_name=args.topology, policies=policies)
+        print(base.to_json())
+        print()
+    print(run(topology_name=args.topology, policies=policies).render())
+    return 0
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     faults = _fault_payload(args)
     if args.backend and (args.fairness or args.placement):
@@ -369,35 +403,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             run_placement_comparison,
         )
 
-        ignored = [
-            f"--{dest.replace('_', '-')}"
-            for dest, default in _CLUSTER_TRACE_DEFAULTS.items()
-            if getattr(args, dest) != default
-        ]
-        if ignored:
-            print(
-                f"note: --placement runs the fixed skewed trace; ignoring "
-                f"{', '.join(ignored)}",
-                file=sys.stderr,
-            )
-        if args.placement == "all":
-            policies = PLACEMENT_VARIANTS
-        elif args.placement in ("manual", "all-dims"):
-            policies = (args.placement,)
-        else:
-            # Always include the baselines so the comparison is visible.
-            policies = ("manual", "all-dims", args.placement)
-        if args.show_spec:
-            base, _axes = placement_sweep(
-                topology_name=args.topology, policies=policies
-            )
-            print(base.to_json())
-            print()
-        result = run_placement_comparison(
-            topology_name=args.topology, policies=policies
+        return _skewed_comparison(
+            args,
+            "placement",
+            PLACEMENT_VARIANTS,
+            ("manual", "all-dims"),
+            placement_sweep,
+            run_placement_comparison,
         )
-        print(result.render())
-        return 0
     if args.fairness:
         from .experiments.fairness import (
             FAIRNESS_VARIANTS,
@@ -405,35 +418,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             run_fairness_comparison,
         )
 
-        ignored = [
-            f"--{dest.replace('_', '-')}"
-            for dest, default in _CLUSTER_TRACE_DEFAULTS.items()
-            if getattr(args, dest) != default
-        ]
-        if ignored:
-            print(
-                f"note: --fairness runs the fixed skewed trace; ignoring "
-                f"{', '.join(ignored)}",
-                file=sys.stderr,
-            )
-        if args.fairness == "all":
-            policies = FAIRNESS_VARIANTS
-        elif args.fairness == "fifo":
-            policies = ("fifo",)
-        else:
-            # Always include the FIFO baseline so the comparison is visible.
-            policies = ("fifo", args.fairness)
-        if args.show_spec:
-            base, _axes = fairness_sweep(
-                topology_name=args.topology, policies=policies
-            )
-            print(base.to_json())
-            print()
-        result = run_fairness_comparison(
-            topology_name=args.topology, policies=policies
+        return _skewed_comparison(
+            args,
+            "fairness",
+            FAIRNESS_VARIANTS,
+            ("fifo",),
+            fairness_sweep,
+            run_fairness_comparison,
         )
-        print(result.render())
-        return 0
     workloads = tuple(
         name.strip() for name in args.workloads.split(",") if name.strip()
     )

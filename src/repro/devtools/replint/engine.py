@@ -46,6 +46,8 @@ SIM_PATH_MARKERS: tuple[str, ...] = (
     "repro/collectives",
     "repro/core",
     "repro/training",
+    "repro/topology",
+    "repro/workloads",
 )
 
 _IGNORE_RE = re.compile(

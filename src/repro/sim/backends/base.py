@@ -35,7 +35,9 @@ DEFAULT_BACKEND = "analytical"
 class _BackendRegistry(Registry[Any]):
     """Maps each key straight to its :class:`NetworkBackend` subclass."""
 
-    def build(self, name: str, **kwargs: Any) -> type[NetworkBackend]:
+    def build(
+        self, name: str, where: str | None = None, /, **kwargs: Any
+    ) -> type[NetworkBackend]:
         if kwargs:
             raise self.error(f"backend {name!r} is a class: call its build()")
         return cast("type[NetworkBackend]", self.lookup(name))

@@ -23,8 +23,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 from ..errors import TopologyError
+from ..typed import by_name
 from ..units import gbps, to_gbps
 
 
@@ -94,7 +96,7 @@ class DimensionSpec:
         Optional human label (e.g. ``"intra-package"``).
     """
 
-    kind: DimensionKind
+    kind: Annotated[DimensionKind, by_name(DimensionKind.from_name)]
     size: int
     link_bw: float
     links_per_npu: int = 1

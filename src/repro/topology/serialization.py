@@ -19,21 +19,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
 
 from ..errors import TopologyError
-from ..typed import read_value
-from ..units import to_gbps
+from ..typed import read, read_value
+from ..units import GBPS, NS, to_gbps
 from .dimension import DimensionSpec
 from .topology import Topology
 
-_REQUIRED_DIM_KEYS = {"kind", "size"}
-_BW_KEYS = {"link_gbps", "link_bw"}
-_LATENCY_KEYS = {"latency_ns", "step_latency"}
-_PACKET_KEYS = {"max_packet_bytes", "packet_header_bytes"}
-_OPTIONAL_DIM_KEYS = (
-    {"links_per_npu", "name"} | _BW_KEYS | _LATENCY_KEYS | _PACKET_KEYS
-)
+#: Paper-unit keys a dimension may hold instead of a native field: each
+#: names the native field and the factor converting to its unit.
+_PAPER_UNITS = {"link_gbps": ("link_bw", GBPS), "latency_ns": ("step_latency", NS)}
 
 
 def dimension_to_dict(dim: DimensionSpec) -> dict:
@@ -58,49 +53,23 @@ def dimension_to_dict(dim: DimensionSpec) -> dict:
 
 
 def dimension_from_dict(data: dict, where: str = "dimension") -> DimensionSpec:
-    """Parse one dimension; unknown keys are rejected to catch typos.
+    """Parse one dimension by :class:`DimensionSpec`'s field types.
 
     Accepts bandwidth as ``link_bw`` (bytes/s; exact) or ``link_gbps``, and
     latency as ``step_latency`` (seconds; exact) or ``latency_ns``.  Native
-    units win when both are present.  Each value must have its field's
-    type (:mod:`repro.typed`); errors name it as ``<where>.<key>``.
+    units win when both are present.  Every value is read by
+    :mod:`repro.typed` (an unknown key gets a did-you-mean hint), and an
+    error names it as ``<where>.<key>``.
     """
-    if not isinstance(data, dict):
-        raise TopologyError(f"dimension entry must be a dict, got {type(data)}")
-    unknown = set(data) - _REQUIRED_DIM_KEYS - _OPTIONAL_DIM_KEYS
-    if unknown:
-        raise TopologyError(f"unknown dimension keys: {sorted(unknown)}")
-    missing = _REQUIRED_DIM_KEYS - set(data)
-    if missing:
-        raise TopologyError(f"missing dimension keys: {sorted(missing)}")
-    if not (_BW_KEYS & set(data)):
-        raise TopologyError("dimension needs 'link_bw' or 'link_gbps'")
-
-    from ..units import gbps
-    from .dimension import DimensionKind
-
-    def field(key: str, kind: type, default: Any = None) -> Any:
-        value = data.get(key, default)
-        return read_value(kind, value, f"{where}.{key}", TopologyError)
-
-    if "link_bw" in data:
-        link_bw = field("link_bw", float)
-    else:
-        link_bw = gbps(field("link_gbps", float))
-    if "step_latency" in data:
-        step_latency = field("step_latency", float)
-    else:
-        step_latency = field("latency_ns", float, 0.0) * 1e-9
-    return DimensionSpec(
-        kind=DimensionKind.from_name(field("kind", str)),
-        size=field("size", int),
-        link_bw=link_bw,
-        links_per_npu=field("links_per_npu", int, 1),
-        step_latency=step_latency,
-        max_packet_bytes=field("max_packet_bytes", float, 0.0),
-        packet_header_bytes=field("packet_header_bytes", float, 0.0),
-        name=field("name", str, ""),
-    )
+    if isinstance(data, dict):
+        data = dict(data)
+        for key, (native, factor) in _PAPER_UNITS.items():
+            if key in data:
+                value = read_value(
+                    float, data.pop(key), f"{where}.{key}", TopologyError
+                )
+                data.setdefault(native, value * factor)
+    return read(DimensionSpec, data, where, TopologyError, tuple(_PAPER_UNITS))
 
 
 def topology_to_dict(topology: Topology) -> dict:
@@ -112,21 +81,15 @@ def topology_to_dict(topology: Topology) -> dict:
 
 
 def topology_from_dict(data: dict) -> Topology:
-    """Build a topology from a dict produced by :func:`topology_to_dict`."""
-    if not isinstance(data, dict):
-        raise TopologyError(f"topology must be a dict, got {type(data)}")
-    unknown = set(data) - {"name", "dims"}
-    if unknown:
-        raise TopologyError(f"unknown topology keys: {sorted(unknown)}")
-    dims_data = data.get("dims")
-    if not dims_data:
-        raise TopologyError("topology dict needs a non-empty 'dims' list")
-    dims = [
-        dimension_from_dict(entry, f"dims[{index}]")
-        for index, entry in enumerate(dims_data)
-    ]
-    name = read_value(str, data.get("name", ""), "topology.name", TopologyError)
-    return Topology(dims, name=name)
+    """Build a topology from a dict produced by :func:`topology_to_dict`,
+    each dimension parsed by :func:`dimension_from_dict`."""
+    if isinstance(data, dict) and isinstance(data.get("dims"), (list, tuple)):
+        dims = [
+            dimension_from_dict(entry, f"dims[{index}]")
+            for index, entry in enumerate(data["dims"])
+        ]
+        data = {**data, "dims": dims}
+    return read(Topology, data, "topology", TopologyError)
 
 
 def load_topology(path: str | Path) -> Topology:

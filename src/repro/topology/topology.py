@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
 
 from ..errors import TopologyError
+from ..numeric import ordered_sum
 from ..units import to_gbps
 from .dimension import DimensionSpec
 
@@ -74,7 +75,7 @@ class Topology:
         This is the denominator of the paper's Ideal latency
         (``collective size / total BW``, Table 3).
         """
-        return sum(self.bandwidths)
+        return ordered_sum(self.bandwidths)
 
     def bw_share(self, dim_index: int) -> float:
         """Fraction of the total BW budget held by one dimension.

@@ -1,15 +1,17 @@
 """Read JSON documents into dataclasses by their declared field types.
 
 One rule reads every document the library accepts (scenario specs, their
-nested pieces, backend options, workload arguments, inline topologies and
-workloads).  A value is checked against the field's resolved annotation:
+nested pieces, backend options, inline topologies and workloads) and every
+registry keyword argument (:meth:`repro.registry.Registry.build`).  A value
+is checked against the field's resolved annotation:
 
 * ``bool`` takes a bool, so ``"false"`` is not a bool;
 * ``int`` takes an int that is not a bool;
 * ``float`` takes any number that is not a bool, an int becoming a float
   (an int too large for a float is an error);
 * ``str`` takes a str;
-* ``tuple[X, ...]`` takes a list (or tuple) and reads each item as ``X``;
+* ``tuple[X, ...]`` and ``list[X]`` take a list (or tuple) and read each
+  item as ``X``;
 * ``dict[K, V]`` takes an object and reads each value as ``V``; its string
   keys become ints where ``K`` is ``int``;
 * ``X | None`` takes null or an ``X``; a union of several kinds takes the
@@ -17,7 +19,8 @@ workloads).  A value is checked against the field's resolved annotation:
 * a nested dataclass takes an object of its fields (or an instance);
 * ``Annotated[X, rule]`` passes the value through ``rule`` (which may
   convert or reject it), then reads it as ``X``: :data:`Count` is the
-  int whose rule asks for at least one.
+  int whose rule asks for at least one, and :func:`by_name` the rule of
+  a type a document names by a string (an enum member's name).
 
 A value of another kind is an error naming its place (``where``), raised
 as the caller's error class.  This module imports only
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import inspect
 import types
 from collections.abc import Callable
 from typing import (
@@ -57,6 +59,14 @@ def _count(value: Any) -> Any:
 #: An ``int`` field that counts something: a whole number of at least one.
 Count = Annotated[int, _count]
 
+
+def by_name(parse: Callable[[str], Any]) -> Callable[[Any], Any]:
+    """The rule of a type a document names by a string: a string is read
+    through ``parse`` (e.g. an enum's ``from_name``), anything else is left
+    to the type check."""
+    return lambda value: parse(value) if isinstance(value, str) else value
+
+
 _SCALARS = (bool, int, float, str)
 
 
@@ -68,7 +78,7 @@ def _got(value: Any) -> str:
 def _name(kind: Any) -> str:
     """How an error message names what ``kind`` takes."""
     origin = get_origin(kind) or kind
-    if origin is tuple:
+    if origin in (tuple, list):
         return "a list"
     if origin is dict or dataclasses.is_dataclass(kind):
         return "an object"
@@ -112,24 +122,31 @@ def built(
 
 
 def read(
-    cls: type[_T], data: Any, where: str, error: type[ReproError] = ConfigError
+    cls: type[_T],
+    data: Any,
+    where: str,
+    error: type[ReproError] = ConfigError,
+    aliases: tuple[str, ...] = (),
 ) -> _T:
     """Build dataclass ``cls`` from the JSON object ``data``.
 
     A key that names no field is an error with a did-you-mean hint, and so
-    is a missing required field.  Each value is read by its field's type
-    (a :class:`Typed` class reads its own fields when built), and an
-    error building the instance is re-raised as ``error`` at ``where``.
+    is a missing required field.  ``aliases`` are keys the caller maps onto
+    fields itself; the hint offers them too.  Each value is read by its
+    field's type (a :class:`Typed` class reads its own fields when built),
+    and an error building the instance is re-raised as ``error`` at
+    ``where``.
     """
     if not isinstance(data, dict):
         raise error(f"{where}: expected an object, {_got(data)}")
     kinds = _field_types(cls)
     unknown = [key for key in data if key not in kinds]
     if unknown:
+        known = (*kinds, *aliases)
         hints = "".join(
-            f"\n  {key!r}{did_you_mean(str(key), tuple(kinds))}" for key in unknown
+            f"\n  {key!r}{did_you_mean(str(key), known)}" for key in unknown
         )
-        raise error(f"{where}: unknown key(s):{hints}\n  known: {', '.join(kinds)}")
+        raise error(f"{where}: unknown key(s):{hints}\n  known: {', '.join(known)}")
     missing = [name for name in _required(cls) if name not in data]
     if missing:
         raise error(f"{where}: missing key(s): {', '.join(missing)}")
@@ -168,9 +185,9 @@ def read_value(
         return read_value(base, built(error, where, rule, value), where, error)
     if origin in (Union, types.UnionType):
         return _read_union(args, value, where, error)
-    if origin is tuple and isinstance(value, (list, tuple)):
+    if origin in (tuple, list) and isinstance(value, (list, tuple)):
         item = args[0] if args else Any
-        return tuple(
+        return origin(
             read_value(item, entry, f"{where}[{index}]", error)
             for index, entry in enumerate(value)
         )
@@ -211,24 +228,6 @@ def _read_key(kind: Any, key: Any, where: str, error: type[ReproError]) -> Any:
     if kind is int and isinstance(key, str) and key.lstrip("-").isdigit():
         key = int(key)
     return read_value(kind, key, f"{where} key {key!r}", error)
-
-
-@functools.cache
-def _parameter_types(func: Callable[..., Any]) -> dict[str, Any]:
-    parameters = inspect.signature(func, eval_str=True).parameters.values()
-    return {p.name: p.annotation for p in parameters if p.annotation is not p.empty}
-
-
-def read_args(
-    func: Callable[..., Any], args: dict[str, Any], where: str, error: type[ReproError]
-) -> dict[str, Any]:
-    """Keyword arguments for ``func``, each read by its parameter's
-    annotation; a name ``func`` does not annotate passes unchanged."""
-    kinds = _parameter_types(func)
-    return {
-        name: read_value(kinds.get(name, Any), value, f"{where}.{name}", error)
-        for name, value in args.items()
-    }
 
 
 class Typed:

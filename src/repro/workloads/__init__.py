@@ -36,8 +36,9 @@ PAPER_WORKLOADS = ("ResNet-152", "GNMT", "DLRM", "Transformer-1T")
 
 #: Workload factories by (case-insensitive) key, aliases included, sorted.
 #: ``get_workload`` forwards keyword arguments to the factory (e.g.
-#: ``get_workload("flood", layers=1, param_mb=64)``); ones the factory does
-#: not take raise :class:`WorkloadError`.
+#: ``get_workload("flood", layers=1, param_mb=64)``), each read by its
+#: parameter's declared type; one the factory does not take, or of another
+#: type, raises :class:`WorkloadError`.
 WORKLOADS: Registry[Workload] = Registry(
     "workload",
     {

@@ -45,7 +45,7 @@ class Workload:
 
     name: str
     layers: list[Layer]
-    batch_per_npu: int
+    batch_per_npu: int = 1
     mp_group_size: int | None = None
     dp_style: str = "allreduce"
     notes: str = field(default="", compare=False)

@@ -11,9 +11,12 @@ the workload's parallelism plan (with optional bucketing).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 from ..collectives.types import CollectiveType
 from ..errors import WorkloadError
+from ..numeric import ordered_sum
+from ..typed import by_name
 
 #: FP16 — the paper's gradient precision for all workloads (Sec. 5.2).
 GRADIENT_BYTES = 2.0
@@ -37,7 +40,7 @@ class CommAttachment:
         Identifier for async attachments, referenced by ``WaitComm`` steps.
     """
 
-    ctype: CollectiveType
+    ctype: Annotated[CollectiveType, by_name(CollectiveType.from_name)]
     size: float
     blocking: bool = True
     label: str = ""
@@ -59,8 +62,8 @@ class Layer:
     """
 
     name: str
-    fwd_flops: float
-    bwd_flops: float
+    fwd_flops: float = 0.0
+    bwd_flops: float = 0.0
     param_bytes: float = 0.0
     fwd_mem_bytes: float = 0.0
     bwd_mem_bytes: float = 0.0
@@ -87,12 +90,12 @@ class Layer:
 
 def total_param_bytes(layers: list[Layer]) -> float:
     """Sum of local gradient bytes across layers."""
-    return sum(layer.param_bytes for layer in layers)
+    return ordered_sum(layer.param_bytes for layer in layers)
 
 
 def total_flops(layers: list[Layer]) -> tuple[float, float]:
     """``(forward, backward)`` FLOPs across layers."""
     return (
-        sum(layer.fwd_flops for layer in layers),
-        sum(layer.bwd_flops for layer in layers),
+        ordered_sum(layer.fwd_flops for layer in layers),
+        ordered_sum(layer.bwd_flops for layer in layers),
     )

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..numeric import ordered_sum
 from .base import Workload
 from .compute import ComputeModel
 
@@ -75,7 +76,7 @@ def comm_compute_profile(
     depend on the (placement-time unknown) communicator sizes.
     """
     model = compute or ComputeModel()
-    compute_seconds = sum(
+    compute_seconds = ordered_sum(
         model.time_for(layer.fwd_flops, layer.fwd_mem_bytes)
         + model.time_for(layer.bwd_flops, layer.bwd_mem_bytes)
         for layer in workload.layers

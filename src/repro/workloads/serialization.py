@@ -9,28 +9,10 @@ compares equal to ``w`` for any valid :class:`Workload`.
 
 from __future__ import annotations
 
-from typing import Any
-
-from ..collectives.types import CollectiveType
 from ..errors import WorkloadError
-from ..typed import read_value
+from ..typed import read
 from .base import Workload
 from .layers import CommAttachment, Layer
-
-_LAYER_KEYS = {
-    "name", "fwd_flops", "bwd_flops", "param_bytes", "fwd_mem_bytes",
-    "bwd_mem_bytes", "fwd_comm", "bwd_comm", "fwd_wait_label",
-    "bwd_wait_label",
-}
-_WORKLOAD_KEYS = {
-    "name", "layers", "batch_per_npu", "mp_group_size", "dp_style", "notes",
-}
-
-
-def _read(data: dict, where: str, key: str, kind: Any, default: Any = None) -> Any:
-    """``data[key]`` (``default`` when absent) held to ``kind``'s type rule
-    (:mod:`repro.typed`); an error names it as ``<where>.<key>``."""
-    return read_value(kind, data.get(key, default), f"{where}.{key}", WorkloadError)
 
 
 def _comm_to_dict(comm: CommAttachment) -> dict:
@@ -40,17 +22,6 @@ def _comm_to_dict(comm: CommAttachment) -> dict:
         "blocking": comm.blocking,
         "label": comm.label,
     }
-
-
-def _comm_from_dict(data: dict, where: str) -> CommAttachment:
-    if not isinstance(data, dict):
-        raise WorkloadError(f"comm attachment must be a dict, got {type(data)}")
-    return CommAttachment(
-        ctype=CollectiveType.from_name(_read(data, where, "ctype", str)),
-        size=_read(data, where, "size", float),
-        blocking=_read(data, where, "blocking", bool, True),
-        label=_read(data, where, "label", str, ""),
-    )
 
 
 def layer_to_dict(layer: Layer) -> dict:
@@ -78,29 +49,10 @@ def layer_to_dict(layer: Layer) -> dict:
 
 
 def layer_from_dict(data: dict, where: str = "layer") -> Layer:
-    """Parse one layer; unknown keys are rejected to catch typos, and each
-    value must have its field's type."""
-    if not isinstance(data, dict):
-        raise WorkloadError(f"layer entry must be a dict, got {type(data)}")
-    unknown = set(data) - _LAYER_KEYS
-    if unknown:
-        raise WorkloadError(f"unknown layer keys: {sorted(unknown)}")
-    fwd_comm, bwd_comm = (
-        _comm_from_dict(data[key], f"{where}.{key}") if data.get(key) else None
-        for key in ("fwd_comm", "bwd_comm")
-    )
-    return Layer(
-        name=_read(data, where, "name", str, ""),
-        fwd_flops=_read(data, where, "fwd_flops", float, 0.0),
-        bwd_flops=_read(data, where, "bwd_flops", float, 0.0),
-        param_bytes=_read(data, where, "param_bytes", float, 0.0),
-        fwd_mem_bytes=_read(data, where, "fwd_mem_bytes", float, 0.0),
-        bwd_mem_bytes=_read(data, where, "bwd_mem_bytes", float, 0.0),
-        fwd_comm=fwd_comm,
-        bwd_comm=bwd_comm,
-        fwd_wait_label=_read(data, where, "fwd_wait_label", str, ""),
-        bwd_wait_label=_read(data, where, "bwd_wait_label", str, ""),
-    )
+    """Parse one layer by :class:`Layer`'s field types (:mod:`repro.typed`):
+    an unknown key gets a did-you-mean hint, and each value must have its
+    field's type."""
+    return read(Layer, data, where, WorkloadError)
 
 
 def workload_to_dict(workload: Workload) -> dict:
@@ -120,23 +72,7 @@ def workload_to_dict(workload: Workload) -> dict:
 
 
 def workload_from_dict(data: dict) -> Workload:
-    """Build a workload from a dict produced by :func:`workload_to_dict`."""
-    if not isinstance(data, dict):
-        raise WorkloadError(f"workload must be a dict, got {type(data)}")
-    unknown = set(data) - _WORKLOAD_KEYS
-    if unknown:
-        raise WorkloadError(f"unknown workload keys: {sorted(unknown)}")
-    layers_data = data.get("layers")
-    if not layers_data:
-        raise WorkloadError("workload dict needs a non-empty 'layers' list")
-    return Workload(
-        name=_read(data, "workload", "name", str, ""),
-        layers=[
-            layer_from_dict(entry, f"layers[{index}]")
-            for index, entry in enumerate(layers_data)
-        ],
-        batch_per_npu=_read(data, "workload", "batch_per_npu", int, 1),
-        mp_group_size=_read(data, "workload", "mp_group_size", int | None),
-        dp_style=_read(data, "workload", "dp_style", str, "allreduce"),
-        notes=_read(data, "workload", "notes", str, ""),
-    )
+    """Build a workload from a dict produced by :func:`workload_to_dict`,
+    read by :class:`Workload`'s field types as :func:`layer_from_dict`
+    reads each layer."""
+    return read(Workload, data, "workload", WorkloadError)

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import glob
+import inspect
 import json
 import math
 import random
 import re
+import types
 import typing
 from pathlib import Path
 
 import pytest
 
 from repro import api
+from repro.api.registry import _registry
 from repro.cluster import WeightedSharing
 from repro.collectives import (
     CollectiveRequest,
@@ -45,6 +49,10 @@ from repro.workloads import (
     workload_from_dict,
     workload_to_dict,
 )
+
+
+if typing.TYPE_CHECKING:
+    from repro.cluster.simulator import ClusterSimulator
 
 
 def tiny_topology() -> Topology:
@@ -134,9 +142,9 @@ class TestRegistry:
         derived = []
         real = inspect.signature
 
-        def counting(factory):
+        def counting(factory, **kwargs):
             derived.append(factory)
-            return real(factory)
+            return real(factory, **kwargs)
 
         monkeypatch.setattr(inspect, "signature", counting)
         registry = Registry("widget", {"ring": RingAlgorithm}, error=CollectiveError)
@@ -145,6 +153,32 @@ class TestRegistry:
         assert derived == [RingAlgorithm]
         with pytest.raises(CollectiveError, match="widget 'ring': .*'bogus'"):
             registry.build("ring", bogus=1)
+
+    def test_name_is_a_factory_argument(self):
+        """The key parameter is positional-only, so a factory may take a
+        ``name`` argument of its own."""
+        assert get_workload("flood", name="mine").name == "mine"
+        assert api.resolve("workload", "flood", name="mine").name == "mine"
+
+    def test_arguments_are_read_by_their_declared_types(self):
+        with pytest.raises(WorkloadError, match=r"'flood'\.layers: expected int"):
+            get_workload("flood", layers="x")
+        # an int is a float, and a list a tuple, as in every document
+        assert get_workload("flood", param_mb=2) == get_workload("flood", param_mb=2.0)
+        assert api.resolve("workload", "dlrm", bottom_widths=[64, 32]) == get_workload(
+            "dlrm", bottom_widths=(64, 32)
+        )
+
+    def test_unresolvable_annotation_passes_its_argument_unread(self):
+        """A plugin may annotate with a type-checking-only import: its
+        signature still derives, and its arguments are passed unread."""
+        from repro.registry import Registry
+
+        def plugin(cluster: ClusterSimulator | None = None):
+            return cluster
+
+        registry = Registry("widget", {"plugin": plugin}, error=WorkloadError)
+        assert registry.build("plugin", cluster="any") == "any"
 
     def test_factory_error_is_not_a_key_miss(self):
         def broken():
@@ -1030,6 +1064,67 @@ class TestTypeConfusionFuzz:
                     continue
                 accepted.append((".".join(map(str, path)), bad))
         assert not accepted, f"{base}: accepted {accepted}"
+
+
+#: One value of each JSON kind, by the name :func:`json_kinds_taken` uses.
+JSON_SAMPLES = {
+    "null": None,
+    "bool": True,
+    "int": 3,
+    "float": 2.5,
+    "string": "x",
+    "list": [],
+    "object": {},
+}
+
+
+def json_kinds_taken(kind):
+    """The JSON kinds a declared type reads (the rule of :mod:`repro.typed`)."""
+    origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
+    if origin is typing.Annotated:
+        return json_kinds_taken(args[0])
+    if origin in (typing.Union, types.UnionType):
+        return set().union(*map(json_kinds_taken, args))
+    if kind is typing.Any:
+        return set(JSON_SAMPLES)
+    if origin in (tuple, list):
+        return {"list"}
+    if origin is dict or dataclasses.is_dataclass(kind):
+        return {"object"}
+    scalars = {type(None): "null", bool: "bool", int: "int", str: "string"}
+    return {"int", "float"} if kind is float else {scalars[kind]}
+
+
+class TestRegistryArgumentFuzz:
+    @pytest.mark.parametrize(
+        "kind", [kind for kind in api.registry_kinds() if kind != "backend"]
+    )
+    def test_every_argument_rejects_every_other_json_kind(self, kind):
+        """A keyword argument of a JSON kind its parameter's declared type
+        does not take fails as the kind's library error, naming the
+        argument, never as a bare exception from inside the factory."""
+        registry = _registry(kind)
+        escaped = []
+        for key in registry.names():
+            factory = registry.lookup(key)
+            parameters = inspect.signature(factory, eval_str=True).parameters
+            for name, parameter in parameters.items():
+                if parameter.annotation is parameter.empty:
+                    continue
+                taken = json_kinds_taken(parameter.annotation)
+                for sample, value in JSON_SAMPLES.items():
+                    if sample in taken:
+                        continue
+                    try:
+                        api.resolve(kind, key, **{name: copy.deepcopy(value)})
+                    except registry.error as error:
+                        if f".{name}: expected" not in str(error):
+                            escaped.append((key, name, value, str(error)))
+                    except Exception as error:
+                        escaped.append((key, name, value, repr(error)))
+                    else:
+                        escaped.append((key, name, value, "accepted"))
+        assert not escaped, escaped
 
 
 # --- the runner --------------------------------------------------------------

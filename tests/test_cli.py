@@ -333,6 +333,32 @@ class TestSpecCommands:
         assert "Traceback" not in err
         assert main([*argv, "--set", "ideal_network=false"]) == 0
 
+    def test_run_check_takes_a_workload_name_argument(self, tmp_path, capsys):
+        """Flood's own ``name`` argument is a workload argument like any
+        other, not the registry key."""
+        path = tmp_path / "named.json"
+        path.write_text(
+            '{"mode": "training", "workload": "flood", '
+            '"workload_args": {"name": "mine"}}'
+        )
+        assert main(["run", "--spec", str(path), "--check"]) == 0
+        assert "spec OK: TrainingScenario" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "links", ['"ab"', '{"dim_index": 0, "start": 0.0, "factor": 0.5}']
+    )
+    def test_cluster_faults_file_is_read_as_a_fault_spec(
+        self, tmp_path, capsys, links
+    ):
+        """``links`` that is no list fails naming the field, not as a
+        string or object split into entries."""
+        path = tmp_path / "faults.json"
+        path.write_text(f'{{"links": {links}}}')
+        assert main(["cluster", "--faults", str(path), "--degrade", "0:0.5:0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "FaultSpec.links: expected a list" in err
+        assert "Traceback" not in err
+
     def test_every_shipped_spec_checks(self, capsys):
         import glob
         from pathlib import Path

@@ -262,6 +262,8 @@ class TestScope:
         assert is_sim_path("src/repro/sim/engine.py")
         assert is_sim_path("src/repro/cluster/jobs.py")
         assert is_sim_path("src/repro/collectives/phases.py")
+        assert is_sim_path("src/repro/workloads/profile.py")
+        assert is_sim_path("src/repro/topology/topology.py")
         assert not is_sim_path("src/repro/analysis/tables.py")
         assert not is_sim_path("tests/test_replint.py")
 

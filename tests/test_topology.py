@@ -221,6 +221,18 @@ class TestDocumentTypes:
         with pytest.raises(TopologyError, match="nmae"):
             topology_from_dict({**_document(), "nmae": "pod"})
 
+    def test_misspelled_paper_unit_key_gets_its_hint(self):
+        document = _document()
+        first = document["dims"][0]
+        first["link_gbs"] = first.pop("link_gbps")
+        with pytest.raises(TopologyError, match="did you mean 'link_gbps'"):
+            topology_from_dict(document)
+
+    def test_dims_must_be_a_list(self):
+        # Iterating a string would read each letter as a dimension.
+        with pytest.raises(TopologyError, match="dims: expected a list, got str"):
+            topology_from_dict({"dims": "ab"})
+
     def test_alias_keys_and_exact_round_trip(self):
         aliased = topology_from_dict(_document(latency_ns=700))
         native = topology_from_dict(

@@ -7,12 +7,14 @@ import pytest
 from repro import api
 from repro.collectives import CollectiveType
 from repro.errors import SpecError, WorkloadError
+from repro.numeric import ordered_sum
 from repro.topology import get_topology, paper_topologies
 from repro.workloads import (
     CommScope,
     ComputeModel,
     Layer,
     Workload,
+    comm_compute_profile,
     dlrm,
     get_workload,
     gnmt,
@@ -20,8 +22,25 @@ from repro.workloads import (
     split_leading_dims,
     transformer_1t,
     workload_from_dict,
+    workload_names,
     workload_to_dict,
 )
+
+
+class TestCommComputeProfile:
+    @pytest.mark.parametrize("name", workload_names())
+    def test_compute_seconds_add_layer_times_in_order(self, name):
+        """The total adds the layer times left to right on every Python
+        (the builtin ``sum`` compensates round-off since 3.12)."""
+        workload = get_workload(name)
+        model = ComputeModel()
+        times = [
+            model.time_for(layer.fwd_flops, layer.fwd_mem_bytes)
+            + model.time_for(layer.bwd_flops, layer.bwd_mem_bytes)
+            for layer in workload.layers
+        ]
+        profile = comm_compute_profile(workload)
+        assert profile.compute_seconds == ordered_sum(times)
 
 
 class TestComputeModel:
@@ -290,3 +309,46 @@ class TestDocumentTypes:
         for name in ("dlrm", "gnmt", "transformer-1t"):
             workload = get_workload(name)
             assert workload_from_dict(workload_to_dict(workload)) == workload
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_every_registered_workload_round_trips(self, name):
+        workload = get_workload(name)
+        assert workload_from_dict(workload_to_dict(workload)) == workload
+
+    def test_misspelled_layer_key_gets_a_hint(self):
+        document = _document()
+        layer = document["layers"][0]
+        layer["fwd_flop"] = layer.pop("fwd_flops")
+        with pytest.raises(
+            WorkloadError, match=r"'fwd_flop' \(did you mean 'fwd_flops'\?\)"
+        ):
+            workload_from_dict(document)
+
+    def test_omitted_keys_take_the_field_defaults(self):
+        document = _document()
+        del document["batch_per_npu"]
+        del document["layers"][0]["fwd_flops"], document["layers"][0]["bwd_flops"]
+        workload = workload_from_dict(document)
+        assert workload.batch_per_npu == 1
+        assert workload.layers[0].fwd_flops == workload.layers[0].bwd_flops == 0.0
+
+    def test_name_and_attachment_keys_are_required(self):
+        document = _document()
+        del document["name"]
+        with pytest.raises(WorkloadError, match=r"missing key\(s\): name"):
+            workload_from_dict(document)
+        document = _document()
+        document["layers"][0]["fwd_comm"] = {}
+        with pytest.raises(
+            WorkloadError, match=r"fwd_comm: missing key\(s\): ctype, size"
+        ):
+            workload_from_dict(document)
+
+    def test_collective_is_read_by_name(self):
+        document = _document()
+        document["layers"][0]["fwd_comm"]["ctype"] = "a2a"
+        comm = workload_from_dict(document).layers[0].fwd_comm
+        assert comm.ctype is CollectiveType.ALL_TO_ALL
+        document["layers"][0]["fwd_comm"]["ctype"] = 5
+        with pytest.raises(WorkloadError, match=r"fwd_comm\.ctype: expected"):
+            workload_from_dict(document)
