@@ -42,8 +42,13 @@ if True:  # allow running without PYTHONPATH=src
 
 from repro import api
 from repro.cluster import ClusterConfig, ClusterSimulator, JobSpec
+from repro.experiments.fluid_scale import (
+    FLUID_SCALE_CHUNKS,
+    fluid_scale_spec,
+    fluid_scale_topology,
+)
 from repro.sim import FaultSchedule, JobFaultPolicy, LinkFault
-from repro.topology import Topology, dimension, topology_to_dict
+from repro.topology import Topology, topology_to_dict
 from repro.training import TrainingConfig
 from repro.units import MB
 from repro.workloads import Layer, Workload
@@ -60,18 +65,12 @@ DEFAULT_OPEN_LOOP_ARRIVALS = 10_000
 DEFAULT_FLUID_JOB_COUNTS = (512, 1024, 2048, 4096)
 #: Chunk count of the fluid-regime rows: large enough that the hybrid
 #: fluidizes the 2D bench plans ((ndims-1) <= tolerance x chunks).
-FLUID_CHUNKS = 64
+FLUID_CHUNKS = FLUID_SCALE_CHUNKS
 
 
 def bench_topology() -> Topology:
     """A small 2D platform: contention, not topology, is under test."""
-    return Topology(
-        [
-            dimension("sw", 4, 400.0, latency_ns=100),
-            dimension("sw", 4, 200.0, latency_ns=500),
-        ],
-        name="bench-4x4",
-    )
+    return fluid_scale_topology()
 
 
 def _workload(layers: int, param_mb: float, name: str) -> Workload:
@@ -228,27 +227,9 @@ def run_open_loop(arrivals: int = DEFAULT_OPEN_LOOP_ARRIVALS) -> dict:
 
 
 def _fluid_open_loop_cell(arrivals: int, backend: str) -> dict:
-    """One open-loop cluster run at ``arrivals`` jobs under ``backend``."""
-    spec = api.ClusterScenario(
-        topology=topology_to_dict(bench_topology()),
-        open_loop=api.OpenLoopTrace(
-            rate=20_000.0,
-            duration=None,
-            max_jobs=arrivals,
-            seed=7,
-            mix={
-                "elephant_fraction": 0.0,
-                "mouse_layers": 1,
-                "mouse_param_mb": 1.0,
-                "max_iterations": 2,
-            },
-        ),
-        max_concurrent=8,
-        outcome_cap=100,
-        isolated_baselines=False,
-        chunks=FLUID_CHUNKS,
-        backend=backend,
-    )
+    """One open-loop cluster run at ``arrivals`` jobs under ``backend``: the
+    fluid-scale experiment's spec, so its rows match these by construction."""
+    spec = fluid_scale_spec(arrivals, backend)
     report, wall = _timed(lambda: api.run(spec))
     payload = report.payload
     engine = payload["engine"]

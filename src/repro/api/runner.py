@@ -45,8 +45,8 @@ from .spec import (
 
 
 #: Per-job payload rows are capped so a 10k-arrival open-loop run does not
-#: serialize a 10k-row report; the streaming ``steady_state`` digest covers
-#: the full population, and ``job_rows_omitted`` records the cut.
+#: serialize a 10k-row report; the ``steady_state`` digest, read from every
+#: job's record, covers them all, and ``job_rows_omitted`` records the cut.
 _JOB_ROW_CAP = 200
 
 

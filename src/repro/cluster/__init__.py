@@ -49,7 +49,6 @@ from .simulator import (
     mix_mean_service_time,
     run_cluster,
 )
-from .streaming import EpochAccumulator, StreamingStats
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -64,8 +63,6 @@ __all__ = [
     "JobOutcome",
     "ClusterReport",
     "SteadyStateReport",
-    "StreamingStats",
-    "EpochAccumulator",
     "mix_mean_service_time",
     "ClusterConfig",
     "ClusterSimulator",

@@ -19,6 +19,7 @@ The scheduling literature's standard quantities:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from ..analysis.tables import format_table, ms, pct, ratio
@@ -26,6 +27,94 @@ from ..numeric import ordered_sum
 from ..sim.stats import UtilizationReport
 from ..training.results import IterationBreakdown
 from ..units import fmt_time
+
+
+# --- aggregates over per-job values ------------------------------------------
+# Each sums left to right from integer 0 (``ordered_sum``), in the order the
+# values are given, so a report is bit-identical on every Python version.
+def mean_of(values: Sequence[float]) -> float | None:
+    """Arithmetic mean (``None`` for no values)."""
+    return ordered_sum(values) / len(values) if values else None
+
+
+def max_of(values: Sequence[float]) -> float | None:
+    """Largest value (``None`` for no values)."""
+    return max(values) if values else None
+
+
+def jain_index(values: Sequence[float]) -> float | None:
+    """Jain's index ``(sum x)^2 / (n * sum x^2)``: 1.0 when all values are
+    equal; ``None`` for no values or an all-zero sum of squares."""
+    square_sum = ordered_sum(v * v for v in values)
+    if not values or square_sum <= 0:
+        return None
+    total = ordered_sum(values)
+    return (total * total) / (len(values) * square_sum)
+
+
+def _percentile(ordered: list[float], q: float) -> float | None:
+    """Linear-interpolated ``q``-quantile of the sorted list ``ordered``."""
+    if not ordered:
+        return None
+    position = q * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    frac = position - low
+    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+
+
+def digest(values: Sequence[float]) -> dict:
+    """Count, mean, extrema and exact p50/p95/p99 of ``values``, JSON-plain:
+    every field but the count is ``None`` (never NaN) for no values."""
+    ordered = sorted(values)
+    return {
+        "count": len(values),
+        "mean": mean_of(values),
+        "min": min(values) if values else None,
+        "max": max_of(values),
+        "p50": _percentile(ordered, 0.50),
+        "p95": _percentile(ordered, 0.95),
+        "p99": _percentile(ordered, 0.99),
+    }
+
+
+def epoch_means(
+    samples: Iterable[tuple[float, float]], start: float, end: float, epochs: int
+) -> tuple[tuple[float | None, ...], tuple[int, ...]]:
+    """Per-epoch means and counts of ``(time, value)`` samples over
+    ``[start, end]`` cut into ``epochs`` equal epochs.  A time outside the
+    window counts in the nearest end epoch; an epoch without samples has
+    mean ``None``."""
+    length = (end - start) / epochs
+    buckets: list[list[float]] = [[] for _ in range(epochs)]
+    for time, value in samples:
+        index = int((time - start) / length)
+        buckets[max(0, min(epochs - 1, index))].append(value)
+    return (
+        tuple(mean_of(bucket) for bucket in buckets),
+        tuple(len(bucket) for bucket in buckets),
+    )
+
+
+def stationary(series: Sequence[float | None], rtol: float = 0.25) -> bool | None:
+    """First-half vs second-half comparison of an epoch series.
+
+    ``True`` when the means of the two halves of the non-empty epochs agree
+    within relative tolerance ``rtol``: a deliberately simple stationarity
+    proxy (a drifting warm-up transient fails it; a converged run passes).
+    ``None`` when fewer than four epochs carry samples, i.e. there is not
+    enough signal to judge either way.
+    """
+    values = [v for v in series if v is not None]
+    if len(values) < 4:
+        return None
+    half = len(values) // 2
+    first = ordered_sum(values[:half]) / half
+    second = ordered_sum(values[half:]) / (len(values) - half)
+    scale = max(abs(first), abs(second))
+    if scale <= 0:
+        return True
+    return abs(second - first) <= rtol * scale
 
 
 @dataclass
@@ -165,7 +254,8 @@ class SteadyStateReport:
     #: ``mean_live_jobs / max_concurrent`` — measured slot occupancy (the
     #: empirical offered-load check); ``None`` without admission control.
     slot_utilization: float | None = None
-    #: Streaming digests over measured jobs (see ``StreamingStats.summary``).
+    #: Digests over measured jobs (see :func:`digest`), read at the end of
+    #: the run from its per-job records, in departure order.
     queueing_delay: dict = field(default_factory=dict)
     jct: dict = field(default_factory=dict)
     rho: dict = field(default_factory=dict)
@@ -233,7 +323,7 @@ class SteadyStateReport:
             )
             return "\n".join(lines)
 
-        def digest(label: str, stats: dict) -> str:
+        def line(label: str, stats: dict) -> str:
             mean = stats.get("mean")
             p50, p95, p99 = (stats.get(k) for k in ("p50", "p95", "p99"))
             if mean is None:
@@ -248,10 +338,10 @@ class SteadyStateReport:
                 f"p95 {ms(p95)}, p99 {ms(p99)}"
             )
 
-        lines.append(digest("queueing delay", self.queueing_delay))
-        lines.append(digest("measured JCT", self.jct))
+        lines.append(line("queueing delay", self.queueing_delay))
+        lines.append(line("measured JCT", self.jct))
         if self.rho.get("mean") is not None:
-            lines.append(digest("rho", self.rho))
+            lines.append(line("rho", self.rho))
             if self.jain_rho is not None:
                 lines.append(f"  Jain index over measured rho: {self.jain_rho:.3f}")
         series = ", ".join(
@@ -382,26 +472,22 @@ class ClusterReport:
     @property
     def mean_jct(self) -> float | None:
         """Mean JCT over finished jobs (``None`` if nothing finished)."""
-        values = self._jcts()
-        return ordered_sum(values) / len(values) if values else None
+        return mean_of(self._jcts())
 
     @property
     def max_jct(self) -> float | None:
-        values = self._jcts()
-        return max(values) if values else None
+        return max_of(self._jcts())
 
     def _slowdowns(self) -> list[float]:
         return [job.slowdown for job in self.jobs if job.slowdown is not None]
 
     @property
     def mean_slowdown(self) -> float | None:
-        values = self._slowdowns()
-        return ordered_sum(values) / len(values) if values else None
+        return mean_of(self._slowdowns())
 
     @property
     def max_slowdown(self) -> float | None:
-        values = self._slowdowns()
-        return max(values) if values else None
+        return max_of(self._slowdowns())
 
     @property
     def mean_rho(self) -> float | None:
@@ -423,10 +509,8 @@ class ClusterReport:
         this toward 1.0 while also improving JCT/makespan — spreading load
         is the mechanism, not the goal.
         """
-        if not self.dim_load:
-            return None
-        mean = ordered_sum(self.dim_load) / len(self.dim_load)
-        if mean <= 0:
+        mean = mean_of(self.dim_load)
+        if mean is None or mean <= 0:
             return None
         return max(self.dim_load) / mean
 
@@ -437,18 +521,11 @@ class ClusterReport:
         ``None`` when isolated baselines were not computed, so no rho
         exists to compare.
         """
-        values = self._slowdowns()
-        if not values:
-            return None
-        square_sum = ordered_sum(v * v for v in values)
-        if square_sum <= 0:
-            return None
-        total = ordered_sum(values)
-        return (total * total) / (len(values) * square_sum)
+        return jain_index(self._slowdowns())
 
     #: Per-job table rows shown by ``describe`` before eliding (open-loop
-    #: runs have thousands of jobs; the table is a sample, the streaming
-    #: ``steady_state`` block the source of truth).
+    #: runs have thousands of jobs; the table is a sample, the
+    #: ``steady_state`` block, read from every job's record, the source of truth).
     _DESCRIBE_ROW_CAP = 20
 
     def describe(self) -> str:

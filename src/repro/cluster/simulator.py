@@ -40,9 +40,16 @@ from ..training.results import IterationBreakdown
 from ..workloads.base import Workload
 from .fairness import FairnessPolicy, get_fairness
 from .jobs import JobMix, JobSpec, check_unique_names
-from .metrics import ClusterReport, JobOutcome, SteadyStateReport
+from .metrics import (
+    ClusterReport,
+    JobOutcome,
+    SteadyStateReport,
+    digest,
+    epoch_means,
+    jain_index,
+    stationary,
+)
 from .placement import PlacementPolicy, get_placement
-from .streaming import EpochAccumulator, StreamingStats
 
 
 @dataclass(frozen=True)
@@ -98,10 +105,11 @@ class ClusterConfig:
     warmup_time: float = 0.0
     measure_time: float | None = None
     #: Memory bound for long open-loop runs: only the first ``outcome_cap``
-    #: completions keep their :class:`TrainingLoop` and per-iteration
-    #: breakdowns; later finishers are released at departure (their
+    #: departures keep their :class:`TrainingLoop` and per-iteration
+    #: breakdowns; later ones are released at departure (their
     #: ``JobOutcome`` keeps times/placement but carries no breakdowns).
-    #: Streaming steady-state metrics see every job either way.
+    #: The steady-state report reads only the times, so it covers every
+    #: job either way.
     outcome_cap: int | None = None
     #: Approximate each isolated baseline as ``iterations x`` the job's
     #: solo *single-iteration* JCT.  With heavy-tailed iteration counts
@@ -318,9 +326,8 @@ class _JobDriver:
         """Drop the loop and per-iteration breakdowns (bounded memory).
 
         Called by the cluster at departure once the job is past the
-        outcome cap: the counters that feed streaming metrics
-        (``iterations_done``, the recorded times) survive; the
-        per-iteration detail does not.
+        outcome cap: the counters and recorded times the reports read
+        survive; the per-iteration detail does not.
         """
         self.loop = None
         self._steps = None
@@ -378,89 +385,6 @@ class _JobDriver:
             step.attribution, self.engine.now - self._wait_start
         )
         self._advance()
-
-
-class _SteadyCollector:
-    """Streaming window-scoped accumulators for one measurement run."""
-
-    def __init__(
-        self, warmup: float, measure: float, epochs: int, epoch_metric: str
-    ) -> None:
-        self.window_start = warmup
-        self.window_end = warmup + measure
-        self.arrivals = 0
-        self.completions = 0
-        self.measured = 0
-        self.failures = 0
-        # Distinct fixed reservoir seeds per metric: deterministic for a
-        # given ingestion order, uncorrelated across the three digests.
-        self.queue_delay = StreamingStats(seed=101)
-        self.jct = StreamingStats(seed=102)
-        self.rho = StreamingStats(seed=103)
-        self.epoch_metric = epoch_metric
-        self.epochs = EpochAccumulator(self.window_start, self.window_end, epochs)
-
-    def note_arrival(self, time: float) -> None:
-        if self.window_start <= time <= self.window_end:
-            self.arrivals += 1
-
-    def note_failure(self, driver: "_JobDriver") -> None:
-        """A permanently-failed departure: counted, never fed to the JCT /
-        rho digests (a failed job has no completion time — streaming a
-        placeholder would poison the moments)."""
-        fail_time = driver.fail_time
-        assert fail_time is not None
-        if self.window_start <= fail_time <= self.window_end:
-            self.failures += 1
-
-    def note_finish(self, driver: "_JobDriver", rho: float | None) -> None:
-        finish = driver.finish_time
-        assert finish is not None
-        if not self.window_start <= finish <= self.window_end:
-            return
-        self.completions += 1
-        arrival = driver.spec.arrival_time
-        if arrival < self.window_start:
-            return  # lifetime straddles the warm-up edge: not measured
-        self.measured += 1
-        jct = finish - arrival
-        self.jct.add(jct)
-        admit = driver.admit_time if driver.admit_time is not None else arrival
-        self.queue_delay.add(admit - arrival)
-        if rho is not None:
-            self.rho.add(rho)
-        self.epochs.add(finish, rho if rho is not None else jct)
-
-    def report(
-        self,
-        *,
-        peak_live_jobs: int,
-        mean_live_jobs: float,
-        max_concurrent: int | None,
-    ) -> SteadyStateReport:
-        return SteadyStateReport(
-            warmup_time=self.window_start,
-            measure_time=self.window_end - self.window_start,
-            arrivals=self.arrivals,
-            completions=self.completions,
-            measured_jobs=self.measured,
-            failed_jobs=self.failures,
-            peak_live_jobs=peak_live_jobs,
-            mean_live_jobs=mean_live_jobs,
-            slot_utilization=(
-                mean_live_jobs / max_concurrent
-                if max_concurrent is not None
-                else None
-            ),
-            queueing_delay=self.queue_delay.summary(),
-            jct=self.jct.summary(),
-            rho=self.rho.summary(),
-            jain_rho=self.rho.jain_index,
-            epoch_series=self.epochs.series(),
-            epoch_counts=self.epochs.counts(),
-            epoch_metric=self.epoch_metric,
-            stationary=self.epochs.stationary(),
-        )
 
 
 class ClusterSimulator:
@@ -530,15 +454,8 @@ class ClusterSimulator:
         self._admission_queue: deque[_JobDriver] = deque()
         self._last_live_change = 0.0
         self._live_window_integral = 0.0
-        self._finished_count = 0
-        self._collector: _SteadyCollector | None = None
-        if self.config.measure_time is not None:
-            self._collector = _SteadyCollector(
-                self.config.warmup_time,
-                self.config.measure_time,
-                self.config.convergence_epochs,
-                "rho" if self.config.isolated_baselines else "jct",
-            )
+        #: Finished and failed jobs, in departure order.
+        self._departed: list[_JobDriver] = []
 
     @property
     def drivers(self) -> list[_JobDriver]:
@@ -550,17 +467,16 @@ class ClusterSimulator:
         """Advance the window-clamped live-jobs time integral to now; call
         it before ``live_jobs`` changes."""
         now = self.engine.now
-        if self._collector is not None and now > self._last_live_change:
-            lo = max(self._last_live_change, self._collector.window_start)
-            hi = min(now, self._collector.window_end)
+        warmup, measure = self.config.warmup_time, self.config.measure_time
+        if measure is not None and now > self._last_live_change:
+            lo = max(self._last_live_change, warmup)
+            hi = min(now, warmup + measure)
             if hi > lo:
                 self._live_window_integral += len(self.live_jobs) * (hi - lo)
         self._last_live_change = now
 
     def _on_arrival(self, driver: _JobDriver) -> None:
         """Arrival event: admit immediately, or queue for a free slot."""
-        if self._collector is not None:
-            self._collector.note_arrival(self.engine.now)
         cap = self.config.max_concurrent
         if cap is None or len(self.live_jobs) < cap:
             self._admit(driver)
@@ -568,7 +484,7 @@ class ClusterSimulator:
             self._admission_queue.append(driver)
 
     def _on_finish(self, driver: _JobDriver) -> None:
-        """Departure: recycle the job's slot, stream its outcome, admit next."""
+        """Departure: recycle the job's slot, record the departure, admit next."""
         spec = driver.spec
         self._note_live()
         dims = self.live_jobs.pop(spec.name)
@@ -580,21 +496,9 @@ class ClusterSimulator:
             auditor.on_job_departed(
                 spec.name, time=self.engine.now, live=len(self.live_jobs)
             )
-        self._finished_count += 1
-        if self._collector is not None:
-            if driver.failed:
-                self._collector.note_failure(driver)
-            else:
-                rho = None
-                if self.config.isolated_baselines:
-                    isolated = self.isolated_time(spec)
-                    if isolated > 0 and driver.finish_time is not None:
-                        rho = (
-                            driver.finish_time - spec.arrival_time
-                        ) / isolated
-                self._collector.note_finish(driver, rho)
+        self._departed.append(driver)
         cap_detail = self.config.outcome_cap
-        if cap_detail is not None and self._finished_count > cap_detail:
+        if cap_detail is not None and len(self._departed) > cap_detail:
             driver.release()
         cap = self.config.max_concurrent
         while self._admission_queue and (
@@ -807,12 +711,10 @@ class ClusterSimulator:
             utilization = bw_utilization(result)
             comm_active = result.comm_active_seconds
         outcomes = []
-        outcome_specs = []
         for driver in self._drivers:
             spec = driver.spec
             if stop_time is not None and not driver.arrived:
                 continue  # the window closed before this job existed
-            outcome_specs.append(spec)
             outcomes.append(
                 JobOutcome(
                     name=spec.name,
@@ -826,6 +728,11 @@ class ClusterSimulator:
                         if result is not None
                         else 0.0
                     ),
+                    isolated_time=(
+                        self.isolated_time(spec)
+                        if self.config.isolated_baselines
+                        else None
+                    ),
                     placement=self.assigned_dims(spec),
                     placed=spec.name in self.placements,
                     admit_time=driver.admit_time,
@@ -834,17 +741,6 @@ class ClusterSimulator:
                     fail_time=driver.fail_time,
                     lost_work=driver.lost_work,
                 )
-            )
-        if self.config.isolated_baselines:
-            for spec, outcome in zip(outcome_specs, outcomes):
-                outcome.isolated_time = self.isolated_time(spec)
-        steady_state = None
-        if self._collector is not None:
-            measure = self._collector.window_end - self._collector.window_start
-            steady_state = self._collector.report(
-                peak_live_jobs=self.peak_live_jobs,
-                mean_live_jobs=self._live_window_integral / measure,
-                max_concurrent=self.config.max_concurrent,
             )
         return ClusterReport(
             topology_name=self.topology.name,
@@ -866,7 +762,69 @@ class ClusterSimulator:
             stopped_at=stop_time if not truncated else None,
             peak_live_jobs=self.peak_live_jobs,
             total_jobs=len(self.jobs),
-            steady_state=steady_state,
+            steady_state=(
+                self._steady_state(outcomes)
+                if self.config.measure_time is not None
+                else None
+            ),
+        )
+
+    def _steady_state(self, outcomes: list[JobOutcome]) -> SteadyStateReport:
+        """The window's report, read from the per-job records: arrivals,
+        completions and failures in ``[warmup, warmup + measure]``, and
+        digests, in departure order, over the *measured* jobs (completions
+        that also arrived in the window).  A failed job is counted, never
+        digested: it must not read as a fast completion."""
+        start, measure = self.config.warmup_time, self.config.measure_time
+        assert measure is not None
+        end = start + measure
+        by_name = {outcome.name: outcome for outcome in outcomes}
+        arrivals = len([job for job in outcomes if start <= job.arrival_time <= end])
+        completions = failures = 0
+        finishes: list[float] = []
+        jcts: list[float] = []
+        delays: list[float] = []
+        rhos: list[float | None] = []
+        for driver in self._departed:
+            job = by_name[driver.spec.name]
+            finish, admit = job.finish_time, job.admit_time
+            if job.fail_time is not None:
+                failures += start <= job.fail_time <= end
+            if finish is None or admit is None or not start <= finish <= end:
+                continue
+            completions += 1
+            if job.arrival_time < start:
+                continue  # its lifetime straddles the warm-up edge
+            finishes.append(finish)
+            jcts.append(finish - job.arrival_time)
+            delays.append(admit - job.arrival_time)
+            rhos.append(job.rho)
+        known_rhos = [rho for rho in rhos if rho is not None]
+        epoch_values = [jct if rho is None else rho for jct, rho in zip(jcts, rhos)]
+        series, counts = epoch_means(
+            zip(finishes, epoch_values), start, end, self.config.convergence_epochs
+        )
+        length = end - start  # may differ from measure in the last bit
+        mean_live = self._live_window_integral / length
+        cap = self.config.max_concurrent
+        return SteadyStateReport(
+            warmup_time=start,
+            measure_time=length,
+            arrivals=arrivals,
+            completions=completions,
+            measured_jobs=len(jcts),
+            failed_jobs=failures,
+            peak_live_jobs=self.peak_live_jobs,
+            mean_live_jobs=mean_live,
+            slot_utilization=mean_live / cap if cap is not None else None,
+            queueing_delay=digest(delays),
+            jct=digest(jcts),
+            rho=digest(known_rhos),
+            jain_rho=jain_index(known_rhos),
+            epoch_series=series,
+            epoch_counts=counts,
+            epoch_metric="rho" if self.config.isolated_baselines else "jct",
+            stationary=stationary(series),
         )
 
 

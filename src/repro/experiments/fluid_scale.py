@@ -63,7 +63,7 @@ def fluid_scale_topology() -> Topology:
 def fluid_scale_spec(arrivals: int, backend: str) -> api.ClusterScenario:
     """One open-loop cluster spec at ``arrivals`` jobs under ``backend``.
 
-    Mirrors the benchmark's fluid cells: all-mouse mix (1 MB parameters,
+    The benchmark's fluid cells run it: all-mouse mix (1 MB parameters,
     two iterations) so collectives are numerous rather than individually
     heavy, 8 concurrency slots, outcomes capped — the run measures
     scheduling/event throughput, not one giant collective.

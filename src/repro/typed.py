@@ -22,9 +22,9 @@ is checked against the field's resolved annotation:
   int whose rule asks for at least one, and :func:`by_name` the rule of
   a type a document names by a string (an enum member's name).
 
-A value of another kind is an error naming its place (``where``), raised
-as the caller's error class.  This module imports only
-:mod:`repro.errors` and :mod:`repro.numeric`, so any package can use it.
+A value of another kind, or one a rule rejects, is an error naming its
+place (``where``), raised as the caller's error class.  This module imports
+only :mod:`repro.errors` and :mod:`repro.numeric`, so any package can use it.
 """
 
 from __future__ import annotations
@@ -182,7 +182,11 @@ def read_value(
     origin, args = get_origin(kind) or kind, get_args(kind)
     if origin is Annotated:
         base, rule = args
-        return read_value(base, built(error, where, rule, value), where, error)
+        try:
+            value = rule(value)
+        except ReproError as failure:  # a rule checks this one value: name it
+            raise error(f"{where}: {failure}") from None
+        return read_value(base, value, where, error)
     if origin in (Union, types.UnionType):
         return _read_union(args, value, where, error)
     if origin in (tuple, list) and isinstance(value, (list, tuple)):

@@ -14,7 +14,10 @@ Each op has its own tenant, so every op is a flow from the moment the
 wire can take it (on a failed link it waits for the restore).  Inputs
 where an arrival, reweight or capacity change falls within round-off of
 a flow's finish are discarded: which of the two comes first is decided
-by the last bit, in the channel and in the oracle alike.
+by the last bit, in the channel and in the oracle alike.  So are inputs
+where a flow is still live at such a change with its banked remaining
+work within round-off of zero: the oracle may record that finish much
+later, when a tiny weight drains the residue.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from repro.sim.executor import DimensionChannel, FusionConfig, OpState
 from repro.topology import dimension
 
 RTOL = 1e-9
+#: Banked remaining work at most this fraction of a flow's transfer is
+#: within round-off of zero.
+RESIDUE = 1e-12
 #: Every capacity change is followed by a final restore at this time.
 RESTORE = 3.0
 
@@ -117,10 +123,11 @@ def run_channel(specs, events, priority_sharing):
 
 
 def banking_oracle(specs, events, priority_sharing):
-    """End times, preemption count and finish instants by per-flow banking."""
+    """End times and preemption count by per-flow banking, and whether an
+    event ties a finish within round-off (see the module docstring)."""
     weights = {f"t{i}": spec[4] for i, spec in enumerate(specs)}
     live: dict[int, list] = {}  # op -> [remaining, priority, drained]
-    waiting, pending, finishes = [], list(events), []
+    waiting, pending, tied = [], list(events), False
     ends, capacity, now, preemptions = [math.nan] * len(specs), 1.0, 0.0, 0
     while live or pending:
         top = max((flow[1] for flow in live.values()), default=0)
@@ -142,10 +149,11 @@ def banking_oracle(specs, events, priority_sharing):
                 live[i][2] = True
         now = step
         if finish < at:
-            finishes.append(now)
+            tied |= any(math.isclose(now, event[0], rel_tol=RTOL) for event in events)
             ends[done] = now + specs[done][2]
             del live[done]
             continue
+        tied |= any(flow[0] <= RESIDUE * specs[i][1] for i, flow in live.items())
         _, kind, arg = pending.pop(0)
         if kind == "weights":
             weights = dict(arg)
@@ -163,11 +171,33 @@ def banking_oracle(specs, events, priority_sharing):
                         flow[2] = False
             live[i] = [specs[i][1], priority, False]
         waiting = waiting if capacity <= 0 else []
-    return ends, preemptions, finishes
+    return ends, preemptions, tied
+
+
+#: Flow 0 (weight 1e-9) ends, in exact arithmetic, 2.8e-17 s after the
+#: capacity drop at 0.6.  The residue drains at weight 1e-9 beside flow 2
+#: after the restore, which stretches the last-bit tie to ~3e-8 s: the
+#: exact end is 3.0000000278, the channel gives 3.0, the oracle 3.0000000555.
+LAST_BIT_TIE = (
+    [
+        (0.0, 0.5, 0.0, 0, 1e-09),
+        (0.0, 0.1, 0.0, 0, 0.5496569577358512),
+        (1.0, 1.0, 0.0, 0, 1.0),
+    ],
+    [
+        (0.0, "start", 0),
+        (0.0, "start", 1),
+        (0.6, "capacity", 0.0),
+        (1.0, "start", 2),
+        (RESTORE, "capacity", 1.0),
+    ],
+    False,
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
+@example(LAST_BIT_TIE)
 # A tiny-weight flow alone runs the clock far ahead before a heavy flow
 # with little work arrives: its tag needs the clock restarted at zero.
 @example(
@@ -195,15 +225,15 @@ def banking_oracle(specs, events, priority_sharing):
 )
 def test_clock_matches_per_flow_banking(scenario):
     specs, events, priority_sharing = scenario
-    expected, preemptions, finishes = banking_oracle(specs, events, priority_sharing)
-    assume(
-        not any(
-            math.isclose(finish, event[0], rel_tol=RTOL)
-            for finish in finishes
-            for event in events
-        )
-    )
+    expected, preemptions, tied = banking_oracle(specs, events, priority_sharing)
+    assume(not tied)
     ends, count = run_channel(specs, events, priority_sharing)
     for i, (end, want) in enumerate(zip(ends, expected)):
         assert math.isclose(end, want, rel_tol=RTOL), (i, end, want)
     assert count == preemptions
+
+
+def test_tie_filter_rejects_a_residue_left_at_an_event():
+    # Hypothesis skips an explicit example that fails ``assume`` without a
+    # word, so check here that the filter discards the pinned tie.
+    assert banking_oracle(*LAST_BIT_TIE)[2]

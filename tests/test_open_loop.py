@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import statistics
 from pathlib import Path
 
 import pytest
@@ -33,16 +34,16 @@ from repro.cluster import (
     BoundedPareto,
     ClusterConfig,
     ClusterSimulator,
-    EpochAccumulator,
     JobMix,
     JobSpec,
-    StreamingStats,
     derive_open_loop_rate,
     isolated_jct,
     open_loop_trace,
     stream_seed,
 )
+from repro.cluster.metrics import digest, epoch_means, jain_index, stationary
 from repro.errors import ConfigError
+from repro.sim import JobFaultPolicy
 from repro.sim.audit import InvariantAuditor, InvariantViolation
 from repro.topology import Topology, dimension
 from repro.training import TrainingConfig
@@ -499,9 +500,87 @@ class TestMeasurementWindow:
         released = [job for job in finished if not job.iterations]
         assert len(with_breakdowns) == 2
         assert len(released) == 3
-        # Released outcomes keep their times: streaming metrics saw all 5.
+        # Released outcomes keep their times: the window report counts all 5.
         assert all(job.finish_time is not None for job in released)
         assert report.steady_state.completions == 5
+
+    def test_steady_state_matches_job_records(self):
+        # Isolated baselines (one solo run per workload and iteration count)
+        # and a crash policy: the window report must equal a brute-force
+        # recount of the per-job rows.
+        mix = JobMix(
+            elephant_fraction=0.3,
+            elephant_layers=2,
+            elephant_param_mb=2.0,
+            mouse_layers=1,
+            mouse_param_mb=0.5,
+            max_iterations=3,
+        )
+        jobs = open_loop_trace(rate=15000.0, duration=0.004, mix=mix, seed=4)
+        config = ClusterConfig(
+            training=fast_training(),
+            max_concurrent=2,
+            warmup_time=0.0008,
+            measure_time=0.0027,
+            convergence_epochs=4,
+            job_faults=JobFaultPolicy(
+                crash_rate=6000.0, max_retries=1, backoff_base=1e-4, seed=3
+            ),
+        )
+        report = ClusterSimulator(line_topology(), jobs, config).run()
+        steady = report.steady_state
+        start, end = 0.0008, 0.0008 + 0.0027
+
+        def inside(time):
+            return time is not None and start <= time <= end
+
+        completed = [job for job in report.jobs if inside(job.finish_time)]
+        measured = [job for job in completed if job.arrival_time >= start]
+        assert steady.arrivals == sum(inside(job.arrival_time) for job in report.jobs)
+        assert steady.completions == len(completed) > len(measured)
+        assert steady.measured_jobs == len(measured)
+        assert steady.failed_jobs == sum(
+            job.failed and inside(job.fail_time) for job in report.jobs
+        )
+        assert 0 < steady.failed_jobs < len(report.failed_jobs)
+
+        def check(summary, values):
+            values = sorted(values)
+            cuts = statistics.quantiles(values, n=100, method="inclusive")
+            assert summary["count"] == len(values)
+            assert (summary["min"], summary["max"]) == (values[0], values[-1])
+            assert summary["mean"] == pytest.approx(math.fsum(values) / len(values))
+            for key, cut in (("p50", cuts[49]), ("p95", cuts[94]), ("p99", cuts[98])):
+                assert summary[key] == pytest.approx(cut)
+
+        rhos = [job.rho for job in measured]
+        check(steady.jct, [job.jct for job in measured])
+        check(steady.queueing_delay, [job.queueing_delay for job in measured])
+        check(steady.rho, rhos)
+        assert steady.queueing_delay["max"] > 0.0
+        assert steady.jain_rho == pytest.approx(
+            math.fsum(rhos) ** 2 / (len(rhos) * math.fsum(r * r for r in rhos))
+        )
+        length = (end - start) / 4
+        epochs = [[] for _ in range(4)]
+        for job in measured:
+            epochs[min(3, int((job.finish_time - start) / length))].append(job.rho)
+        assert steady.epoch_metric == "rho"
+        assert steady.epoch_counts == tuple(len(epoch) for epoch in epochs)
+        means = [math.fsum(epoch) / len(epoch) for epoch in epochs]
+        assert list(steady.epoch_series) == pytest.approx(means)
+        first, second = math.fsum(means[:2]) / 2, math.fsum(means[2:]) / 2
+        assert steady.stationary == (abs(second - first) <= 0.25 * max(first, second))
+
+        def live_seconds(job):
+            leave = job.finish_time or job.fail_time or end
+            return max(0.0, min(leave, end) - max(job.admit_time or end, start))
+
+        assert steady.mean_live_jobs == pytest.approx(
+            math.fsum(map(live_seconds, report.jobs)) / (end - start)
+        )
+        assert steady.slot_utilization == pytest.approx(steady.mean_live_jobs / 2)
+        assert steady.peak_live_jobs == report.peak_live_jobs
 
     def service_time(self) -> float:
         mix = deterministic_mix()
@@ -568,95 +647,67 @@ class TestMD1Calibration:
         assert steady.slot_utilization == pytest.approx(rho, abs=0.05)
 
 
-# --- streaming accumulators --------------------------------------------------
-class TestStreamingStats:
+# --- window digests ----------------------------------------------------------
+class TestDigest:
     def test_exact_moments(self):
-        values = [float(v) for v in range(1, 101)]
-        stats = StreamingStats()
-        for value in values:
-            stats.add(value)
-        assert stats.count == 100
-        assert stats.mean == pytest.approx(50.5)
-        assert stats.min == 1.0
-        assert stats.max == 100.0
+        summary = digest([float(v) for v in range(1, 101)])
+        assert summary["count"] == 100
+        assert summary["mean"] == pytest.approx(50.5)
+        assert summary["min"] == 1.0
+        assert summary["max"] == 100.0
 
-    def test_percentiles_exact_under_reservoir(self):
-        stats = StreamingStats()
-        for value in range(1, 101):
-            stats.add(float(value))
-        assert stats.percentile(0.0) == 1.0
-        assert stats.percentile(1.0) == 100.0
-        assert stats.percentile(0.5) == pytest.approx(50.5)
+    def test_interpolated_percentiles(self):
+        summary = digest([float(v) for v in range(100, 0, -1)])
+        assert summary["p50"] == pytest.approx(50.5)
+        assert summary["p95"] == pytest.approx(95.05)
+        assert summary["p99"] == pytest.approx(99.01)
+        single = digest([7.0])
+        assert single["p50"] == single["p99"] == 7.0
 
-    def test_jain_exact_past_reservoir(self):
-        stats = StreamingStats(reservoir_size=4)
-        for _ in range(1000):
-            stats.add(2.0)
-        assert stats.jain_index == pytest.approx(1.0)
+    def test_percentiles_exact_past_4096_values(self):
+        # Every value is kept, so a large window's percentiles are exact,
+        # not a sample's estimate.
+        values = [float(v) for v in range(5000)]
+        random.Random(3).shuffle(values)
+        summary = digest(values)
+        assert summary["count"] == 5000
+        assert summary["mean"] == 2499.5
+        assert (summary["min"], summary["max"]) == (0.0, 4999.0)
+        assert summary["p50"] == 2499.5
+        assert summary["p95"] == pytest.approx(0.95 * 4999, abs=1e-9)
+        assert summary["p99"] == pytest.approx(0.99 * 4999, abs=1e-9)
 
-    def test_reservoir_seed_determinism(self):
-        def fill(seed):
-            stats = StreamingStats(reservoir_size=16, seed=seed)
-            rng = random.Random(99)
-            for _ in range(500):
-                stats.add(rng.random())
-            return stats.percentile(0.95)
+    def test_jain_over_equal_values(self):
+        assert jain_index([2.0] * 1000) == pytest.approx(1.0)
+        assert jain_index([1.0, 0.0]) == pytest.approx(0.5)
+        assert jain_index([]) is None
 
-        assert fill(7) == fill(7)
-
-    def test_reservoir_percentile_stays_in_range(self):
-        stats = StreamingStats(reservoir_size=32)
-        for value in range(1000):
-            stats.add(float(value))
-        p95 = stats.percentile(0.95)
-        assert 0.0 <= p95 <= 999.0
-
-    def test_empty_summary_is_none_not_nan(self):
-        summary = StreamingStats().summary()
+    def test_empty_digest_is_none_not_nan(self):
+        summary = digest([])
         assert summary["count"] == 0
         assert all(
-            summary[key] is None
-            for key in ("mean", "min", "max", "p50", "p95", "p99")
+            summary[key] is None for key in ("mean", "min", "max", "p50", "p95", "p99")
         )
         json.dumps(summary, allow_nan=False)
 
-    def test_validation(self):
-        with pytest.raises(ConfigError, match="reservoir"):
-            StreamingStats(reservoir_size=0)
-        with pytest.raises(ConfigError, match="percentile"):
-            StreamingStats().percentile(1.5)
 
-
-class TestEpochAccumulator:
+class TestEpochMeans:
     def test_series_and_clamping(self):
-        acc = EpochAccumulator(0.0, 4.0, epochs=4)
-        acc.add(0.5, 1.0)
-        acc.add(1.5, 2.0)
-        acc.add(1.6, 4.0)
-        acc.add(99.0, 8.0)  # past the window: clamped into the last epoch
-        assert acc.series() == (1.0, 3.0, None, 8.0)
-        assert acc.counts() == (1, 2, 0, 1)
+        samples = [(0.5, 1.0), (1.5, 2.0), (1.6, 4.0)]
+        samples.append((99.0, 8.0))  # past the window: clamped into the last epoch
+        series, counts = epoch_means(samples, 0.0, 4.0, 4)
+        assert series == (1.0, 3.0, None, 8.0)
+        assert counts == (1, 2, 0, 1)
 
     def test_stationary_verdicts(self):
-        flat = EpochAccumulator(0.0, 4.0, epochs=4)
-        for epoch in range(4):
-            flat.add(epoch + 0.5, 1.0)
-        assert flat.stationary() is True
-
-        drifting = EpochAccumulator(0.0, 4.0, epochs=4)
-        for epoch, value in enumerate([1.0, 1.0, 10.0, 10.0]):
-            drifting.add(epoch + 0.5, value)
-        assert drifting.stationary() is False
-
-        sparse = EpochAccumulator(0.0, 4.0, epochs=4)
-        sparse.add(0.5, 1.0)
-        assert sparse.stationary() is None
-
-    def test_validation(self):
-        with pytest.raises(ConfigError, match="epochs"):
-            EpochAccumulator(0.0, 1.0, epochs=0)
-        with pytest.raises(ConfigError, match="window_end"):
-            EpochAccumulator(1.0, 1.0, epochs=2)
+        flat, _ = epoch_means([(e + 0.5, 1.0) for e in range(4)], 0.0, 4.0, 4)
+        assert stationary(flat) is True
+        drifting, _ = epoch_means(
+            [(e + 0.5, v) for e, v in enumerate([1.0, 1.0, 10.0, 10.0])], 0.0, 4.0, 4
+        )
+        assert stationary(drifting) is False
+        sparse, _ = epoch_means([(0.5, 1.0)], 0.0, 4.0, 4)
+        assert stationary(sparse) is None
 
 
 # --- golden regression fixture ----------------------------------------------

@@ -217,6 +217,14 @@ class TestDocumentTypes:
         with pytest.raises(SpecError, match=r"topology: dims\[0\]\.size"):
             api.CollectiveScenario(topology=_document(size="abc"))
 
+    def test_unknown_kind_names_its_field(self):
+        with pytest.raises(
+            TopologyError, match=r"^dims\[0\]\.kind: unknown dimension kind 'bogus'"
+        ):
+            topology_from_dict(_document(kind="bogus"))
+        with pytest.raises(SpecError, match=r"^topology: dims\[0\]\.kind: unknown"):
+            api.CollectiveScenario(topology=_document(kind="bogus"))
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(TopologyError, match="nmae"):
             topology_from_dict({**_document(), "nmae": "pod"})
