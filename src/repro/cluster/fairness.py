@@ -220,9 +220,15 @@ class FinishTimeFairness(FairnessPolicy):
         cluster.engine.schedule_after(self._resolved_interval, self._tick)
 
     def _rho_estimates(self, now: float) -> dict[str, float]:
-        """Per-job rho: exact for finished jobs, projected for running ones."""
+        """Per-job rho: exact for finished jobs, projected for running ones.
+
+        A job that failed for good has no finish time and holds no share,
+        so it has no rho either.
+        """
         estimates: dict[str, float] = {}
         for driver in self._cluster.drivers:
+            if driver.failed:
+                continue
             spec = driver.spec
             isolated = self._isolated[spec.name]
             if driver.finished:
@@ -239,7 +245,7 @@ class FinishTimeFairness(FairnessPolicy):
 
     def _tick(self) -> None:
         cluster = self._cluster
-        unfinished = [d for d in cluster.drivers if not d.finished]
+        unfinished = [d for d in cluster.drivers if not d.terminal]
         if not unfinished:
             return  # last job done: stop ticking so the engine can drain
         now = cluster.engine.now
@@ -257,7 +263,7 @@ class FinishTimeFairness(FairnessPolicy):
                 spec = driver.spec
                 rho = active.get(spec.name)
                 if rho is None:
-                    weights[spec.name] = spec.weight  # finished/future: moot
+                    weights[spec.name] = spec.weight  # done/future: moot
                 else:
                     share = max((rho / worst) ** self.exponent, self.min_share)
                     weights[spec.name] = spec.weight * share

@@ -8,8 +8,7 @@ model-parallel embedding exchange uses it (Sec. 5.2 / Sec. 6.2).
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import CollectiveError
 
@@ -53,9 +52,6 @@ class PhaseOp(enum.Enum):
     A2A = "A2A"
 
 
-_REQUEST_IDS = itertools.count()
-
-
 @dataclass(frozen=True)
 class CollectiveRequest:
     """A collective operation issued by the workload layer (paper Fig. 6, step 1).
@@ -87,9 +83,9 @@ class CollectiveRequest:
         The network simulator keeps per-owner communication-active
         intervals so multi-job cluster runs can attribute network time to
         individual jobs.  Empty string for single-tenant simulations.
-    request_id:
-        Monotonically increasing issue identifier (FIFO tie-breaking across
-        collectives).
+
+    A request is a plain value: the network it is submitted to numbers it
+    (``CollectiveResult.seq``).
     """
 
     ctype: CollectiveType
@@ -99,7 +95,6 @@ class CollectiveRequest:
     peer_counts: tuple[int, ...] | None = None
     priority: int = 0
     owner: str = ""
-    request_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
 
     def __post_init__(self) -> None:
         if self.size <= 0:

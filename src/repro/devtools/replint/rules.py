@@ -28,6 +28,9 @@ RPL008   No comparison against a float literal below 1e-12 in magnitude
 RPL009   No builtin ``sum()`` in simulator code — its float rounding
          changed in Python 3.12, so a total could differ in its last bit
          between interpreters; use ``repro.numeric.ordered_sum``.
+RPL010   No module- or class-level ``itertools.count()`` in simulator
+         code — a process-global counter makes one run's identities depend
+         on what ran before it; number inside the object that owns the run.
 =======  ==============================================================
 """
 
@@ -79,7 +82,8 @@ RULES: dict[str, Rule] = {
             summary="id() used as a key (address-dependent identity)",
             hint=(
                 "object addresses differ run to run; key on a stable "
-                "identity instead (e.g. OpState.key, request_id, name)"
+                "identity instead (e.g. OpState.key, CollectiveResult.seq, "
+                "name)"
             ),
             sim_only=True,
         ),
@@ -136,6 +140,18 @@ RULES: dict[str, Rule] = {
                 "builtin sum() compensates float round-off since Python 3.12, "
                 "so a total can differ between interpreters; use "
                 "repro.numeric.ordered_sum, which adds left to right"
+            ),
+            sim_only=True,
+        ),
+        Rule(
+            code="RPL010",
+            name="global-counter",
+            summary="process-global itertools.count() in simulator code",
+            hint=(
+                "number inside the object that owns the run, as "
+                "NetworkBackend.submit numbers collectives; a process-global "
+                "counter makes one run's identities depend on what ran "
+                "before it in the process"
             ),
             sim_only=True,
         ),
@@ -261,6 +277,8 @@ class _Checker(ast.NodeVisitor):
         self.sim_scope = sim_scope
         self.findings: list[Finding] = []
         self._function_stack: list[str] = []
+        #: Local names of ``itertools.count`` (``from itertools import count``).
+        self._count_names: set[str] = set()
 
     # --- emission -----------------------------------------------------------
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
@@ -311,7 +329,7 @@ class _Checker(ast.NodeVisitor):
                 self._emit(default, "RPL007", "lambda has a mutable default argument")
         self.generic_visit(node)
 
-    # --- calls (RPL001, RPL002, RPL004, RPL006) -----------------------------
+    # --- calls (RPL001, RPL002, RPL004, RPL006, RPL010) ---------------------
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
@@ -333,7 +351,9 @@ class _Checker(ast.NodeVisitor):
     def _check_attribute_call(self, node: ast.Call, func: ast.Attribute) -> None:
         base = func.value
         base_name = _terminal_name(base)
-        if base_name == "time" and func.attr in _WALL_CLOCK_TIME_ATTRS:
+        if base_name == "itertools" and func.attr == "count":
+            self._check_counter(node)
+        elif base_name == "time" and func.attr in _WALL_CLOCK_TIME_ATTRS:
             self._emit(node, "RPL001", f"wall-clock read time.{func.attr}()")
         elif base_name in _DATEY_NAMES and func.attr in _WALL_CLOCK_DATE_ATTRS:
             self._emit(
@@ -379,7 +399,9 @@ class _Checker(ast.NodeVisitor):
             )
 
     def _check_name_call(self, node: ast.Call, func: ast.Name) -> None:
-        if func.id == "sum":
+        if func.id in self._count_names:
+            self._check_counter(node)
+        elif func.id == "sum":
             self._emit(node, "RPL009", "builtin sum() rounds by Python version")
         elif func.id == "Random" and not node.args and not node.keywords:
             self._emit(
@@ -393,6 +415,18 @@ class _Checker(ast.NodeVisitor):
                     "RPL003",
                     f"{func.id}() materializes a set in hash order",
                 )
+
+    # --- process-global counters (RPL010) -----------------------------------
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "itertools":
+            for alias in node.names:
+                if alias.name == "count":
+                    self._count_names.add(alias.asname or alias.name)
+        self.generic_visit(node)
+
+    def _check_counter(self, node: ast.Call) -> None:
+        if not self._function_stack:
+            self._emit(node, "RPL010", "counter made outside a function")
 
     # --- iteration (RPL003) -------------------------------------------------
     def _check_iter(self, iterable: ast.expr) -> None:

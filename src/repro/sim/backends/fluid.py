@@ -59,10 +59,9 @@ from typing import TYPE_CHECKING
 from ...collectives.phases import Stage
 from ...errors import ConfigError
 from ..executor import OpState
-from ..network import NetworkSimulator, PlanCosts, build_chunk_ops
+from ..network import CollectiveResult, NetworkSimulator, PlanCosts, build_chunk_ops
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...collectives.types import CollectiveRequest
     from ...core.policies import IntraDimPolicy
     from ...core.scheduler import SchedulerFactory
     from ...topology import Topology
@@ -158,7 +157,7 @@ class FluidNetwork(NetworkSimulator):
 
     # --- execution granularity --------------------------------------------
     def _build_chunk_ops(
-        self, request: "CollectiveRequest", costs: PlanCosts, plan_key: tuple | None
+        self, result: CollectiveResult, costs: PlanCosts, plan_key: tuple | None
     ) -> list[list[OpState]]:
         # Arming preemption pins every later collective to chunk
         # granularity, so it is checked per call, never cached.
@@ -169,7 +168,7 @@ class FluidNetwork(NetworkSimulator):
                 if plan_key is not None:
                     self._run_costs[plan_key] = run_costs
             costs = run_costs
-        return build_chunk_ops(request, costs)
+        return build_chunk_ops(result, costs)
 
     def _fluidize(self, costs: PlanCosts) -> PlanCosts:
         """The op costs a plan runs at: collapsed to per-dimension flows,

@@ -16,15 +16,9 @@ from typing import TYPE_CHECKING, Any
 
 from ...core.ideal import IdealEstimator
 from ..engine import EventQueue
-from ..network import (
-    CollectivePlanner,
-    CollectiveResult,
-    NetworkBackend,
-    _check_not_past,
-)
+from ..network import CollectivePlanner, CollectiveResult, NetworkBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...collectives.types import CollectiveRequest
     from ...core.policies import IntraDimPolicy
     from ...core.scheduler import SchedulerFactory
     from ...topology import Topology
@@ -71,35 +65,25 @@ class IdealNetwork(NetworkBackend):
         self._results: list[CollectiveResult] = []
         self._planner = CollectivePlanner(topology)
 
-    def submit(
+    def _start_collective(
         self,
-        request: "CollectiveRequest",
-        at_time: float | None = None,
-        on_complete: Callable[[CollectiveResult], None] | None = None,
-    ) -> CollectiveResult:
-        issue_time = self.engine.now if at_time is None else at_time
-        _check_not_past(self.engine, request, issue_time)
-        result = CollectiveResult(request=request, plan=None, issue_time=issue_time)
-        self._results.append(result)
+        result: CollectiveResult,
+        on_complete: Callable[[CollectiveResult], None] | None,
+        scheduler: "SchedulerFactory | None",
+    ) -> None:
+        request = result.request
+        subtopo = self._planner.subtopology(request)[0]
+        service = self._estimator.collective_time(request.ctype, request.size, subtopo)
+        begin = max(self.engine.now, self._server_free_at)
+        finish = begin + service
+        self._server_free_at = finish
 
-        def start() -> None:
-            subtopo = self._planner.subtopology(request)[0]
-            service = self._estimator.collective_time(
-                request.ctype, request.size, subtopo
-            )
-            begin = max(self.engine.now, self._server_free_at)
-            finish = begin + service
-            self._server_free_at = finish
+        def complete() -> None:
+            result.completion_time = self.engine.now
+            if on_complete is not None:
+                on_complete(result)
 
-            def complete() -> None:
-                result.completion_time = self.engine.now
-                if on_complete is not None:
-                    on_complete(result)
-
-            self.engine.schedule(finish, complete)
-
-        self.engine.schedule(issue_time, start)
-        return result
+        self.engine.schedule(finish, complete)
 
     def run(self) -> list[CollectiveResult]:
         self.engine.run()

@@ -56,7 +56,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from ...collectives.types import CollectiveRequest
 from ...core.latency_model import LatencyModel
 from ...core.scheduler import SchedulerFactory
 from ...errors import ConfigError
@@ -67,10 +66,8 @@ from ..engine import EventQueue
 from ..executor import OpState
 from ..network import (
     CollectiveResult,
-    ExecutionResult,
     NetworkBookkeeping,
     WireStats,
-    _check_not_past,
     _CollectiveState,
     build_chunk_ops,
 )
@@ -383,11 +380,6 @@ class PacketNetwork(NetworkBookkeeping):
         #: ``channels[d].outstanding_bytes`` exactly as on the analytical
         #: backend, so the live-load signal survives the fidelity switch.
         self.channels = [_PortGroup(i, dim) for i, dim in enumerate(topology.dims)]
-        #: Per-network dense collective index used in routing flow keys.
-        #: ``request_id`` comes from a process-global counter, so hashing
-        #: it would make ECMP lane picks depend on process history; this
-        #: map keeps identical networks bit-identical.
-        self._flow_seq: dict[int, int] = {}
         self._dim_transfer = [0.0] * len(self.channels)
         #: Flows parked on a zero-capacity dimension, resumed (in parking
         #: order) when a restore event lifts the factor above zero.
@@ -431,46 +423,27 @@ class PacketNetwork(NetworkBookkeeping):
                 self._book_flow(flow)
 
     # --- submission ---------------------------------------------------------
-    def submit(
-        self,
-        request: CollectiveRequest,
-        at_time: float | None = None,
-        on_complete: Callable[[CollectiveResult], None] | None = None,
-        scheduler: SchedulerFactory | None = None,
-    ) -> CollectiveResult:
-        """Issue a collective at ``at_time`` (default: current sim time)."""
-        issue_time = self.engine.now if at_time is None else at_time
-        _check_not_past(self.engine, request, issue_time)
-        result = CollectiveResult(request=request, plan=None, issue_time=issue_time)
-        self._results.append(result)
-        self.engine.schedule(
-            issue_time,
-            lambda: self._start_collective(result, on_complete, scheduler),
-        )
-        return result
-
     def _start_collective(
         self,
         result: CollectiveResult,
         on_complete: Callable[[CollectiveResult], None] | None,
-        scheduler_factory: SchedulerFactory | None = None,
+        scheduler: SchedulerFactory | None,
     ) -> None:
         request = result.request
         # The live port capacities are the planning input, exactly as on
         # the analytical backend: degraded dimensions look expensive.
         plan, _, costs = self.planner.plan(
             request,
-            scheduler_factory or self.scheduler_factory,
+            scheduler or self.scheduler_factory,
             tuple(group.capacity_factor for group in self.channels),
             self.engine.now,
         )
         result.plan = plan
-        chunk_ops = build_chunk_ops(request, costs)
+        chunk_ops = build_chunk_ops(result, costs)
         subtopo, model = self.planner.subtopology(request)
         flows = [self._flow_for(ops[0], subtopo, model) for ops in chunk_ops]
 
         self._register_collective(_CollectiveState(result, chunk_ops, on_complete))
-        self._flow_seq[request.request_id] = len(self._flow_seq)
         for flow in flows:
             self._start_flow(flow)
 
@@ -529,7 +502,7 @@ class PacketNetwork(NetworkBookkeeping):
             payloads,
             self.options.header_bytes,
             self.options.routing,
-            (self._flow_seq[op.collective_seq], op.chunk_id, op.stage_index),
+            op.key,
             self.engine.now,
         )
         rate = group.link_bw * group.capacity_factor
@@ -561,12 +534,6 @@ class PacketNetwork(NetworkBookkeeping):
             self._finish_collective(state)
 
     # --- running ------------------------------------------------------------
-    def run(self, max_events: int | None = None) -> ExecutionResult:
-        """Run the engine to quiescence and package the results."""
-        self.engine.run(max_events=max_events)
-        self._check_drained()
-        return self.result()
-
     def _wire_stats(self) -> WireStats:
         groups = self.channels
         return (

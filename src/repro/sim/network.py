@@ -15,11 +15,14 @@ Planning is shared with the packet backend: :class:`CollectivePlanner`
 turns each request into a :class:`CollectivePlan` and its op costs behind
 the sub-topology and plan caches, and :func:`build_chunk_ops` materializes
 those costs as one executable op per (chunk, stage) without querying the
-latency model.  :class:`NetworkBookkeeping` holds what the channel and
-packet networks keep besides their wires: submissions, op records,
-comm-active intervals and the fault schedule.  :class:`NetworkBackend`,
-the base of every network, makes each network class its own registered
-backend (see :mod:`repro.sim.backends`).
+latency model.  :class:`NetworkBackend`, the base of every network,
+makes each network class its own registered backend (see
+:mod:`repro.sim.backends`); its one ``submit`` numbers each collective by
+its submission order on that network (``CollectiveResult.seq``), so a
+run's identities do not depend on what ran before it in the process.
+:class:`NetworkBookkeeping` holds and runs what the channel and packet
+networks keep besides their wires: op records, per-owner comm-active
+intervals and the fault schedule.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ class CollectiveResult:
     plan: CollectivePlan | None
     issue_time: float
     completion_time: float = float("nan")
+    #: The collective's submission index on its network, from 0: the
+    #: ``collective_seq`` of its ops and records.
+    seq: int = 0
 
     @property
     def duration(self) -> float:
@@ -144,25 +150,6 @@ class ExecutionResult:
     def comm_active_seconds_for(self, owner: str) -> float:
         """Total time ``owner`` had at least one collective in flight."""
         return total_length(self.comm_active_by_owner.get(owner, []))
-
-
-def _check_not_past(
-    engine: EventQueue, request: CollectiveRequest, issue_time: float
-) -> None:
-    """Reject submissions dated before the current simulation time.
-
-    Without this, a stale ``at_time`` only surfaces later as a confusing
-    scheduling error deep inside :class:`EventQueue`.  The tolerance is
-    relative to the current time (see :meth:`EventQueue.past_tolerance`) so
-    float round-off at large simulation times is not rejected.
-    """
-    if issue_time < engine.now - engine.past_tolerance():
-        raise SimulationError(
-            f"cannot submit {request.ctype.value} request "
-            f"{request.request_id} (tag={request.tag!r}, "
-            f"owner={request.owner!r}) at past time {issue_time}: "
-            f"simulation time is already {engine.now}"
-        )
 
 
 class _CollectiveState:
@@ -464,11 +451,11 @@ class SoloRecipe:
             channel.credit_replay(credits, outstanding, timed)
 
 
-def build_chunk_ops(
-    request: CollectiveRequest, costs: PlanCosts
-) -> list[list[OpState]]:
-    """One executable op per (chunk, stage) of ``costs``, indexed by chunk."""
-    seq, priority, owner = request.request_id, request.priority, request.owner
+def build_chunk_ops(result: CollectiveResult, costs: PlanCosts) -> list[list[OpState]]:
+    """One executable op per (chunk, stage) of ``costs``, indexed by chunk,
+    each stamped with the collective's :attr:`CollectiveResult.seq`."""
+    request = result.request
+    seq, priority, owner = result.seq, request.priority, request.owner
     return [
         [
             OpState(seq, chunk_id, stage_index, *cost, priority, owner)
@@ -483,6 +470,8 @@ class NetworkBackend:
 
     Its class attributes name it in the ``backend`` registry and say what
     it supports, so a spec that needs more is rejected before any run.
+    Its :meth:`submit` is every network's; a network class starts each
+    submitted collective in :meth:`_start_collective`.
     """
 
     #: Registry key (``"analytical"``, ``"fluid"``, ``"ideal"``, ``"packet"``).
@@ -503,6 +492,11 @@ class NetworkBackend:
     supports_cluster: ClassVar[bool] = False
     #: The dataclass of the backend's ``backend_options``; ``None``: none.
     options_type: ClassVar[type[Any] | None] = None
+
+    #: The event engine the network runs on.
+    engine: EventQueue
+    #: Every collective submitted, in submission order.
+    _results: list[CollectiveResult]
 
     @classmethod
     def build(
@@ -556,14 +550,60 @@ class NetworkBackend:
             return None
         return read(cls.options_type, options or {}, f"{cls.key} backend options")
 
+    def submit(
+        self,
+        request: CollectiveRequest,
+        at_time: float | None = None,
+        on_complete: Callable[[CollectiveResult], None] | None = None,
+        scheduler: SchedulerFactory | None = None,
+    ) -> CollectiveResult:
+        """Issue a collective at ``at_time`` (default: current sim time).
+
+        ``scheduler`` overrides the network-wide factory for this one
+        request (the cluster simulator gives each job its own); a network
+        without :attr:`accepts_scheduler` refuses it.  The collective is
+        numbered by its submission order on this network
+        (:attr:`CollectiveResult.seq`).  Returns the (initially incomplete)
+        result; its ``completion_time`` is filled in when it finishes.
+        """
+        if scheduler is not None and not self.accepts_scheduler:
+            raise ConfigError(f"backend {self.key!r} accepts no per-request scheduler")
+        engine = self.engine
+        issue_time = engine.now if at_time is None else at_time
+        # A stale time would only surface later as a confusing scheduling
+        # error deep inside the engine.  The tolerance is relative to the
+        # current time, so float round-off at large times is not rejected.
+        if issue_time < engine.now - engine.past_tolerance():
+            raise SimulationError(
+                f"cannot submit {request.ctype.value} request "
+                f"(tag={request.tag!r}, owner={request.owner!r}) at past "
+                f"time {issue_time}: simulation time is already {engine.now}"
+            )
+        results = self._results
+        result = CollectiveResult(request, None, issue_time, seq=len(results))
+        results.append(result)
+        engine.schedule(
+            issue_time, lambda: self._start_collective(result, on_complete, scheduler)
+        )
+        return result
+
+    def _start_collective(
+        self,
+        result: CollectiveResult,
+        on_complete: Callable[[CollectiveResult], None] | None,
+        scheduler: SchedulerFactory | None,
+    ) -> None:
+        """Start ``result``'s collective now; call ``on_complete`` when done."""
+        raise NotImplementedError
+
 
 class NetworkBookkeeping(NetworkBackend):
     """What the channel and packet networks keep besides their wires.
 
     It holds the planner, the submitted collectives, the op records, the
-    comm-active intervals (overall and per owner) and the fault schedule,
-    and snapshots them as an :class:`ExecutionResult`.  A subclass owns
-    the wire: it starts each submitted collective, calls
+    per-owner comm-active intervals and the fault schedule, runs the
+    engine, and snapshots them as an :class:`ExecutionResult`.  A subclass
+    owns the wire: it starts each submitted collective, calls
     :meth:`_finish_collective` when its last op completes, applies
     capacity changes in :meth:`_apply_capacity`, and reports its
     per-dimension statistics from :meth:`_wire_stats`.
@@ -595,8 +635,6 @@ class NetworkBookkeeping(NetworkBackend):
         self._results: list[CollectiveResult] = []
         self._records: list[OpRecord] = []
         self._records_sorted = True
-        self._comm_active_since: float | None = None
-        self._comm_active: list[Interval] = []
         self._owner_inflight: dict[str, int] = {}
         self._owner_active_since: dict[str, float] = {}
         self._owner_active: dict[str, list[Interval]] = {}
@@ -663,26 +701,21 @@ class NetworkBookkeeping(NetworkBackend):
     # --- comm-active accounting ---------------------------------------------
     def _register_collective(self, state: _CollectiveState) -> None:
         """Track ``state`` as in flight from now on (comm-active)."""
-        now = self.engine.now
-        owner = state.result.request.owner
-        self._states[state.result.request.request_id] = state
-        if self._comm_active_since is None:
-            self._comm_active_since = now
+        result = state.result
+        owner = result.request.owner
+        self._states[result.seq] = state
         self._owner_inflight[owner] = self._owner_inflight.get(owner, 0) + 1
         if owner not in self._owner_active_since:
-            self._owner_active_since[owner] = now
+            self._owner_active_since[owner] = self.engine.now
 
     def _finish_collective(self, state: _CollectiveState) -> None:
-        """Complete ``state`` now and close its comm-active intervals."""
+        """Complete ``state`` now; its owner's comm-active interval closes
+        with the owner's last collective in flight."""
         now = self.engine.now
-        state.result.completion_time = now
-        request = state.result.request
-        owner = request.owner
-        del self._states[request.request_id]
-        if not self._states and self._comm_active_since is not None:
-            if now > self._comm_active_since:
-                self._comm_active.append(Interval(self._comm_active_since, now))
-            self._comm_active_since = None
+        result = state.result
+        result.completion_time = now
+        owner = result.request.owner
+        del self._states[result.seq]
         self._owner_inflight[owner] -= 1
         if self._owner_inflight[owner] == 0:
             since = self._owner_active_since.pop(owner)
@@ -692,6 +725,12 @@ class NetworkBookkeeping(NetworkBackend):
             state.on_complete(state.result)
 
     # --- running --------------------------------------------------------------
+    def run(self, max_events: int | None = None) -> ExecutionResult:
+        """Run the engine to quiescence and package the results."""
+        self.engine.run(max_events=max_events)
+        self._check_drained()
+        return self.result()
+
     def _check_drained(self) -> None:
         """Raise if collectives are still in flight once the engine is idle."""
         if not self._states:
@@ -729,14 +768,13 @@ class NetworkBookkeeping(NetworkBackend):
         closed *in the snapshot only* (internal accounting is untouched, so
         the simulation can keep running afterwards), and collectives still
         in flight keep their NaN ``completion_time`` — the aggregate
-        :class:`ExecutionResult` timings skip them.
+        :class:`ExecutionResult` timings skip them.  A collective is in
+        flight exactly while its owner has one, so the comm-active
+        intervals are the union of every owner's.
         """
         if not self._results:
             raise SimulationError("no collectives were submitted")
         now = self.engine.now
-        comm_active = list(self._comm_active)
-        if self._comm_active_since is not None and now > self._comm_active_since:
-            comm_active.append(Interval(self._comm_active_since, now))
         by_owner = {
             owner: list(intervals) for owner, intervals in self._owner_active.items()
         }
@@ -759,7 +797,9 @@ class NetworkBookkeeping(NetworkBackend):
             dim_busy_seconds=busy,
             dim_bytes=nbytes,
             dim_activity=[merge_intervals(intervals) for intervals in activity],
-            comm_active_intervals=merge_intervals(comm_active),
+            comm_active_intervals=merge_intervals(
+                [interval for intervals in by_owner.values() for interval in intervals]
+            ),
             comm_active_by_owner={
                 owner: merge_intervals(intervals)
                 for owner, intervals in sorted(by_owner.items())
@@ -852,8 +892,8 @@ class NetworkSimulator(NetworkBookkeeping):
             for channel in self.channels:
                 channel.auditor = self.auditor
         #: ``plan key -> {parent dim: [(chunk_id, stage_index), ...]}`` —
-        #: enforced orders with the request id stripped, re-stamped per
-        #: submission (op keys embed the submitting request's id).
+        #: enforced orders with the collective's seq stripped, re-stamped
+        #: per submission (op keys embed the submitting collective's seq).
         self._order_cache: dict[tuple, dict[int, list[tuple[int, int]]]] = {}
         #: ``plan key -> [SoloRecipe, ...]``: the plan's newest runs alone,
         #: newest first, which :meth:`start_solo` replays.
@@ -924,42 +964,20 @@ class NetworkSimulator(NetworkBookkeeping):
         self.channels[dim_index].set_capacity_factor(factor)
 
     # --- submission ---------------------------------------------------------
-    def submit(
-        self,
-        request: CollectiveRequest,
-        at_time: float | None = None,
-        on_complete: Callable[[CollectiveResult], None] | None = None,
-        scheduler: SchedulerFactory | None = None,
-    ) -> CollectiveResult:
-        """Issue a collective at ``at_time`` (default: current sim time).
-
-        ``scheduler`` optionally overrides the simulator-wide factory for
-        this one request — multi-tenant callers (the cluster simulator) use
-        it to give each job its own scheduling policy on the shared network.
-
-        Returns the (initially incomplete) :class:`CollectiveResult`; its
-        ``completion_time`` is filled in when the collective finishes.
-        """
-        issue_time = self.engine.now if at_time is None else at_time
-        _check_not_past(self.engine, request, issue_time)
-        result = CollectiveResult(request=request, plan=None, issue_time=issue_time)
-        self._results.append(result)
-        self.engine.schedule(
-            issue_time,
-            lambda: self._start_collective(result, on_complete, scheduler),
-        )
-        return result
+    # perfbench's tracer wraps the methods it finds in this class's own
+    # ``__dict__``, so the inherited entry points are named here as well.
+    submit = NetworkBackend.submit
+    run = NetworkBookkeeping.run
 
     def _start_collective(
         self,
         result: CollectiveResult,
         on_complete: Callable[[CollectiveResult], None] | None,
-        scheduler_factory: SchedulerFactory | None = None,
+        scheduler: SchedulerFactory | None,
     ) -> None:
-        request = result.request
         plan, plan_key, costs = self.planner.plan(
-            request,
-            scheduler_factory or self.scheduler_factory,
+            result.request,
+            scheduler or self.scheduler_factory,
             tuple(channel.capacity_factor for channel in self.channels),
             self.engine.now,
         )
@@ -971,7 +989,7 @@ class NetworkSimulator(NetworkBookkeeping):
                     return
                 self._record(result, plan_key)
 
-        chunk_ops = self._build_chunk_ops(request, costs, plan_key)
+        chunk_ops = self._build_chunk_ops(result, costs, plan_key)
 
         state = _CollectiveState(result, chunk_ops, on_complete)
         self._register_collective(state)
@@ -983,7 +1001,7 @@ class NetworkSimulator(NetworkBookkeeping):
             self.channels[ops[0].parent_dim].enqueue(ops[0])
 
     def _build_chunk_ops(
-        self, request: CollectiveRequest, costs: PlanCosts, plan_key: tuple | None
+        self, result: CollectiveResult, costs: PlanCosts, plan_key: tuple | None
     ) -> list[list[OpState]]:
         """Materialize the plan's op costs as executable channel ops.
 
@@ -996,7 +1014,7 @@ class NetworkSimulator(NetworkBookkeeping):
         next stage), so overrides must keep ``chunk_id`` equal to the op
         list's position.
         """
-        return build_chunk_ops(request, costs)
+        return build_chunk_ops(result, costs)
 
     def _install_enforced_orders(
         self, state: _CollectiveState, plan_key: tuple | None
@@ -1006,7 +1024,7 @@ class NetworkSimulator(NetworkBookkeeping):
         The pre-simulation depends only on the plan (and the simulator-wide
         policy/fusion), so its result is cached under the same signature as
         the plan itself — repeated submissions of an identical collective
-        re-stamp the cached order with their request id instead of
+        re-stamp the cached order with their own seq instead of
         re-running the whole consistency simulation.
         """
         generic = self._order_cache.get(plan_key) if plan_key is not None else None
@@ -1028,14 +1046,10 @@ class NetworkSimulator(NetworkBookkeeping):
             }
             if plan_key is not None:
                 self._order_cache[plan_key] = generic
-        request_id = state.result.request.request_id
+        seq = state.result.seq
         for dim_index, pairs in generic.items():
             self.channels[dim_index].set_enforced_order(
-                request_id,
-                [
-                    (request_id, chunk_id, stage_index)
-                    for chunk_id, stage_index in pairs
-                ],
+                seq, [(seq, chunk_id, stage_index) for chunk_id, stage_index in pairs]
             )
 
     # --- replaying a collective that runs alone ------------------------------
@@ -1145,12 +1159,6 @@ class NetworkSimulator(NetworkBookkeeping):
                 self._finish_collective(state)
 
     # --- running ----------------------------------------------------------------
-    def run(self, max_events: int | None = None) -> ExecutionResult:
-        """Run the engine to quiescence and package the results."""
-        self.engine.run(max_events=max_events)
-        self._check_drained()
-        return self.result()
-
     def _wire_stats(self) -> WireStats:
         """The channels' statistics.
 

@@ -244,12 +244,13 @@ class TrainingLoop:
             **self._scope_fields(scope),
         )
         self.collectives_issued += 1
-        kwargs: dict = {"at_time": self.engine.now}
-        if self.on_collective_complete is not None:
-            kwargs["on_complete"] = self.on_collective_complete
-        if self.scheduler_factory is not None and self.network.accepts_scheduler:
-            kwargs["scheduler"] = self.scheduler_factory
-        return self.network.submit(request, **kwargs)
+        network = self.network
+        return network.submit(
+            request,
+            self.engine.now,
+            self.on_collective_complete,
+            self.scheduler_factory if network.accepts_scheduler else None,
+        )
 
     # --- comm attachment handling -------------------------------------------
     def _mp_scope(self) -> CommScope | None:

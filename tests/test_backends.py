@@ -417,6 +417,7 @@ class TestCrossBackendAgreement:
         first = run_backend("packet", topo, chunks=16)
         second = run_backend("packet", topo, chunks=16)
         assert first.makespan == second.makespan
+        assert first.records == second.records
 
     def test_ecmp_runs_and_is_deterministic(self):
         topo = single_dim("ring")
@@ -424,6 +425,7 @@ class TestCrossBackendAgreement:
         first = run_backend("packet", topo, options=options)
         second = run_backend("packet", topo, options=options)
         assert first.makespan == second.makespan
+        assert first.records == second.records
 
 
 # --- spec threading ---------------------------------------------------------

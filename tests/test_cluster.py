@@ -15,10 +15,10 @@ from repro.cluster import (
     run_cluster,
 )
 from repro.errors import ConfigError
-from repro.topology import Topology, dimension
+from repro.topology import Topology, dimension, get_topology
 from repro.training import TrainingConfig, simulate_training
 from repro.units import MB
-from repro.workloads import Layer, Workload
+from repro.workloads import Layer, Workload, flood
 
 
 def tiny_topology() -> Topology:
@@ -279,6 +279,31 @@ class TestClusterSimulator:
             ClusterConfig(isolated_baselines=False),
         )
         assert isolated_jct(topology, spec) == pytest.approx(solo.jobs[0].jct)
+
+    def test_rerun_in_one_process_gives_equal_records(self):
+        """Each network numbers its own collectives, so a run's op records
+        do not depend on what ran before it in the process: here the same
+        cluster twice, with its isolated baselines' solo runs in between."""
+
+        def run():
+            jobs = [
+                JobSpec(name="a", workload=flood(4, 2.0), iterations=2),
+                JobSpec(
+                    name="b", workload=flood(2, 8.0), iterations=2, arrival_time=10e-6
+                ),
+            ]
+            config = ClusterConfig(
+                training=TrainingConfig(chunks_per_collective=8), record_ops=True
+            )
+            sim = ClusterSimulator(get_topology("2D-SW_SW"), jobs, config)
+            sim.run()
+            return sim.network.result()
+
+        first, second = run(), run()
+        assert first.records and first.records == second.records
+        for result in (first, second):
+            seqs = [c.seq for c in result.collectives]
+            assert seqs == list(range(len(seqs)))
 
 
 class TestClusterReport:

@@ -50,11 +50,6 @@ class TestCollectiveRequest:
         with pytest.raises(CollectiveError):
             CollectiveRequest(CollectiveType.ALL_REDUCE, 0.0)
 
-    def test_request_ids_increase(self):
-        first = CollectiveRequest(CollectiveType.ALL_REDUCE, 1.0)
-        second = CollectiveRequest(CollectiveType.ALL_REDUCE, 1.0)
-        assert second.request_id > first.request_id
-
 
 class TestStepCounts:
     """Step counts drive the fixed latency A_K (Sec. 4.4)."""

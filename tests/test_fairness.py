@@ -22,11 +22,11 @@ from repro.collectives import CollectiveRequest, CollectiveType
 from repro.core import SchedulerFactory, Splitter
 from repro.errors import ConfigError
 from repro.experiments import run_fairness_comparison, skewed_trace
-from repro.sim import FusionConfig, NetworkSimulator
-from repro.topology import Topology, dimension
+from repro.sim import FusionConfig, JobFaultPolicy, NetworkSimulator
+from repro.topology import Topology, dimension, get_topology
 from repro.training import TrainingConfig
 from repro.units import MB
-from repro.workloads import Layer, Workload
+from repro.workloads import Layer, Workload, flood
 
 #: Coarser chunking than the default 64 keeps cluster tests fast; the
 #: fairness effects are identical.
@@ -471,6 +471,36 @@ class TestClusterFairnessPolicies:
         policy.prepare(sim)
         sim.engine.run()  # would never return if the tick re-armed forever
         assert not sim.drivers[0].finished
+
+    def test_ftf_ignores_a_job_that_failed_for_good(self):
+        """A job out of retries has no finish time: it gets no rho (so it
+        cannot become the worst job every live share is measured against)
+        and does not keep the tick alive once the live jobs are done."""
+        policy = FinishTimeFairness()
+        jobs = [
+            JobSpec(name="a", workload=flood(4, 4.0), iterations=8),
+            JobSpec(
+                name="b", workload=flood(4, 4.0), iterations=8, arrival_time=10e-6
+            ),
+            JobSpec(
+                name="c", workload=flood(1, 32.0), iterations=8, arrival_time=20e-6
+            ),
+        ]
+        config = ClusterConfig(
+            training=TrainingConfig(chunks_per_collective=8),
+            fairness=policy,
+            job_faults=JobFaultPolicy(crash_rate=800.0, max_retries=0, seed=0),
+        )
+        sim = ClusterSimulator(get_topology("2D-SW_SW"), jobs, config)
+        sim.run()
+        failed, c = sim.drivers[1], sim.drivers[2]
+        assert failed.failed and failed.fail_time is not None
+        assert all(
+            "b" not in estimates
+            for time, estimates in policy.rho_trace
+            if time > failed.fail_time
+        )
+        assert policy.rho_trace[-1][0] < c.finish_time
 
     def test_ftf_policy_instance_reusable_across_runs(self):
         policy = FinishTimeFairness()

@@ -218,7 +218,7 @@ class TestHybridTriggers:
         net.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
         result = net.run()
         cached, armed = (
-            [r for r in result.records if r.collective_seq == c.request.request_id]
+            [r for r in result.records if r.collective_seq == c.seq]
             for c in result.collectives
         )
         assert len(cached) == 2  # one aggregate flow per dimension

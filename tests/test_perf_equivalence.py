@@ -125,16 +125,11 @@ def _submit_mixed_workload(sim, scale: tuple = MB_SCALE) -> None:
 
 
 def _timeline(sim) -> tuple:
-    """Normalized timeline: per-op times plus completion order/times.
-
-    Request ids are globally monotonic, so they are rebased to the run's
-    first id to make two separate runs comparable.
-    """
+    """Normalized timeline: per-op times plus completion order/times."""
     result = sim.run()
-    base = result.collectives[0].request.request_id
     records = tuple(
         (
-            r.collective_seq - base,
+            r.collective_seq,
             r.chunk_id,
             r.stage_index,
             r.dim_index,
@@ -144,10 +139,7 @@ def _timeline(sim) -> tuple:
         )
         for r in result.records
     )
-    completions = tuple(
-        (c.request.request_id - base, c.completion_time)
-        for c in result.collectives
-    )
+    completions = tuple((c.seq, c.completion_time) for c in result.collectives)
     return records, completions
 
 

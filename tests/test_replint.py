@@ -257,6 +257,37 @@ class TestRPL009BuiltinSum:
         assert codes("t = sum(xs)\n", path="src/repro/analysis/tables.py") == []
 
 
+class TestRPL010GlobalCounter:
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "import itertools\n_IDS = itertools.count()\n",
+            "from itertools import count\n_IDS = count(1)\n",
+            "from itertools import count as ids\n_IDS: Iterator[int] = ids()\n",
+            "import itertools\nclass Op:\n    ids = itertools.count()\n",
+        ],
+    )
+    def test_fires_on_process_global_counter(self, snippet):
+        assert codes(snippet) == ["RPL010"]
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "import itertools\n"
+            "class Net:\n"
+            "    def __init__(self):\n"
+            "        self._seq = itertools.count()\n",
+            "def count():\n    return 0\nn = count()\n",
+        ],
+    )
+    def test_silent_on_counters_owned_by_an_object(self, snippet):
+        assert codes(snippet) == []
+
+    def test_sim_scoped(self):
+        bad = "import itertools\n_IDS = itertools.count()\n"
+        assert codes(bad, path="src/repro/analysis/tables.py") == []
+
+
 class TestScope:
     def test_sim_paths(self):
         assert is_sim_path("src/repro/sim/engine.py")
